@@ -222,7 +222,12 @@ def _spatial_rows(params: DeviceParams, experiment: int,
     for frac, aspect in points:
         for placement in placements:
             for seed in seeds:
-                qr = gen_query_region(space, frac, aspect, seed=seed)
+                try:
+                    qr = gen_query_region(space, frac, aspect, seed=seed)
+                except ValueError as exc:
+                    raise ValueError(
+                        f"experiment {experiment}, query_frac={frac:g}, "
+                        f"aspect={aspect:g}, seed={seed}: {exc}") from exc
                 base: Row = {"experiment": experiment, "placement": placement,
                              "data_mb": data_mb, "n_projection": "",
                              "selectivity": "", "query_frac": frac,

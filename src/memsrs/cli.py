@@ -35,6 +35,12 @@ def _device(args: argparse.Namespace) -> DeviceParams:
     return cmu_defaults()
 
 
+def _seeds(args: argparse.Namespace) -> tuple:
+    if args.repeats < 1:
+        raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
+    return tuple(range(args.seed, args.seed + args.repeats))
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -91,7 +97,7 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 def cmd_bench_relational(args: argparse.Namespace) -> int:
     p = _device(args)
-    seeds = tuple(range(args.seed, args.seed + args.repeats))
+    seeds = _seeds(args)
     placements = tuple(args.placement or bench.RELATIONAL_PLACEMENTS)
     rows: List[bench.Row] = []
     sizes = _num_list(args.sizes, _ratio)
@@ -112,7 +118,7 @@ def cmd_bench_relational(args: argparse.Namespace) -> int:
 
 def cmd_bench_spatial(args: argparse.Namespace) -> int:
     p = _device(args)
-    seeds = tuple(range(args.seed, args.seed + args.repeats))
+    seeds = _seeds(args)
     placements = tuple(args.placement or bench.SPATIAL_PLACEMENTS)
     rows: List[bench.Row] = []
     fracs = [pct / 100 for pct in _num_list(args.query_sizes, _ratio)]

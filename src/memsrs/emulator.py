@@ -4,11 +4,18 @@ The media sled serpentines through tip-sector columns: odd columns are
 traversed top-to-bottom, even columns bottom-to-top, so consecutive
 linear rows are physically adjacent.  All tips share the single sled,
 which is why a scan is priced once no matter how many tips it powers.
+
+There is one execution path.  A scan is priced pass by pass: pass 0
+walks the scan from its entry row to its exit row, and each later pass
+reverses over the rows that still want more than `n_active_tips` tips.
+A pass costs only its row steps, column crossings and one turnaround,
+and `Timing` seconds are computed from those integer event counts plus
+the seek charges.  `read` walks the same passes and also reads each
+pass's cells, so it returns the same `Timing` as `execute`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -105,6 +112,13 @@ class MediaImage:
         return self._cells.get((region, s), bytes(self.sector_bytes))
 
 
+def _check_tips(tips: Sequence[int], n_tips: int) -> None:
+    if tips:
+        low, high = min(tips), max(tips)
+        if low < 1 or high > n_tips:
+            raise ValueError(f"tip {low if low < 1 else high} out of range 1..{n_tips}")
+
+
 def _transition_cost(state: SledState, tcol: int, trow: int, first_dir: int,
                      p: DeviceParams, model: str) -> Tuple[float, bool]:
     """Cost of repositioning before a scan; True when the sled moved.
@@ -172,29 +186,24 @@ class Emulator:
         p = self.params
         if scan.length < 1:
             raise ValueError("scan length must be >= 1")
-        if scan.start < 1 or scan.start + scan.length - 1 > p.sectors_per_region:
-            raise ValueError(
-                f"scan rows {scan.start}..{scan.start + scan.length - 1} exceed "
-                f"1..{p.sectors_per_region}")
-        for tip in scan.tips:
-            if not 1 <= tip <= p.n_tips:
-                raise ValueError(f"tip {tip} out of range 1..{p.n_tips}")
+        lo, hi = scan.start, scan.start + scan.length - 1
+        if lo < 1 or hi > p.sectors_per_region:
+            raise ValueError(f"scan rows {lo}..{hi} exceed 1..{p.sectors_per_region}")
+        n_tips = p.n_tips
+        _check_tips(scan.tips, n_tips)
         if scan.per_row_tips:
-            lo, hi = scan.start, scan.start + scan.length - 1
-            for s, tips in scan.per_row_tips.items():
+            for s in (min(scan.per_row_tips), max(scan.per_row_tips)):
                 if not lo <= s <= hi:
                     raise ValueError(f"override row {s} outside scan {lo}..{hi}")
-                for tip in tips:
-                    if not 1 <= tip <= p.n_tips:
-                        raise ValueError(f"tip {tip} out of range 1..{p.n_tips}")
+            for tips in scan.per_row_tips.values():
+                _check_tips(tips, n_tips)
 
     def _run(self, plan: AccessPlan, media: Optional[MediaImage]):
         p = self.params
         napt = p.n_active_tips
         sy = p.sectors_y
-        st = self._sector_time
-        seek_s = transfer_s = settle_s = turnaround_s = 0.0
-        n_seeks = n_turnarounds = n_row_steps = n_sectors = 0
+        seek_s = 0.0
+        n_seeks = n_turnarounds = n_row_steps = n_settles = n_sectors = 0
         out: List[bytes] = []
 
         for scan in plan.scans:
@@ -203,7 +212,7 @@ class Emulator:
             hi = scan.start + scan.length - 1
             cur = _lin(self.state.col, self.state.row, sy)
             ascending = abs(cur - lo) <= abs(cur - hi)
-            entry, exit_ = (lo, hi) if ascending else (hi, lo)
+            entry = lo if ascending else hi
             tcol, trow = _col_row(entry, sy)
 
             if trow != self.state.row:
@@ -216,84 +225,50 @@ class Emulator:
                                            p, self.seek_model)
             if moved:
                 seek_s += cost
-            else:
-                turnaround_s += cost
-                if cost > 0:
-                    n_turnarounds += 1
+            elif cost > 0:
+                # in place, the only charge is a direction reversal
+                n_turnarounds += 1
             n_seeks += 1
 
-            if scan.per_row_tips is None and media is None:
-                # uniform activation: every sweep retraces the whole range
-                cnt = len(scan.tips)
-                passes = max(1, -(-cnt // napt))
-                transfer_s += scan.length * passes * st
-                n_row_steps += scan.length * passes
-                n_sectors += scan.length * cnt
-                crossings = abs(_col_of(exit_, sy) - tcol)
-                settle_s += crossings * passes * p.settle_time_s
-                turnaround_s += (passes - 1) * p.turnaround_time_s
-                n_turnarounds += passes - 1
-                final = exit_ if passes % 2 == 1 else entry
-                asc_final = ascending if passes % 2 == 1 else not ascending
-                fcol, frow = _col_row(final, sy)
-                self.state.col, self.state.row = fcol, frow
-                if scan.length > 1:
-                    self.state.y_dir = _phys_dir(fcol, asc_final)
-                elif first_dir != 0:
-                    self.state.y_dir = first_dir
-                continue
-
-            step = 1 if ascending else -1
+            tips = scan.tips
             prt = scan.per_row_tips or {}
-            cur_col = tcol
-            last_dir = step
+            n_sectors += (len(tips) * (scan.length - len(prt))
+                          + sum(map(len, prt.values())))
+            # rows wanting more tips than one pass activates: the wide
+            # overrides and the outermost rows left on the default set
+            wide = [(s, len(t)) for s, t in prt.items() if len(t) > napt]
+            if len(tips) > napt and len(prt) < scan.length:
+                first, last = lo, hi
+                while first in prt:
+                    first += 1
+                while last in prt:
+                    last -= 1
+                wide += [(first, len(tips)), (last, len(tips))]
 
-            def do_path(path, base):
-                nonlocal transfer_s, settle_s, n_row_steps, n_sectors, cur_col
-                for s in path:
-                    col = _col_of(s, sy)
-                    if col != cur_col:
-                        settle_s += p.settle_time_s
-                        cur_col = col
-                    transfer_s += st
-                    n_row_steps += 1
-                    eff = prt.get(s, scan.tips)
-                    cnt = len(eff)
-                    if cnt > base:
-                        n_sectors += min(cnt, base + napt) - base
-                        if media is not None:
-                            for tip in eff[base:base + napt]:
-                                out.append(media.read_cell(tip, s))
-
-            do_path(range(entry, exit_ + step, step), 0)
-            pos = exit_
-
-            # rows wanting more tips than fit one pass get extra sweeps;
-            # each sweep reverses and retraces the span still in need
-            deep = [(s, len(prt.get(s, scan.tips)))
-                    for s in range(lo, hi + 1)
-                    if len(prt.get(s, scan.tips)) > napt]
-            sweep = 1
-            while deep:
-                need = [s for s, c in deep if c > sweep * napt]
+            # pass k activates tips [k*napt, (k+1)*napt) of each row.  Pass 0
+            # walks entry to exit; each later pass reverses and walks to the
+            # far end of the span of rows that still want more tips.  The
+            # sled is always at or outside an end of that span.
+            pos, span, base, last_dir = entry, (lo, hi), 0, 1
+            while True:
+                lo_n, hi_n = span
+                far, dirn = (hi_n, 1) if pos <= lo_n else (lo_n, -1)
+                n_row_steps += abs(far - pos) + (lo_n <= pos <= hi_n)
+                n_settles += abs(_col_of(far, sy) - _col_of(pos, sy))
+                if media is not None:
+                    rows = (range(lo_n, hi_n + 1) if dirn > 0
+                            else range(hi_n, lo_n - 1, -1))
+                    for s in rows:
+                        for tip in prt.get(s, tips)[base:base + napt]:
+                            out.append(media.read_cell(tip, s))
+                last_dir = -last_dir if far == pos else dirn
+                pos = far
+                base += napt
+                need = [s for s, c in wide if c > base]
                 if not need:
                     break
-                lo_n, hi_n = min(need), max(need)
-                turnaround_s += p.turnaround_time_s
+                span = (min(need), max(need))
                 n_turnarounds += 1
-                if pos <= lo_n:
-                    far, on_edge, dirn = hi_n, pos == lo_n, 1
-                else:
-                    far, on_edge, dirn = lo_n, pos == hi_n, -1
-                if far == pos:
-                    do_path((pos,), sweep * napt)
-                    last_dir = -last_dir
-                else:
-                    start = pos if on_edge else pos + dirn
-                    do_path(range(start, far + dirn, dirn), sweep * napt)
-                    last_dir = dirn
-                pos = far
-                sweep += 1
 
             fcol, frow = _col_row(pos, sy)
             self.state.col, self.state.row = fcol, frow
@@ -302,8 +277,14 @@ class Emulator:
             elif first_dir != 0:
                 self.state.y_dir = first_dir
 
-        total = seek_s + transfer_s + settle_s + turnaround_s
-        timing = Timing(total_s=total, seek_s=seek_s, transfer_s=transfer_s,
+        # seconds come from event counts, so execute and read agree
+        # exactly; total_s adds repositioning and streaming time in the
+        # order the bench's seek_s and transfer_s columns sum them
+        transfer_s = n_row_steps * self._sector_time
+        settle_s = n_settles * p.settle_time_s
+        turnaround_s = n_turnarounds * p.turnaround_time_s
+        timing = Timing(total_s=(seek_s + turnaround_s) + (transfer_s + settle_s),
+                        seek_s=seek_s, transfer_s=transfer_s,
                         settle_s=settle_s, turnaround_s=turnaround_s,
                         n_seeks=n_seeks, n_turnarounds=n_turnarounds,
                         n_row_steps=n_row_steps, n_sectors=n_sectors)

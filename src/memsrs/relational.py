@@ -250,18 +250,6 @@ class RelLayoutRP:
 
 # -- module-level operation names ----------------------------------------
 
-def map_rsy(layout: RelLayoutRSY, v: int, w: int) -> RSAddr:
-    return layout.map(v, w)
-
-
-def map_rsy_phys(layout: RelLayoutRSY, v: int, w: int) -> PhysAddr:
-    return layout.map_phys(v, w)
-
-
-def map_rp(layout: RelLayoutRP, v: int, w: int) -> RSAddr:
-    return layout.map(v, w)
-
-
 def compile_rsy(layout: RelLayoutRSY, query: RangeQuery) -> AccessPlan:
     return layout.compile(query)
 
@@ -269,14 +257,6 @@ def compile_rsy(layout: RelLayoutRSY, query: RangeQuery) -> AccessPlan:
 def compile_rp(layout: RelLayoutRP, query: RangeQuery, qualifying: Iterable[int],
                rows: Optional[Mapping[int, Sequence[int]]] = None) -> AccessPlan:
     return layout.compile(query, qualifying, rows)
-
-
-def k_values_rsy(layout: RelLayoutRSY, query: RangeQuery) -> CostInput:
-    return layout.k_values(query)
-
-
-def k_values_rp(layout: RelLayoutRP, query: RangeQuery) -> CostInput:
-    return layout.k_values(query)
 
 
 def _write_values(layout, image: MediaImage, value_fn) -> None:

@@ -394,20 +394,8 @@ def k_values_sp(grid: BlockGrid, qr: QueryRegion) -> CostInput:
 
 # -- module-level operation names and image writers -------------------------
 
-def map_ssy(layout: SSYLayout, x: int, y: int) -> RSAddr:
-    return layout.map(x, y)
-
-
-def map_ssy_phys(layout: SSYLayout, x: int, y: int) -> PhysAddr:
-    return layout.map_phys(x, y)
-
-
 def compile_ssy(layout: SSYLayout, qr: QueryRegion) -> AccessPlan:
     return layout.compile(qr)
-
-
-def k_values_ssy(layout: SSYLayout, qr: QueryRegion) -> CostInput:
-    return layout.k_values(qr)
 
 
 def _write_objects(space: SpatialSpace, mapper, image: MediaImage, value_fn) -> None:

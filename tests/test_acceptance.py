@@ -21,13 +21,12 @@ from memsrs.emulator import AccessPlan, Emulator, MediaImage, Scan
 from memsrs.linear import (DsmLayout, NsmLayout, compile_dsm, compile_nsm,
                            write_image_dsm, write_image_nsm)
 from memsrs.relational import (RangeQuery, RelationSchema, RelLayoutRP,
-                               RelLayoutRSY, compile_rp, compile_rsy, map_rsy,
-                               map_rsy_phys, write_image_rp, write_image_rsy)
+                               RelLayoutRSY, compile_rp, compile_rsy,
+                               write_image_rp, write_image_rsy)
 from memsrs.rs import PhysAddr, RSAddr, mems_to_rs, rs_params, rs_to_mems
 from memsrs.spatial import (QueryRegion, SpatialSpace, SSYLayout,
                             build_block_grid, compile_sp, compile_ssy,
-                            map_ssy, map_ssy_phys, write_image_sp,
-                            write_image_ssy)
+                            write_image_sp, write_image_ssy)
 
 pytestmark = pytest.mark.acceptance
 
@@ -125,16 +124,16 @@ def test_criterion_02_composition_identities():
     for _ in range(100_000):
         v = rng.randint(1, sch.n)
         w = rng.randint(1, sch.k)
-        assert mems_to_rs(map_rsy_phys(lay, v, w), p) == map_rsy(lay, v, w)
+        assert mems_to_rs(lay.map_phys(v, w), p) == lay.map(v, w)
 
     space = SpatialSpace(width=6400, height=6400)
     ssy = SSYLayout(p, space)
     # documented anchor: object (100, 200) sits at tip (20, 2), column 8, row 17
-    assert map_ssy_phys(ssy, 100, 200) == PhysAddr(20, 2, 8, 17)
+    assert ssy.map_phys(100, 200) == PhysAddr(20, 2, 8, 17)
     for _ in range(100_000):
         x = rng.randint(1, space.width)
         y = rng.randint(1, space.height)
-        assert mems_to_rs(map_ssy_phys(ssy, x, y), p) == map_ssy(ssy, x, y)
+        assert mems_to_rs(ssy.map_phys(x, y), p) == ssy.map(x, y)
 
 
 # -- criterion 3: relational speedup lands in the published bands -----------

@@ -125,9 +125,10 @@ def test_sequential_yu_row_matches_direct_emulation():
 
 
 def test_measured_rows_internally_consistent():
-    for r in small_exp1(seeds=(0, 1)):
-        assert r["meas_total_s"] == pytest.approx(
-            r["seek_s"] + r["transfer_s"], abs=1e-12)
+    rows = small_exp1(seeds=(0, 1))
+    rows += run_experiment3(query_fracs=(0.0001, 0.001, 0.01), seeds=(0, 1, 2))
+    for r in rows:
+        assert r["meas_total_s"] == r["seek_s"] + r["transfer_s"]
         assert r["k_parallel"] > 0
         assert r["est_total_s"] > 0
 
@@ -209,6 +210,13 @@ def test_exp4_stripe_layout_pays_for_tall_queries():
     assert by_aspect[8]["meas_total_s"] > by_aspect[4]["meas_total_s"]
     for r in rows:
         assert r["query_frac"] == 0.01 and r["experiment"] == 4
+
+
+def test_infeasible_spatial_point_is_named():
+    with pytest.raises(ValueError, match=r"experiment 4, query_frac=0\.1, "
+                       r"aspect=0\.0625, seed=0: query shape 506x8095") as info:
+        run_experiment4(query_frac=0.1, aspects=(1 / 16,), seeds=(0,))
+    assert isinstance(info.value.__cause__, ValueError)
 
 
 # -- CSV rendering -----------------------------------------------------------

@@ -148,6 +148,15 @@ def test_bench_unknown_placement_fails(capsys):
     assert "placement" in err
 
 
+@pytest.mark.parametrize("command", ["relational", "spatial"])
+@pytest.mark.parametrize("repeats", ["0", "-2"])
+def test_bench_repeats_below_one_fails(command, repeats, capsys):
+    code, out, err = run_cli(["bench", command, "--repeats", repeats], capsys)
+    assert code != 0
+    assert out == ""
+    assert f"--repeats must be >= 1, got {repeats}" in err
+
+
 def test_bench_spatial_zorder_curve(capsys):
     code, out, _ = run_cli(["bench", "spatial", "--query-sizes", "0.01",
                             "--aspects", "", "--repeats", "1",

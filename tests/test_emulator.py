@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memsrs.device import DeviceParams, cmu_defaults, derive
@@ -220,6 +220,54 @@ def test_read_multi_pass_chunking_order():
         im.write_cell(r, 1, _pattern(r, 1))
     _, data = Emulator(p).read(AccessPlan([Scan(tips=(1, 2, 3, 4, 5), start=1, length=1)]), im)
     assert data == b"".join(_pattern(r, 1) for r in (1, 2, 3, 4, 5))
+
+
+SMALL = DeviceParams(regions_x=3, regions_y=2, sectors_x=3, sectors_y=3,
+                     n_active_tips=2)
+
+
+@st.composite
+def _plans(draw):
+    # tip sets reach past n_active_tips, so rows may take up to three passes
+    spr = SMALL.sectors_per_region
+    tip_sets = st.lists(st.integers(1, SMALL.n_tips), unique=True,
+                        max_size=SMALL.n_tips).map(tuple)
+    scans = []
+    for _ in range(draw(st.integers(1, 5))):
+        start = draw(st.integers(1, spr))
+        length = draw(st.integers(1, spr - start + 1))
+        overrides = st.dictionaries(st.integers(start, start + length - 1),
+                                    tip_sets, max_size=length)
+        scans.append(Scan(tips=draw(tip_sets), start=start, length=length,
+                          per_row_tips=draw(st.none() | overrides)))
+    return AccessPlan(scans)
+
+
+# only the exit row of a two-row scan wants a second pass
+_EXIT_ROW_ONLY = AccessPlan([Scan(tips=(1,), start=1, length=2,
+                                  per_row_tips={2: (1, 2, 3)})])
+
+
+@settings(max_examples=200, deadline=None)
+@given(plan=_plans(), col=st.integers(1, SMALL.sectors_x),
+       row=st.integers(1, SMALL.sectors_y), y_dir=st.sampled_from((1, -1)),
+       model=st.sampled_from(("average", "distance")))
+@example(plan=_EXIT_ROW_ONLY, col=1, row=1, y_dir=1, model="average")
+def test_read_prices_exactly_like_execute(plan, col, row, y_dir, model):
+    ex = Emulator(SMALL, model, SledState(col, row, y_dir))
+    rd = Emulator(SMALL, model, SledState(col, row, y_dir))
+    t = ex.execute(plan)
+    t_read, _ = rd.read(plan, MediaImage(SMALL))
+    assert t == t_read
+    assert ex.state == rd.state
+
+
+def test_exit_row_rescan_reverses_direction():
+    em = Emulator(SMALL)
+    t = em.execute(_EXIT_ROW_ONLY)
+    assert (t.n_row_steps, t.n_turnarounds, t.n_sectors) == (3, 1, 4)
+    # the second pass sweeps back over row 2 against the first pass
+    assert em.state == SledState(col=1, row=2, y_dir=-1)
 
 
 def test_unwritten_cells_read_as_zeros():

@@ -16,11 +16,6 @@ from memsrs.relational import (
     RelationSchema,
     compile_rp,
     compile_rsy,
-    k_values_rp,
-    k_values_rsy,
-    map_rp,
-    map_rsy,
-    map_rsy_phys,
     write_image_rp,
     write_image_rsy,
 )
@@ -43,29 +38,29 @@ def q(projected, sel=0.1, pred=1):
 def test_map_rsy_first_value():
     lay = RelLayoutRSY(CMU, RelationSchema(k=16, n=12800))
     assert lay.m == 400
-    assert map_rsy(lay, 1, 1) == RSAddr(1, 1)
+    assert lay.map(1, 1) == RSAddr(1, 1)
 
 
 def test_map_rsy_wraps_to_next_row():
     lay = RelLayoutRSY(CMU, RelationSchema(k=16, n=12800))
-    assert map_rsy(lay, 401, 2) == RSAddr(2, 2)
+    assert lay.map(401, 2) == RSAddr(2, 2)
 
 
 def test_map_rsy_last_slot():
     lay = RelLayoutRSY(CMU, RelationSchema(k=16, n=12800))
-    assert map_rsy(lay, 400, 16) == RSAddr(6400, 1)
+    assert lay.map(400, 16) == RSAddr(6400, 1)
 
 
 def test_map_rsy_bounds():
     lay = RelLayoutRSY(CMU, RelationSchema(k=16, n=12800))
     for v, w in ((0, 1), (12801, 1), (1, 0), (1, 17)):
         with pytest.raises(ValueError):
-            map_rsy(lay, v, w)
+            lay.map(v, w)
 
 
 def test_map_rsy_phys_first_value():
     lay = RelLayoutRSY(CMU, RelationSchema(k=16, n=12800))
-    assert map_rsy_phys(lay, 1, 1) == PhysAddr(1, 1, 1, 1)
+    assert lay.map_phys(1, 1) == PhysAddr(1, 1, 1, 1)
 
 
 def test_map_rsy_phys_matches_composition_sampled():
@@ -74,28 +69,28 @@ def test_map_rsy_phys_matches_composition_sampled():
     for _ in range(5000):
         v = rng.randint(1, 12800)
         w = rng.randint(1, 16)
-        assert map_rsy_phys(lay, v, w) == rs_to_mems(map_rsy(lay, v, w), CMU)
+        assert lay.map_phys(v, w) == rs_to_mems(lay.map(v, w), CMU)
 
 
 def test_map_rsy_multi_sector_values():
     lay = RelLayoutRSY(TINY, RelationSchema(k=3, n=7, attr_bits=128))
     assert lay.spv == 2
-    assert map_rsy(lay, 4, 2) == RSAddr(2, 3)
+    assert lay.map(4, 2) == RSAddr(2, 3)
 
 
 def test_map_rp_examples():
     lay = RelLayoutRP(CMU, RelationSchema(k=16, n=12800))
     assert lay.band_rows == 2
-    assert map_rp(lay, 1, 1) == RSAddr(1, 1)
-    assert map_rp(lay, 6401, 1) == RSAddr(1, 2)
-    assert map_rp(lay, 1, 2) == RSAddr(1, 3)
+    assert lay.map(1, 1) == RSAddr(1, 1)
+    assert lay.map(6401, 1) == RSAddr(1, 2)
+    assert lay.map(1, 2) == RSAddr(1, 3)
 
 
 def test_map_rp_bounds():
     lay = RelLayoutRP(CMU, RelationSchema(k=16, n=12800))
     for v, w in ((0, 1), (12801, 1), (1, 0), (1, 17)):
         with pytest.raises(ValueError):
-            map_rp(lay, v, w)
+            lay.map(v, w)
 
 
 def test_layout_capacity_rejected():
@@ -131,7 +126,7 @@ def test_rsy_phys_oracle_property(k, n):
     lay = RelLayoutRSY(TINY, schema)
     for v in range(1, n + 1):
         for w in range(1, k + 1):
-            assert map_rsy_phys(lay, v, w) == rs_to_mems(map_rsy(lay, v, w), TINY)
+            assert lay.map_phys(v, w) == rs_to_mems(lay.map(v, w), TINY)
 
 
 # -- tuple-major compiler ------------------------------------------------
@@ -250,17 +245,17 @@ def test_compile_rp_reads_predicate_band_plus_qualifying():
 
 def test_k_values_rsy():
     lay = RelLayoutRSY(CMU, BIG)
-    ci = k_values_rsy(lay, q(range(1, 9)))
+    ci = lay.k_values(q(range(1, 9)))
     assert ci.k_parallel == 1280
     assert ci.k_random == 1
     assert ci.bits == BIG.n * 8 * 64
-    ci1 = k_values_rsy(lay, q([1]))
+    ci1 = lay.k_values(q([1]))
     assert ci1.k_parallel == 400
 
 
 def test_k_values_rp():
     lay = RelLayoutRP(CMU, BIG)
-    ci = k_values_rp(lay, q(range(1, 9)))
+    ci = lay.k_values(q(range(1, 9)))
     assert ci.k_parallel == 1280
     assert ci.k_random == 8
     assert ci.bits == (BIG.n + 7 * math.ceil(0.1 * BIG.n)) * 64

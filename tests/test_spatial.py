@@ -15,10 +15,7 @@ from memsrs.spatial import (
     compile_sp,
     compile_ssy,
     k_values_sp,
-    k_values_ssy,
     map_sp,
-    map_ssy,
-    map_ssy_phys,
     parse_profile,
     query_block_set,
     write_image_sp,
@@ -39,12 +36,12 @@ def region(x0, y0, qx, qy):
 
 def test_map_ssy_origin():
     lay = SSYLayout(CMU, SPACE)
-    assert map_ssy(lay, 1, 1) == (1, 1)
+    assert lay.map(1, 1) == (1, 1)
 
 
 def test_map_ssy_single_component_is_identity():
     lay = SSYLayout(CMU, SPACE)
-    addr = map_ssy(lay, 100, 200)
+    addr = lay.map(100, 200)
     assert (addr.region, addr.sector) == (100, 200)
     assert rs_to_mems(addr, CMU) == PhysAddr(20, 2, 8, 17)
 
@@ -53,13 +50,13 @@ def test_map_ssy_vertical_partition():
     # space wider than the tip count: columns wrap into a second component
     lay = SSYLayout(TINY, SpatialSpace(width=12, height=5, obj_bits=64))
     assert lay.n_components == 2
-    assert map_ssy(lay, 10, 2) == (1, 7)
+    assert lay.map(10, 2) == (1, 7)
 
 
 def test_map_ssy_phys_hand_value():
     lay = SSYLayout(CMU, SPACE)
-    assert map_ssy_phys(lay, 100, 200) == PhysAddr(20, 2, 8, 17)
-    assert map_ssy_phys(lay, 1, 1) == PhysAddr(1, 1, 1, 1)
+    assert lay.map_phys(100, 200) == PhysAddr(20, 2, 8, 17)
+    assert lay.map_phys(1, 1) == PhysAddr(1, 1, 1, 1)
 
 
 def test_map_ssy_phys_matches_composition_sampled():
@@ -68,20 +65,20 @@ def test_map_ssy_phys_matches_composition_sampled():
     rng = random.Random(17)
     for _ in range(5000):
         x, y = rng.randint(1, 6400), rng.randint(1, 6400)
-        assert map_ssy_phys(lay, x, y) == rs_to_mems(map_ssy(lay, x, y), CMU)
+        assert lay.map_phys(x, y) == rs_to_mems(lay.map(x, y), CMU)
     # stacked components wrap into deeper sector rows
     small = SSYLayout(TINY, SpatialSpace(width=12, height=5, obj_bits=64))
     for x in range(1, 13):
         for y in range(1, 6):
-            assert map_ssy_phys(small, x, y) == rs_to_mems(
-                map_ssy(small, x, y), TINY)
+            assert small.map_phys(x, y) == rs_to_mems(
+                small.map(x, y), TINY)
 
 
 def test_map_ssy_bounds_and_capacity():
     lay = SSYLayout(CMU, SPACE)
     for x, y in ((0, 1), (1, 0), (6401, 1), (1, 6401)):
         with pytest.raises(ValueError):
-            map_ssy(lay, x, y)
+            lay.map(x, y)
     with pytest.raises(ValueError):
         SSYLayout(TINY, SpatialSpace(width=12, height=7, obj_bits=64))
 
@@ -227,8 +224,8 @@ def test_compile_ssy_reads_exactly_the_region():
 
 def test_k_values_ssy():
     lay = SSYLayout(CMU, SPACE)
-    assert k_values_ssy(lay, region(1, 1, 160, 2560)).k_parallel == 160
-    ci = k_values_ssy(lay, region(1, 1, 2560, 160))
+    assert lay.k_values(region(1, 1, 160, 2560)).k_parallel == 160
+    ci = lay.k_values(region(1, 1, 2560, 160))
     assert ci.k_parallel == 1280
     assert ci.k_random == 1
     assert ci.bits == 2560 * 160 * 64
