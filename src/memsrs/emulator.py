@@ -12,6 +12,9 @@ A pass costs only its row steps, column crossings and one turnaround,
 and `Timing` seconds are computed from those integer event counts plus
 the seek charges.  `read` walks the same passes and also reads each
 pass's cells, so it returns the same `Timing` as `execute`.
+
+A plan is validated once, in full, before the sled moves, so an invalid
+plan raises `ValueError` and leaves the sled state unchanged.
 """
 
 from __future__ import annotations
@@ -114,7 +117,11 @@ class MediaImage:
 
 def _check_tips(tips: Sequence[int], n_tips: int) -> None:
     if tips:
-        low, high = min(tips), max(tips)
+        if isinstance(tips, range):
+            # a range's extremes are its end points, whatever its step
+            low, high = min(tips[0], tips[-1]), max(tips[0], tips[-1])
+        else:
+            low, high = min(tips), max(tips)
         if low < 1 or high > n_tips:
             raise ValueError(f"tip {low if low < 1 else high} out of range 1..{n_tips}")
 
@@ -182,23 +189,38 @@ class Emulator:
 
     # -- internals ------------------------------------------------------
 
-    def _validate(self, scan: Scan) -> None:
+    def _validate(self, plan: AccessPlan) -> None:
+        """Check every scan in plan order, before any of them is priced.
+
+        Plans share tip-set objects between rows and scans, so each
+        distinct object is checked once.  Keying on `id()` is safe
+        because the plan holds every tip set for the whole call.
+        """
         p = self.params
-        if scan.length < 1:
-            raise ValueError("scan length must be >= 1")
-        lo, hi = scan.start, scan.start + scan.length - 1
-        if lo < 1 or hi > p.sectors_per_region:
-            raise ValueError(f"scan rows {lo}..{hi} exceed 1..{p.sectors_per_region}")
         n_tips = p.n_tips
-        _check_tips(scan.tips, n_tips)
-        if scan.per_row_tips:
-            for s in (min(scan.per_row_tips), max(scan.per_row_tips)):
-                if not lo <= s <= hi:
-                    raise ValueError(f"override row {s} outside scan {lo}..{hi}")
-            for tips in scan.per_row_tips.values():
+        checked = set()
+
+        def check(tips: Sequence[int]) -> None:
+            if id(tips) not in checked:
                 _check_tips(tips, n_tips)
+                checked.add(id(tips))
+
+        for scan in plan.scans:
+            if scan.length < 1:
+                raise ValueError("scan length must be >= 1")
+            lo, hi = scan.start, scan.start + scan.length - 1
+            if lo < 1 or hi > p.sectors_per_region:
+                raise ValueError(f"scan rows {lo}..{hi} exceed 1..{p.sectors_per_region}")
+            check(scan.tips)
+            if scan.per_row_tips:
+                for s in (min(scan.per_row_tips), max(scan.per_row_tips)):
+                    if not lo <= s <= hi:
+                        raise ValueError(f"override row {s} outside scan {lo}..{hi}")
+                for tips in scan.per_row_tips.values():
+                    check(tips)
 
     def _run(self, plan: AccessPlan, media: Optional[MediaImage]):
+        self._validate(plan)
         p = self.params
         napt = p.n_active_tips
         sy = p.sectors_y
@@ -207,7 +229,6 @@ class Emulator:
         out: List[bytes] = []
 
         for scan in plan.scans:
-            self._validate(scan)
             lo = scan.start
             hi = scan.start + scan.length - 1
             cur = _lin(self.state.col, self.state.row, sy)
@@ -309,16 +330,27 @@ def _rle(tips: Iterable[int]) -> str:
     return ",".join(parts)
 
 
+def _parse_int(text: str, name: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name} {text!r} is not an integer") from None
+
+
 def _parse_rle(text: str) -> Tuple[int, ...]:
     if text == "-":
         return ()
     vals: List[int] = []
     for part in text.split(","):
-        if "-" in part:
-            a, b = part.split("-")
-            vals.extend(range(int(a), int(b) + 1))
-        else:
-            vals.append(int(part))
+        a, dash, b = part.partition("-")
+        try:
+            first = int(a)
+            last = int(b) if dash else first
+        except ValueError:
+            raise ValueError(f"tip run {part!r} is not 'n' or 'n-m'") from None
+        if last < first:
+            raise ValueError(f"tip run {part!r} runs backwards")
+        vals.extend(range(first, last + 1))
     return tuple(vals)
 
 
@@ -337,25 +369,34 @@ def plan_to_text(plan: AccessPlan) -> str:
 
 
 def plan_from_text(text: str) -> AccessPlan:
+    """Parse the `plan_to_text` form; a bad record fails naming its line."""
     scans: List[Scan] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = line.split()
-        if fields[0] == "scan":
-            if len(fields) != 4:
-                raise ValueError(f"line {lineno}: expected 'scan start length tips'")
-            scans.append(Scan(tips=_parse_rle(fields[3]),
-                              start=int(fields[1]), length=int(fields[2])))
-        elif fields[0] == "row":
-            if not scans:
-                raise ValueError(f"line {lineno}: row override before any scan")
-            if len(fields) != 3:
-                raise ValueError(f"line {lineno}: expected 'row s tips'")
-            if scans[-1].per_row_tips is None:
-                scans[-1].per_row_tips = {}
-            scans[-1].per_row_tips[int(fields[1])] = _parse_rle(fields[2])
-        else:
-            raise ValueError(f"line {lineno}: unknown record {fields[0]!r}")
+        try:
+            _parse_record(line.split(), scans)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return AccessPlan(scans)
+
+
+def _parse_record(fields: List[str], scans: List[Scan]) -> None:
+    if fields[0] == "scan":
+        if len(fields) != 4:
+            raise ValueError("expected 'scan start length tips'")
+        start = _parse_int(fields[1], "start")
+        length = _parse_int(fields[2], "length")
+        scans.append(Scan(tips=_parse_rle(fields[3]), start=start, length=length))
+    elif fields[0] == "row":
+        if not scans:
+            raise ValueError("row override before any scan")
+        if len(fields) != 3:
+            raise ValueError("expected 'row s tips'")
+        s = _parse_int(fields[1], "row")
+        if scans[-1].per_row_tips is None:
+            scans[-1].per_row_tips = {}
+        scans[-1].per_row_tips[s] = _parse_rle(fields[2])
+    else:
+        raise ValueError(f"unknown record {fields[0]!r}")

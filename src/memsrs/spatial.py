@@ -153,35 +153,35 @@ class SSYLayout:
 
 # -- block layout -----------------------------------------------------------
 
-def _hilbert_d2xy(side: int, d: int) -> Tuple[int, int]:
-    x = y = 0
-    t = d
-    s = 1
-    while s < side:
-        rx = 1 & (t // 2)
-        ry = 1 & (t ^ rx)
+def _hilbert_xy2d(side: int, x: int, y: int) -> int:
+    """Position of cell (x, y), 0-based, along the Hilbert curve on a
+    `side` x `side` grid, `side` a power of two."""
+    d = 0
+    s = side // 2
+    while s:
+        rx = 1 if x & s else 0
+        ry = 1 if y & s else 0
+        d += s * s * ((3 * rx) ^ ry)
         if ry == 0:
             if rx == 1:
                 x = s - 1 - x
                 y = s - 1 - y
             x, y = y, x
-        x += s * rx
-        y += s * ry
-        t //= 4
-        s *= 2
-    return x, y
+        s //= 2
+    return d
 
 
-def _zorder_d2xy(d: int) -> Tuple[int, int]:
-    x = y = 0
+def _zorder_xy2d(x: int, y: int) -> int:
+    """Z-order position of cell (x, y), 0-based: the bits of x and y
+    interleaved, x in the even bits."""
+    d = 0
     i = 0
-    while d:
-        x |= (d & 1) << i
-        d >>= 1
-        y |= (d & 1) << i
-        d >>= 1
+    while x or y:
+        d |= (x & 1) << (2 * i) | (y & 1) << (2 * i + 1)
+        x >>= 1
+        y >>= 1
         i += 1
-    return x, y
+    return d
 
 
 @dataclass(frozen=True)
@@ -243,14 +243,16 @@ def build_block_grid(params: DeviceParams, space: SpatialSpace,
     spo = -(-space.obj_bits // params.sector_bits)
     if g_x * g_y * spo > params.sectors_per_region:
         raise ValueError("space does not fit the device under this layout")
-    side = 1
-    while side < max(g_x, g_y):
-        side *= 2
-    order: List[Tuple[int, int]] = []
-    for d in range(side * side):
-        x, y = _hilbert_d2xy(side, d) if curve == "hilbert" else _zorder_d2xy(d)
-        if x < g_x and y < g_y:
-            order.append((x + 1, y + 1))
+    # blocks in curve order: the curve covers the smallest power-of-two
+    # square holding the grid, and cells outside the grid are skipped
+    order = [(x, y) for x in range(1, g_x + 1) for y in range(1, g_y + 1)]
+    if curve == "hilbert":
+        side = 1
+        while side < max(g_x, g_y):
+            side *= 2
+        order.sort(key=lambda c: _hilbert_xy2d(side, c[0] - 1, c[1] - 1))
+    else:
+        order.sort(key=lambda c: _zorder_xy2d(c[0] - 1, c[1] - 1))
     rank = {cell: i + 1 for i, cell in enumerate(order)}
     return BlockGrid(params=params, space=space, B_x=b_x, B_y=b_y,
                      G_x=g_x, G_y=g_y, spo=spo, curve=curve,

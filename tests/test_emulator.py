@@ -13,6 +13,7 @@ from memsrs.emulator import (
     MediaImage,
     Scan,
     SledState,
+    _check_tips,
     plan_from_text,
     plan_to_text,
     seek_time,
@@ -173,6 +174,65 @@ def test_scan_bounds_rejected():
         em.execute(AccessPlan([Scan(tips=(6401,), start=1, length=1)]))
 
 
+@pytest.mark.parametrize("call", ["execute", "read"])
+def test_rejected_plan_leaves_the_sled_in_place(call):
+    # the second scan is invalid; the first must not have been run
+    plan = AccessPlan([Scan(tips=(1,), start=500, length=3),
+                       Scan(tips=(0,), start=1, length=1)])
+    em = Emulator(CMU)
+    with pytest.raises(ValueError, match=r"^tip 0 out of range 1\.\.6400$"):
+        if call == "execute":
+            em.execute(plan)
+        else:
+            em.read(plan, MediaImage(CMU))
+    assert em.state == SledState()
+
+
+def test_scan_checks_run_in_order():
+    # the first failing check in plan order wins: scan 2's default tips,
+    # not its override row or scan 3's rows
+    plan = AccessPlan([Scan(tips=(1,), start=1, length=1),
+                       Scan(tips=(0,), start=1, length=2, per_row_tips={5: (1,)}),
+                       Scan(tips=(1,), start=0, length=1)])
+    with pytest.raises(ValueError, match=r"^tip 0 out of range 1\.\.6400$"):
+        Emulator(CMU).execute(plan)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.integers(-20, 30), b=st.integers(-20, 30),
+       step=st.integers(-7, 7).filter(bool), n_tips=st.integers(1, 12))
+def test_range_tips_checked_like_their_tuple(a, b, step, n_tips):
+    def outcome(tips):
+        try:
+            _check_tips(tips, n_tips)
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    r = range(a, b, step)
+    assert outcome(r) == outcome(tuple(r))
+
+
+def test_bad_tip_in_shared_override_tuple_rejected():
+    shared = (2, 6401)
+    plan = AccessPlan([
+        Scan(tips=(1,), start=1, length=2, per_row_tips={2: shared}),
+        Scan(tips=(1,), start=10, length=2, per_row_tips={10: shared, 11: shared}),
+    ])
+    with pytest.raises(ValueError, match=r"^tip 6401 out of range 1\.\.6400$"):
+        Emulator(CMU).execute(plan)
+
+
+def test_bad_tip_only_in_a_later_override_rejected():
+    good = tuple(range(1, 1281))
+    plan = AccessPlan([
+        Scan(tips=good, start=1, length=3, per_row_tips={2: good}),
+        Scan(tips=good, start=20, length=3, per_row_tips={21: good, 22: (5, 0)}),
+    ])
+    with pytest.raises(ValueError, match=r"^tip 0 out of range 1\.\.6400$"):
+        Emulator(CMU).execute(plan)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     starts=st.lists(st.tuples(st.integers(1, 10), st.integers(1, 3),
@@ -305,3 +365,13 @@ def test_plan_text_format_is_run_length_encoded():
 def test_plan_text_empty_tips_marker():
     text = plan_to_text(AccessPlan([Scan(tips=(), start=1, length=1)]))
     assert text.splitlines()[0] == "scan 1 1 -"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("scan 1 x 1-3", r"^line 2: length 'x' is not an integer$"),
+    ("scan 1 2 1-2-3", r"^line 2: tip run '1-2-3' is not 'n' or 'n-m'$"),
+    ("scan 1 2 5-3", r"^line 2: tip run '5-3' runs backwards$"),
+], ids=["bad-int", "three-part-run", "backwards-run"])
+def test_plan_text_bad_field_names_its_line(text, message):
+    with pytest.raises(ValueError, match=message):
+        plan_from_text("# header\n" + text + "\n")

@@ -160,6 +160,65 @@ def test_padded_grid_covers_every_block_once():
     assert sorted(grid.order) == [(x, y) for x in range(1, 5) for y in range(1, 3)]
 
 
+def _hilbert_d2xy(side, d):
+    x = y = 0
+    t = d
+    s = 1
+    while s < side:
+        rx = 1 & (t // 2)
+        ry = 1 & (t ^ rx)
+        if ry == 0:
+            if rx == 1:
+                x = s - 1 - x
+                y = s - 1 - y
+            x, y = y, x
+        x += s * rx
+        y += s * ry
+        t //= 4
+        s *= 2
+    return x, y
+
+
+def _zorder_d2xy(d):
+    x = y = 0
+    i = 0
+    while d:
+        x |= (d & 1) << i
+        d >>= 1
+        y |= (d & 1) << i
+        d >>= 1
+        i += 1
+    return x, y
+
+
+def _walk_order(curve, g_x, g_y):
+    """Reference order: walk every position of the padded square's curve
+    and keep the cells inside the grid."""
+    side = 1
+    while side < max(g_x, g_y):
+        side *= 2
+    order = []
+    for d in range(side * side):
+        x, y = _hilbert_d2xy(side, d) if curve == "hilbert" else _zorder_d2xy(d)
+        if x < g_x and y < g_y:
+            order.append((x + 1, y + 1))
+    return tuple(order)
+
+
+@pytest.mark.parametrize("curve", ["hilbert", "zorder"])
+@pytest.mark.parametrize("g_x,g_y", [(1, 1), (1, 7), (7, 1), (3, 5), (5, 3),
+                                     (4, 4), (8, 2), (20, 320), (320, 20)])
+def test_block_order_matches_curve_walk(curve, g_x, g_y):
+    # one region, so blocks are single objects and the grid is the space
+    dev = DeviceParams(regions_x=1, regions_y=1, sectors_x=256, sectors_y=27,
+                       n_active_tips=1)
+    grid = build_block_grid(dev, SpatialSpace(width=g_x, height=g_y, obj_bits=64),
+                            ratio=1.0, curve=curve)
+    assert (grid.G_x, grid.G_y) == (g_x, g_y)
+    assert grid.order == _walk_order(curve, g_x, g_y)
+    assert grid.rank == {cell: i + 1 for i, cell in enumerate(grid.order)}
+
+
 def test_block_grid_rejections():
     with pytest.raises(ValueError):
         build_block_grid(CMU, SPACE)  # neither profile nor ratio
