@@ -9,6 +9,7 @@ file; behavioral flags always win over both.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional, Sequence
 
@@ -18,11 +19,15 @@ from .rs import PhysAddr, RSAddr, mems_to_rs, rs_params, rs_to_mems
 
 
 def _ratio(token: str) -> float:
-    """Number or fraction: '8', '0.5', and '1/16' all parse."""
-    if "/" in token:
-        num, _, den = token.partition("/")
-        return float(num) / float(den)
-    return float(token)
+    """Positive number or fraction: '8', '0.5', and '1/16' all parse."""
+    num, slash, den = token.partition("/")
+    try:
+        value = float(num) / float(den) if slash else float(num)
+    except (ValueError, ZeroDivisionError):
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{token!r} is not a positive finite number")
+    return value
 
 
 def _num_list(text: str, conv) -> List:

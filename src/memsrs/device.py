@@ -13,7 +13,8 @@ I/O boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass
 from decimal import Decimal
 
 
@@ -38,8 +39,8 @@ class DeviceParams:
                 raise ValueError(f"{name} must be >= 1")
         for name in ("tip_rate_bits_s", "move_x_s", "move_y_s",
                      "settle_time_s", "turnaround_time_s"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
         if self.n_active_tips > self.regions_x * self.regions_y:
             raise ValueError("n_active_tips exceeds the tip count")
 
@@ -135,15 +136,18 @@ def from_config_text(text: str) -> DeviceParams:
     kwargs: dict[str, int | float] = {}
     derived_claims: dict[str, int] = {}
     for key, value in raw.items():
-        if key in _INT_KEYS:
-            kwargs[_INT_KEYS[key]] = int(value)
-        elif key in _SCALED_KEYS:
-            field, power = _SCALED_KEYS[key]
-            kwargs[field] = float(str(Decimal(value).scaleb(power).normalize()))
-        elif key in _DERIVED_KEYS:
-            derived_claims[key] = int(value)
-        else:
+        if key not in (*_INT_KEYS, *_SCALED_KEYS, *_DERIVED_KEYS):
             raise ValueError(f"unknown config key: {key}")
+        try:
+            if key in _INT_KEYS:
+                kwargs[_INT_KEYS[key]] = int(value)
+            elif key in _SCALED_KEYS:
+                field, power = _SCALED_KEYS[key]
+                kwargs[field] = float(str(Decimal(value).scaleb(power).normalize()))
+            else:
+                derived_claims[key] = int(value)
+        except (ValueError, ArithmeticError):
+            raise ValueError(f"config key {key}: bad value {value!r}") from None
 
     p = DeviceParams(**kwargs)
     checks = {"N_R": p.n_regions, "N_S": p.sectors_per_region, "N_PT": p.n_tips}

@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from .cost import CostInput
 from .device import DeviceParams
 from .emulator import AccessPlan, MediaImage, Scan
-from .rs import PhysAddr, RSAddr
+from .rs import PhysAddr, RSAddr, layer_scans
 
 
 @dataclass(frozen=True)
@@ -173,37 +173,6 @@ class RelLayoutRP:
             buckets.setdefault((v - 1) // n_pt + 1, []).append((v - 1) % n_pt + 1)
         return {row: tuple(sorted(tips)) for row, tips in buckets.items()}
 
-    def _layered_scans(self, band_start: int, row_tips, counts: Sequence[int]) -> List[Scan]:
-        """One scan per activation layer per run of non-exhausted rows."""
-        napt = self.params.n_active_tips
-        spv = self.spv
-        h = len(counts)
-        n_layers = max((-(-c // napt) for c in counts), default=0)
-        scans: List[Scan] = []
-        for layer in range(n_layers):
-            lo = layer * napt
-            j = 1
-            while j <= h:
-                if counts[j - 1] <= lo:
-                    j += 1
-                    continue
-                run_start = j
-                while j <= h and counts[j - 1] > lo:
-                    j += 1
-                default = row_tips(run_start)[lo:lo + napt]
-                prt: Dict[int, Sequence[int]] = {}
-                for row in range(run_start, j):
-                    sl = row_tips(row)[lo:lo + napt]
-                    if sl != default:
-                        base = band_start + (row - 1) * spv
-                        for i in range(spv):
-                            prt[base + i] = sl
-                scans.append(Scan(tips=default,
-                                  start=band_start + (run_start - 1) * spv,
-                                  length=(j - run_start) * spv,
-                                  per_row_tips=prt or None))
-        return scans
-
     def compile(self, query: RangeQuery, qualifying: Iterable[int],
                 rows: Optional[Mapping[int, Sequence[int]]] = None) -> AccessPlan:
         """Plan: the predicate band in full, other bands only where tuples qualify.
@@ -213,30 +182,17 @@ class RelLayoutRP:
         """
         _check_query(query, self.schema)
         h = self.band_rows
-        full_counts = [self._row_count(j) for j in range(1, h + 1)]
-
-        def full_row(j: int) -> range:
-            return range(1, full_counts[j - 1] + 1)
-
-        scans = self._layered_scans(self.band_start(query.predicate_attr),
-                                    full_row, full_counts)
+        full = [range(1, self._row_count(j) + 1) for j in range(1, h + 1)]
+        scans = layer_scans(self.band_start(query.predicate_attr), self.spv,
+                            full, self.params)
         others = [w for w in query.projected if w != query.predicate_attr]
         if others:
             if rows is None:
-                if (isinstance(qualifying, range) and qualifying.step == 1
-                        and qualifying.start == 1
-                        and qualifying.stop == self.schema.n + 1):
-                    rows = {j: full_row(j) for j in range(1, h + 1)}
-                else:
-                    rows = self.qualifying_rows(qualifying)
-            counts = [len(rows.get(j, ())) for j in range(1, h + 1)]
-
-            def qual_row(j: int):
-                return rows.get(j, ())
-
+                rows = self.qualifying_rows(qualifying)
+            qual = [rows.get(j, ()) for j in range(1, h + 1)]
             for w in others:
-                scans.extend(self._layered_scans(self.band_start(w),
-                                                 qual_row, counts))
+                scans.extend(layer_scans(self.band_start(w), self.spv, qual,
+                                         self.params))
         return AccessPlan(scans)
 
     def k_values(self, query: RangeQuery) -> CostInput:

@@ -6,12 +6,18 @@ and so on. That makes consecutive sector indices physically adjacent,
 so a whole linearized region streams at an averaged rate that folds the
 per-column settle into the transfer rate. Addresses are 1-based on both
 axes.
+
+The model's two facilities build every placement's scans: any tip set
+can be used for each sector row (`rs_scan`), and at most
+`n_active_tips` tips run at once, so wider sets are read in layers
+(`layer_scans`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from itertools import groupby
+from typing import Dict, Iterable, List, NamedTuple, Sequence
 
 from .device import DeviceParams, derive
 from .emulator import AccessPlan, Scan
@@ -68,6 +74,42 @@ def rs_params(p: DeviceParams) -> RSParams:
     return RSParams(transfer_rate_rs_bits_s=rate, seek_time_rs_s=seek)
 
 
+def rs_scan(start: int, unit_rows: int,
+            unit_tips: Sequence[Sequence[int]]) -> Scan:
+    """One scan over consecutive units of `unit_rows` rows from `start`.
+
+    Unit i reads `unit_tips[i]`. The first unit's set is the scan's
+    default; every row of a unit with another set overrides it.
+    """
+    default = unit_tips[0]
+    prt: Dict[int, Sequence[int]] = {
+        s: tips for i, tips in enumerate(unit_tips) if tips != default
+        for s in range(start + i * unit_rows, start + (i + 1) * unit_rows)}
+    return Scan(tips=default, start=start, length=len(unit_tips) * unit_rows,
+                per_row_tips=prt or None)
+
+
+def layer_scans(start: int, unit_rows: int,
+                unit_tips: Sequence[Sequence[int]], p: DeviceParams) -> List[Scan]:
+    """Scans reading each unit's tip set at most `n_active_tips` at a time.
+
+    Layer k holds tips [k*n_active_tips, (k+1)*n_active_tips) of each
+    unit's set; per layer there is one `rs_scan` per maximal run of
+    units whose set reaches that layer.
+    """
+    napt = p.n_active_tips
+    sizes = list(map(len, unit_tips))
+    scans: List[Scan] = []
+    for lo in range(0, max(sizes, default=0), napt):
+        reaches = [size > lo for size in sizes]
+        for reached, run in groupby(range(len(sizes)), reaches.__getitem__):
+            if reached:
+                run = list(run)
+                scans.append(rs_scan(start + run[0] * unit_rows, unit_rows,
+                                     [unit_tips[i][lo:lo + napt] for i in run]))
+    return scans
+
+
 def rs_read(regions: Iterable[int], s_start: int, s_len: int,
             p: DeviceParams) -> AccessPlan:
     """Read rows [s_start, s_start+s_len-1] of the given regions.
@@ -75,13 +117,9 @@ def rs_read(regions: Iterable[int], s_start: int, s_len: int,
     Regions are assigned to scans in ascending order, at most
     n_active_tips per scan; each scan re-traverses the whole row range.
     """
-    tips = sorted(set(regions))
+    tips = tuple(sorted(set(regions)))
     if s_len < 1 or s_start < 1 or s_start + s_len - 1 > p.sectors_per_region:
         raise ValueError("sector range out of bounds")
     if tips and (tips[0] < 1 or tips[-1] > p.n_regions):
         raise ValueError("region index out of bounds")
-    scans = [
-        Scan(tips=tuple(tips[i:i + p.n_active_tips]), start=s_start, length=s_len)
-        for i in range(0, len(tips), p.n_active_tips)
-    ]
-    return AccessPlan(scans=scans)
+    return AccessPlan(scans=layer_scans(s_start, s_len, [tips], p))

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .cost import CostInput
 from .device import DeviceParams
 from .emulator import AccessPlan, MediaImage, Scan
-from .rs import PhysAddr, RSAddr
+from .rs import PhysAddr, RSAddr, layer_scans, rs_params, rs_scan
 
 
 @dataclass(frozen=True)
@@ -128,16 +128,13 @@ class SSYLayout:
             return AccessPlan([])
         x0, y0, x1, y1 = box
         n_pt = self.params.n_tips
-        napt = self.params.n_active_tips
         scans: List[Scan] = []
         for comp in range((x0 - 1) // n_pt, (x1 - 1) // n_pt + 1):
             lo = max(x0, comp * n_pt + 1) - comp * n_pt
             hi = min(x1, (comp + 1) * n_pt) - comp * n_pt
             start = comp * self.component_rows + (y0 - 1) * self.spo + 1
-            length = (y1 - y0 + 1) * self.spo
-            for tip_lo in range(lo, hi + 1, napt):
-                scans.append(Scan(tips=range(tip_lo, min(hi, tip_lo + napt - 1) + 1),
-                                  start=start, length=length))
+            scans += layer_scans(start, (y1 - y0 + 1) * self.spo,
+                                 [range(lo, hi + 1)], self.params)
         return AccessPlan(scans)
 
     def k_values(self, qr: QueryRegion) -> CostInput:
@@ -298,83 +295,48 @@ def _block_tips(grid: BlockGrid, box, gx: int, gy: int) -> Sequence[int]:
                  for y_l in range(ya, yb + 1) for x_l in range(la, lb + 1))
 
 
-def compile_sp(grid: BlockGrid, qr: QueryRegion,
-               gap_threshold: Optional[int] = None) -> AccessPlan:
+def compile_sp(grid: BlockGrid, qr: QueryRegion) -> AccessPlan:
     """Visit overlapped blocks in curve order, streaming through rank gaps
-    that cost less to read over than to reseek."""
+    that cost less to read over than the device's averaged seek."""
     box = qr.clip(grid.space)
     if box is None:
         return AccessPlan([])
     p = grid.params
-    if gap_threshold is None:
-        sector_time = p.sector_bits / p.tip_rate_bits_s
-        seek_rs = max(p.move_x_s + p.settle_time_s,
-                      p.move_y_s + p.turnaround_time_s)
-        gap_threshold = int(seek_rs / (grid.spo * sector_time))
-        if gap_threshold * grid.spo * sector_time >= seek_rs:
-            gap_threshold -= 1
-    blocks = query_block_set(grid, qr)
+    spo = grid.spo
+    sector_time = p.sector_bits / p.tip_rate_bits_s
+    seek_rs = rs_params(p).seek_time_rs_s
+    max_gap = int(seek_rs / (spo * sector_time))
+    if max_gap * spo * sector_time >= seek_rs:
+        max_gap -= 1
     runs: List[List[Tuple[int, Sequence[int]]]] = []
     prev_rank = None
-    for rank, (gx, gy) in blocks:
+    for rank, (gx, gy) in query_block_set(grid, qr):
         tips = _block_tips(grid, box, gx, gy)
-        if prev_rank is not None and rank - prev_rank - 1 <= gap_threshold:
+        if prev_rank is not None and rank - prev_rank - 1 <= max_gap:
             runs[-1].append((rank, tips))
         else:
             runs.append([(rank, tips)])
         prev_rank = rank
     napt = p.n_active_tips
-    full_cells = grid.B_x * grid.B_y
     scans: List[Scan] = []
     for run in runs:
-        first_rank, default = run[0][0], run[0][1]
-        last_rank = run[-1][0]
+        first_rank = run[0][0]
         present = dict(run)
-        has_full = any(len(t) == full_cells for _, t in run)
-        deepest = max(len(t) for _, t in run)
-        if has_full or deepest <= napt:
-            prt: Dict[int, Sequence[int]] = {}
-            for rank in range(first_rank, last_rank + 1):
-                tips = present.get(rank, ())
-                if tips != default:
-                    base = (rank - 1) * grid.spo + 1
-                    for i in range(grid.spo):
-                        prt[base + i] = tips
-            scans.append(Scan(tips=default, start=(first_rank - 1) * grid.spo + 1,
-                              length=(last_rank - first_rank + 1) * grid.spo,
-                              per_row_tips=prt or None))
+        units = [present.get(rank, ()) for rank in range(first_rank, run[-1][0] + 1)]
+        deepest = max(map(len, units))
+        # one scan for a run within the activation limit or holding a full
+        # block; the emulator's passes read the layers past the limit
+        if deepest <= napt or deepest == grid.B_x * grid.B_y:
+            scans.append(rs_scan((first_rank - 1) * spo + 1, spo, units))
             continue
         # a run of partial blocks only, some past the activation limit:
-        # read the first tip layer across the run, then short capped
-        # follow-up scans per remaining layer instead of full retraces
-        base_default = default[:napt] if len(default) > napt else default
-        prt = {}
-        for rank in range(first_rank, last_rank + 1):
-            tips = present.get(rank, ())
-            eff = tips[:napt] if len(tips) > napt else tips
-            if eff != base_default:
-                base = (rank - 1) * grid.spo + 1
-                for i in range(grid.spo):
-                    prt[base + i] = eff
-        scans.append(Scan(tips=base_default, start=(first_rank - 1) * grid.spo + 1,
-                          length=(last_rank - first_rank + 1) * grid.spo,
-                          per_row_tips=prt or None))
-        layer = 1
-        while layer * napt < deepest:
-            want = [r for r, t in run if len(t) > layer * napt]
-            lo_r, hi_r = min(want), max(want)
-            lprt: Dict[int, Sequence[int]] = {}
-            for rank in range(lo_r, hi_r + 1):
-                tips = present.get(rank, ())
-                if len(tips) > layer * napt:
-                    eff = tips[layer * napt:(layer + 1) * napt]
-                    base = (rank - 1) * grid.spo + 1
-                    for i in range(grid.spo):
-                        lprt[base + i] = eff
-            scans.append(Scan(tips=(), start=(lo_r - 1) * grid.spo + 1,
-                              length=(hi_r - lo_r + 1) * grid.spo,
-                              per_row_tips=lprt))
-            layer += 1
+        # one scan per tip layer, from the first to the last block with
+        # tips in that layer, instead of full retraces
+        for lo in range(0, deepest, napt):
+            want = [i for i, tips in enumerate(units) if len(tips) > lo]
+            scans.append(rs_scan((first_rank + want[0] - 1) * spo + 1, spo,
+                                 [tips[lo:lo + napt]
+                                  for tips in units[want[0]:want[-1] + 1]]))
     return AccessPlan(scans)
 
 

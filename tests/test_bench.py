@@ -5,6 +5,7 @@ estimator into CSV rows.  Oracles here are small sweeps whose rows can
 be checked against direct module calls and hand-computed lower bounds.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -257,3 +258,20 @@ def test_write_csv_roundtrip(tmp_path):
     text = path.read_text()
     assert text == csv_text(rows)
     assert text.endswith("\n")
+
+
+# -- CSV pin ---------------------------------------------------------------
+
+@pytest.mark.parametrize("run, kw, digest", [
+    (run_experiment1, dict(sizes_mb=(5, 320), seeds=(0, 1)),
+     "dbdfe305ff402d3355e8dc728e3288e1bf3d4fe4c67051c19dc54e45837a72ab"),
+    (run_experiment2, dict(n_projections=(1, 8, 16), seeds=(0,)),
+     "4a5d9e0171cc7bb37cb4c408841f261a2f652e70d23a5dd03ddfdb002a6e5f06"),
+    (run_experiment3, dict(query_fracs=(0.0001, 0.01), seeds=(0, 1, 2)),
+     "029fc51e9e77567e1f1b49dc53983b4cd8001bcb840c01924d10c5cea5539f71"),
+    (run_experiment4, dict(aspects=(16, 1, 1 / 16), seeds=(0, 1)),
+     "60824a7a83eba17e2c48d23fe46c8a74c5839eaf1e485b55e1ba302a634241f5"),
+], ids=["exp1", "exp2", "exp3", "exp4"])
+def test_sweep_csv_bytes_pinned(run, kw, digest):
+    # any cell that moves changes the hash; a refactor must keep them all
+    assert hashlib.sha256(csv_text(run(**kw)).encode()).hexdigest() == digest

@@ -88,6 +88,15 @@ def test_info_honours_device_config(tmp_path, capsys):
         rs_params(small).transfer_rate_rs_bits_s, rel=1e-12)
 
 
+def test_bad_config_value_fails(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("T_X abc\n")
+    code, out, err = run_cli(["info", "--device-config", str(cfg)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: config key T_X: bad value 'abc'\n"
+
+
 def test_missing_config_fails(capsys):
     code, _, err = run_cli(["info", "--device-config", "/no/such/file"],
                            capsys)
@@ -155,6 +164,24 @@ def test_bench_repeats_below_one_fails(command, repeats, capsys):
     assert code != 0
     assert out == ""
     assert f"--repeats must be >= 1, got {repeats}" in err
+
+
+@pytest.mark.parametrize("command, flag, token", [
+    ("spatial", "--aspects", "1/0"),
+    ("spatial", "--aspects", "0/0"),
+    ("relational", "--sizes", "1/0"),
+    ("relational", "--sizes", "inf"),
+    ("spatial", "--query-sizes", "inf"),
+    ("spatial", "--query-sizes", "-1"),
+    ("spatial", "--aspects", "0"),
+    ("spatial", "--aspects", "nan"),
+])
+def test_bench_bad_sweep_list_fails(command, flag, token, capsys):
+    code, out, err = run_cli(["bench", command, flag, token, "--repeats", "1"],
+                             capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {token!r} is not a positive finite number\n"
 
 
 def test_bench_spatial_zorder_curve(capsys):

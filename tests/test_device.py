@@ -72,6 +72,28 @@ def test_invalid_params_rejected():
         DeviceParams(regions_x=2, regions_y=2, n_active_tips=5)
 
 
+@pytest.mark.parametrize("field", ["tip_rate_bits_s", "move_x_s", "move_y_s",
+                                   "settle_time_s", "turnaround_time_s"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_non_finite_timing_rejected(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite and > 0"):
+        DeviceParams(**{field: value})
+
+
+@pytest.mark.parametrize("line", ["T_X abc", "TransferRate 1.5.2", "R_x 4.5",
+                                  "N_PT many"])
+def test_config_bad_value_names_key_and_value(line):
+    key, value = line.split()
+    with pytest.raises(ValueError) as err:
+        from_config_text(line + "\n")
+    assert str(err.value) == f"config key {key}: bad value {value!r}"
+
+
+def test_config_infinite_rate_rejected():
+    with pytest.raises(ValueError, match="tip_rate_bits_s must be finite"):
+        from_config_text("TransferRate inf\n")
+
+
 def test_config_round_trip_cmu():
     p = cmu_defaults()
     assert from_config_text(to_config_text(p)) == p

@@ -2,20 +2,29 @@
 
 import math
 import random
+import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from memsrs.device import DeviceParams, cmu_defaults, derive
+from memsrs.emulator import Emulator, MediaImage, Scan
+from memsrs.relational import (RangeQuery, RelationSchema, RelLayoutRP,
+                               RelLayoutRSY, write_image_rp, write_image_rsy)
 from memsrs.rs import (
     PhysAddr,
     RSAddr,
+    layer_scans,
     mems_to_rs,
     rs_params,
     rs_read,
+    rs_scan,
     rs_to_mems,
 )
+from memsrs.spatial import (QueryRegion, SpatialSpace, SSYLayout,
+                            build_block_grid, compile_sp, write_image_sp,
+                            write_image_ssy)
 
 CMU = cmu_defaults()
 TINY = DeviceParams(regions_x=3, regions_y=3, sectors_x=4, sectors_y=3,
@@ -144,3 +153,105 @@ def test_rs_read_bounds():
         rs_read([1], 67500, 2, CMU)
     with pytest.raises(ValueError):
         rs_read([6401], 1, 1, CMU)
+
+
+# -- scan layering -------------------------------------------------------
+
+def test_rs_scan_equal_sets_give_no_overrides():
+    scan = rs_scan(5, 2, [(1, 2), (1, 2), (1, 2)])
+    assert scan == Scan(tips=(1, 2), start=5, length=6, per_row_tips=None)
+
+
+def test_rs_scan_other_set_overrides_every_row_of_its_unit():
+    scan = rs_scan(5, 3, [(1, 2), (3,), (1, 2), ()])
+    assert scan.tips == (1, 2)
+    assert (scan.start, scan.length) == (5, 12)
+    assert scan.per_row_tips == {8: (3,), 9: (3,), 10: (3,),
+                                 14: (), 15: (), 16: ()}
+
+
+def test_layer_scans_unit_without_tips_in_a_layer_splits_its_run():
+    p = DeviceParams(regions_x=2, regions_y=2, n_active_tips=2)
+    scans = layer_scans(10, 2, [(1, 2, 3), (1,), (1, 2, 4), (2, 3)], p)
+    assert scans == [
+        # layer 0 reaches every unit: one scan
+        Scan(tips=(1, 2), start=10, length=8,
+             per_row_tips={12: (1,), 13: (1,), 16: (2, 3), 17: (2, 3)}),
+        # layer 1 reaches units 0 and 2 only: one scan each
+        Scan(tips=(3,), start=10, length=2),
+        Scan(tips=(4,), start=14, length=2),
+    ]
+
+
+def test_layer_scans_no_units_give_no_scans():
+    p = DeviceParams(regions_x=2, regions_y=2, n_active_tips=2)
+    assert layer_scans(1, 4, [], p) == []
+    assert layer_scans(1, 4, [(), ()], p) == []
+
+
+# -- every layered placement reads back its contract ----------------------
+
+def _cells(key, n_cells):
+    """Distinct 10-byte cells of the value stored under `key`."""
+    return [struct.pack(">IIH", *key, i) for i in range(n_cells)]
+
+
+def _chunks(data, size):
+    return sorted(data[i:i + size] for i in range(0, len(data), size))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rx=st.sampled_from((1, 2, 4)), ry=st.sampled_from((1, 2, 4)),
+       napt=st.integers(1, 15),
+       sy=st.integers(1, 6), extra_x=st.integers(0, 2),
+       spv=st.integers(1, 3), k=st.integers(1, 4), n=st.integers(1, 60),
+       gx=st.integers(1, 2), gy=st.integers(1, 2), rng=st.randoms())
+def test_layered_plans_read_back_their_contract(rx, ry, napt, sy, extra_x, spv,
+                                                k, n, gx, gy, rng):
+    # a power-of-two tip count always has a block shape for the curve
+    n_tips = rx * ry
+    assume(napt < n_tips and k <= n_tips)
+    side_x, side_y = n_tips * gx, n_tips * gy
+    # enough sector rows for every layout: band rows of RP, tuple rows of
+    # RSY, stacked components of SSY and one block per n_tips objects
+    need = max(k * -(-n // n_tips), -(-n // (n_tips // k)),
+               side_x * side_y // n_tips) * spv
+    p = DeviceParams(regions_x=rx, regions_y=ry, sectors_x=-(-need // sy) + extra_x,
+                     sectors_y=sy, n_active_tips=napt, sector_bits=80)
+    em = Emulator(p)
+    schema = RelationSchema(k=k, n=n, attr_bits=80 * spv)
+    rsy, rp = RelLayoutRSY(p, schema), RelLayoutRP(p, schema)
+    space = SpatialSpace(width=side_x, height=side_y, obj_bits=80 * spv)
+    ssy = SSYLayout(p, space)
+    grid = build_block_grid(p, space, ratio=rng.choice((0.25, 1.0, 4.0)))
+    value = lambda a, b: b"".join(_cells((a, b), spv))
+    images = {}
+    for name, layout, write in (("rsy", rsy, write_image_rsy),
+                                ("rp", rp, write_image_rp),
+                                ("ssy", ssy, write_image_ssy),
+                                ("sp", grid, write_image_sp)):
+        images[name] = MediaImage(p)
+        write(layout, images[name], value)
+
+    for _ in range(3):
+        proj = tuple(sorted(rng.sample(range(1, k + 1), rng.randint(1, k))))
+        qual = sorted(rng.sample(range(1, n + 1), rng.randint(0, n)))
+        q = RangeQuery(projected=proj, predicate_attr=proj[0], bound=0,
+                       selectivity=0.5)
+        want = [c for v in range(1, n + 1) for w in proj
+                for c in _cells((v, w), spv)]
+        _, data = em.read(rsy.compile(q), images["rsy"])
+        assert _chunks(data, 10) == sorted(want)
+        want = [c for v in range(1, n + 1) for c in _cells((v, proj[0]), spv)]
+        want += [c for v in qual for w in proj[1:] for c in _cells((v, w), spv)]
+        _, data = em.read(rp.compile(q, qual), images["rp"])
+        assert _chunks(data, 10) == sorted(want)
+
+        qr = QueryRegion(x0=rng.randint(1, side_x), y0=rng.randint(1, side_y),
+                         qx=rng.randint(1, side_x), qy=rng.randint(1, side_y))
+        x0, y0, x1, y1 = qr.clip(space)
+        want = sorted(c for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)
+                      for c in _cells((x, y), spv))
+        for plan, image in ((ssy.compile(qr), "ssy"), (compile_sp(grid, qr), "sp")):
+            _, data = em.read(plan, images[image])
+            assert _chunks(data, 10) == want

@@ -1,5 +1,7 @@
 """Spatial placements: space mapping, block grid, curve orders, compilers."""
 
+from dataclasses import replace
+
 import pytest
 
 from memsrs.device import DeviceParams, cmu_defaults
@@ -345,8 +347,11 @@ def test_compile_sp_merges_small_rank_gaps():
     plan = compile_sp(grid, qr)
     assert len(plan.scans) == 1
     assert plan.scans[0].start == 1 and plan.scans[0].length == 4
-    split = compile_sp(grid, qr, gap_threshold=0)
-    assert len(split.scans) == 2
+    # on a slow enough tip a one-row gap costs more than a seek, so the
+    # derived threshold is 0 and the blocks are read by two scans
+    slow = replace(TINY, tip_rate_bits_s=50_000)
+    split = compile_sp(build_block_grid(slow, grid.space, ratio=1.0), qr)
+    assert [(s.start, s.length) for s in split.scans] == [(1, 1), (4, 1)]
     im = MediaImage(TINY)
     write_image_sp(grid, im, lambda x, y: bytes([x, y, 0, 0, 0, 0, 0, 0]))
     _, data = Emulator(TINY).read(plan, im)
