@@ -2,8 +2,9 @@
 
 Four stock sweeps: relational data-size and projection-width sweeps,
 and spatial query-size and query-aspect sweeps.  Every (placement,
-sweep point, seed) combination is compiled by its placement engine and
-executed on a fresh emulator in metadata-only mode; the row reports the
+sweep point, seed) combination gets a row.  Its plan is compiled by the
+placement engine and executed on a fresh emulator in metadata-only
+mode, once per distinct input the plan depends on; the row reports the
 measured timing next to the averages-model estimate realized by the
 run's own trace.
 
@@ -29,22 +30,39 @@ import csv
 import io
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .cost import CostInput, estimate, lower_bound, trace_k_values
+from .cost import estimate, lower_bound, trace_k_values
 from .device import DeviceParams, cmu_defaults
-from .emulator import Emulator, Timing
+from .emulator import Emulator
 from .linear import DsmLayout, NsmLayout, compile_dsm, compile_nsm
-from .relational import (RangeQuery, RelationSchema, RelLayoutRP,
-                         RelLayoutRSY, compile_rp, compile_rsy)
-from .rs import RSParams, rs_params
-from .spatial import (SSYLayout, build_block_grid, compile_sp, compile_ssy,
-                      query_block_set)
+from .relational import RangeQuery, RelationSchema, RelLayoutRP, RelLayoutRSY
+from .rs import rs_params
+from .spatial import SSYLayout, build_block_grid, compile_sp, query_block_set
 from .workload import (PREDICATE_BOUND, exact_ceil, gen_query_region,
                        gen_relation, gen_spatial)
 
-RELATIONAL_PLACEMENTS = ("relational-parallel", "relational-sequential-yu",
-                         "relational-lowerbound", "nsm-griffin", "dsm-griffin")
+# Each relational placement: its layout class, the sweep fields its plan
+# varies with (one compile and run serves every row that agrees on them)
+# and its plan for a query, where `rows()` gives the seed's qualifying
+# tuples by band row.  A plan calls its compile function through this
+# module's global name at call time, so rebinding that name (as
+# perfbench's tracer does) reaches every call.  The lower bound has no
+# layout: it is priced from the query's bit volume.
+_RELATIONAL_LAYOUTS = {
+    "relational-parallel": (RelLayoutRP, ("data_mb", "n_projection", "seed"),
+                            lambda lay, q, rows: lay.compile(q, (), rows())),
+    "relational-sequential-yu": (RelLayoutRSY, ("data_mb", "n_projection"),
+                                 lambda lay, q, rows: lay.compile(q)),
+    "relational-lowerbound": (None, (), None),
+    "nsm-griffin": (NsmLayout, ("data_mb",),
+                    lambda lay, q, rows: compile_nsm(lay)),
+    "dsm-griffin": (DsmLayout, ("data_mb", "n_projection"),
+                    lambda lay, q, rows: compile_dsm(lay, q)),
+}
+RELATIONAL_PLACEMENTS = tuple(_RELATIONAL_LAYOUTS)
 SPATIAL_PLACEMENTS = ("spatial-parallel", "spatial-sequential-yu",
                       "spatial-lowerbound")
+# a spatial query, and with it the plan, is drawn per seed
+_SPATIAL_VARIES = ("query_frac", "aspect", "seed")
 
 RELATIONAL_FIELDS = ("experiment", "placement", "data_mb", "n_projection",
                      "selectivity", "meas_total_s", "est_total_s", "seek_s",
@@ -61,9 +79,19 @@ Row = Dict[str, object]
 
 # -- row assembly ------------------------------------------------------------
 
-def _measured_row(base: Row, t: Timing, n_scans: int,
-                  rs: RSParams, p: DeviceParams) -> Row:
-    ci = trace_k_values(t, rs, p)
+def _measured_row(base: Row, varies: Sequence[str], make_plan, cache: dict,
+                  params: DeviceParams, seek_model: str) -> Row:
+    """`base` completed by an emulated run of `make_plan()`.  The plan is
+    compiled and executed once per placement and values of the `varies`
+    fields of `base`; later rows that agree on them reuse that run."""
+    key = (base["placement"],) + tuple(base[f] for f in varies)
+    if key not in cache:
+        plan = make_plan()
+        cache[key] = (Emulator(params, seek_model).execute(plan),
+                      len(plan.scans))
+    t, n_scans = cache[key]
+    rs = rs_params(params)
+    ci = trace_k_values(t, rs, params)
     est = estimate(ci, rs)
     row = dict(base)
     row.update(meas_total_s=t.total_s, est_total_s=est.total_s,
@@ -71,7 +99,7 @@ def _measured_row(base: Row, t: Timing, n_scans: int,
                transfer_s=t.transfer_s + t.settle_s,
                scans=n_scans, k_parallel=ci.k_parallel, k_random=ci.k_random,
                _bits=ci.bits,
-               _lb=lower_bound(ci.bits, p).total_s)
+               _lb=lower_bound(ci.bits, params).total_s)
     return row
 
 
@@ -105,67 +133,36 @@ def _relational_rows(params: DeviceParams, experiment: int,
                      seeds: Sequence[int], placements: Sequence[str],
                      qual_mode: str, seek_model: str) -> List[Row]:
     _check_placements(placements, RELATIONAL_PLACEMENTS)
-    rs = rs_params(params)
     attr_bits = attr_bytes * 8
-    layouts: dict = {}
-    fixed: Dict[tuple, Tuple[Timing, int]] = {}
-    qualmaps: dict = {}
+    cache: dict = {}
     out: List[Row] = []
-
-    def qual_and_rows(lay: RelLayoutRP, n: int, seed: int):
-        qual = gen_relation(n, k=k, attr_bytes=attr_bytes,
-                            seed=seed).qualifying_set(selectivity, qual_mode)
-        return qual, lay.qualifying_rows(qual)
-
     for size_mb, nproj in points:
+        if nproj > k:
+            raise ValueError(f"projection width {nproj} exceeds schema k={k}")
         n = int(size_mb * 2**20) // (k * attr_bytes)
-        sch = _get(layouts, ("schema", n),
-                   lambda: RelationSchema(k=k, n=n, attr_bits=attr_bits))
+        sch = RelationSchema(k=k, n=n, attr_bits=attr_bits)
         query = RangeQuery(projected=tuple(range(1, nproj + 1)),
                            predicate_attr=1, bound=PREDICATE_BOUND,
                            selectivity=selectivity)
         for placement in placements:
+            cls, varies, plan = _RELATIONAL_LAYOUTS[placement]
             for seed in seeds:
                 base: Row = {"experiment": experiment, "placement": placement,
                              "data_mb": size_mb, "n_projection": nproj,
                              "selectivity": selectivity, "seed": seed}
-                if placement == "relational-lowerbound":
+                if cls is None:
                     bits = exact_ceil(selectivity, n) * nproj * attr_bits
                     out.append(_lowerbound_row(base, bits, params))
                     continue
-                if placement == "relational-parallel":
-                    lay = _get(layouts, ("rp", n),
-                               lambda: RelLayoutRP(params, sch))
-                    qual, rmap = _get(qualmaps, (n, seed),
-                                      lambda: qual_and_rows(lay, n, seed))
-                    plan = compile_rp(lay, query, qual, rows=rmap)
-                    t = Emulator(params, seek_model).execute(plan)
-                    out.append(_measured_row(base, t, len(plan.scans),
-                                             rs, params))
-                    continue
-                # the remaining layouts place data independently of the
-                # qualifying set, so one run serves every seed
-                if placement == "relational-sequential-yu":
-                    key = (placement, n, nproj)
-                    lay = _get(layouts, ("rsy", n),
-                               lambda: RelLayoutRSY(params, sch))
-                    make_plan = lambda: compile_rsy(lay, query)
-                elif placement == "nsm-griffin":
-                    key = (placement, n)
-                    lay = _get(layouts, ("nsm", n),
-                               lambda: NsmLayout(params, sch))
-                    make_plan = lambda: compile_nsm(lay)
-                else:
-                    key = (placement, n, nproj)
-                    lay = _get(layouts, ("dsm", n),
-                               lambda: DsmLayout(params, sch))
-                    make_plan = lambda: compile_dsm(lay, query)
-                if key not in fixed:
-                    plan = make_plan()
-                    fixed[key] = (Emulator(params, seek_model).execute(plan),
-                                  len(plan.scans))
-                t, n_scans = fixed[key]
-                out.append(_measured_row(base, t, n_scans, rs, params))
+                lay = _get(cache, (cls, n), lambda: cls(params, sch))
+                # drawn once per (size, seed) and shared by every width
+                rows = lambda: _get(cache, ("rows", n, seed), lambda: (
+                    lay.qualifying_rows(
+                        gen_relation(n, k=k, attr_bytes=attr_bytes, seed=seed)
+                        .qualifying_set(selectivity, qual_mode))))
+                out.append(_measured_row(base, varies,
+                                         lambda: plan(lay, query, rows),
+                                         cache, params, seek_model))
     return sort_rows(out)
 
 
@@ -213,11 +210,9 @@ def _spatial_rows(params: DeviceParams, experiment: int,
                   curve: str, seek_model: str, obj_count: int,
                   obj_bytes: int) -> List[Row]:
     _check_placements(placements, SPATIAL_PLACEMENTS)
-    rs = rs_params(params)
     space = gen_spatial(count=obj_count, obj_bytes=obj_bytes).space
     data_mb = space.width * space.height * obj_bytes / 2**20
-    grids: dict = {}
-    ssy: Optional[SSYLayout] = None
+    cache: dict = {}
     out: List[Row] = []
     for frac, aspect in points:
         for placement in placements:
@@ -240,20 +235,19 @@ def _spatial_rows(params: DeviceParams, experiment: int,
                 elif placement == "spatial-parallel":
                     # the block shape is workload-tuned: each sweep point
                     # declares its aspect, so the grid is rebuilt per point
-                    grid = _get(grids, aspect,
+                    grid = _get(cache, ("grid", aspect),
                                 lambda: build_block_grid(params, space,
                                                          ratio=aspect,
                                                          curve=curve))
-                    plan = compile_sp(grid, qr)
-                    t = Emulator(params, seek_model).execute(plan)
-                    row = _measured_row(base, t, len(plan.scans), rs, params)
+                    row = _measured_row(base, _SPATIAL_VARIES,
+                                        lambda: compile_sp(grid, qr),
+                                        cache, params, seek_model)
                     row["n_query_blocks"] = len(query_block_set(grid, qr))
                 else:
-                    if ssy is None:
-                        ssy = SSYLayout(params, space)
-                    plan = compile_ssy(ssy, qr)
-                    t = Emulator(params, seek_model).execute(plan)
-                    row = _measured_row(base, t, len(plan.scans), rs, params)
+                    ssy = _get(cache, "ssy", lambda: SSYLayout(params, space))
+                    row = _measured_row(base, _SPATIAL_VARIES,
+                                        lambda: ssy.compile(qr),
+                                        cache, params, seek_model)
                     # one stripe of stacked components per x position
                     row["n_query_blocks"] = qr.qx
                 out.append(row)

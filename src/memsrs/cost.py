@@ -66,7 +66,3 @@ def trace_k_values(t: Timing, rs: RSParams, p: DeviceParams) -> CostInput:
         k_parallel = 1.0
     k_random = (t.seek_s + t.turnaround_s) / rs.seek_time_rs_s
     return CostInput(bits=bits, k_parallel=k_parallel, k_random=k_random)
-
-
-def estimate_from_trace(t: Timing, rs: RSParams, p: DeviceParams) -> CostEstimate:
-    return estimate(trace_k_values(t, rs, p), rs)

@@ -135,8 +135,11 @@ def compile_dsm(layout: DsmLayout, query: RangeQuery) -> AccessPlan:
 
 def _write_slots(lm: LinearMap, image: MediaImage, lba: int, slot: int,
                  payload: bytes, spv: int) -> None:
-    tip0, s = lm.block_cells(lba)
     step = image.sector_bytes
+    if len(payload) != spv * step:
+        raise ValueError(f"value payload must be {spv * step} bytes, "
+                         f"got {len(payload)}")
+    tip0, s = lm.block_cells(lba)
     for d in range(spv):
         image.write_cell(tip0 + slot + d, s, payload[d * step:(d + 1) * step])
 

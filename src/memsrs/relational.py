@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from .cost import CostInput
 from .device import DeviceParams
 from .emulator import AccessPlan, MediaImage, Scan
-from .rs import PhysAddr, RSAddr, layer_scans
+from .rs import PhysAddr, RSAddr, layer_scans, write_values
 
 
 @dataclass(frozen=True)
@@ -215,23 +215,11 @@ def compile_rp(layout: RelLayoutRP, query: RangeQuery, qualifying: Iterable[int]
     return layout.compile(query, qualifying, rows)
 
 
-def _write_values(layout, image: MediaImage, value_fn) -> None:
-    spv = layout.spv
-    cell = image.sector_bytes
-    for v in range(1, layout.schema.n + 1):
-        for w in range(1, layout.schema.k + 1):
-            payload = value_fn(v, w)
-            if len(payload) != spv * cell:
-                raise ValueError(f"value payload must be {spv * cell} bytes")
-            addr = layout.map(v, w)
-            for i in range(spv):
-                image.write_cell(addr.region, addr.sector + i,
-                                 payload[i * cell:(i + 1) * cell])
-
-
 def write_image_rsy(layout: RelLayoutRSY, image: MediaImage, value_fn) -> None:
-    _write_values(layout, image, value_fn)
+    write_values(image, layout.map, layout.schema.n, layout.schema.k,
+                 layout.spv, value_fn)
 
 
 def write_image_rp(layout: RelLayoutRP, image: MediaImage, value_fn) -> None:
-    _write_values(layout, image, value_fn)
+    write_values(image, layout.map, layout.schema.n, layout.schema.k,
+                 layout.spv, value_fn)

@@ -10,17 +10,18 @@ axes.
 The model's two facilities build every placement's scans: any tip set
 can be used for each sector row (`rs_scan`), and at most
 `n_active_tips` tips run at once, so wider sets are read in layers
-(`layer_scans`).
+(`layer_scans`). Every placement that maps a value to one Region-Sector
+address stores it down that region's sector axis (`write_values`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Dict, Iterable, List, NamedTuple, Sequence
+from typing import Callable, Dict, Iterable, List, NamedTuple, Sequence
 
 from .device import DeviceParams, derive
-from .emulator import AccessPlan, Scan
+from .emulator import AccessPlan, MediaImage, Scan
 
 
 class RSAddr(NamedTuple):
@@ -123,3 +124,22 @@ def rs_read(regions: Iterable[int], s_start: int, s_len: int,
     if tips and (tips[0] < 1 or tips[-1] > p.n_regions):
         raise ValueError("region index out of bounds")
     return AccessPlan(scans=layer_scans(s_start, s_len, [tips], p))
+
+
+def write_values(image: MediaImage, mapper: Callable[[int, int], RSAddr],
+                 n_a: int, n_b: int, spv: int,
+                 value_fn: Callable[[int, int], bytes]) -> None:
+    """Store `value_fn(a, b)` for every a in 1..n_a and b in 1..n_b as
+    `spv` whole sectors, from `mapper(a, b)` on along the sector axis."""
+    cell = image.sector_bytes
+    size = spv * cell
+    for a in range(1, n_a + 1):
+        for b in range(1, n_b + 1):
+            payload = value_fn(a, b)
+            if len(payload) != size:
+                raise ValueError(f"payload of ({a}, {b}) must be {size} "
+                                 f"bytes, got {len(payload)}")
+            region, sector = mapper(a, b)
+            for i in range(spv):
+                image.write_cell(region, sector + i,
+                                 payload[i * cell:(i + 1) * cell])

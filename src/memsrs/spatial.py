@@ -18,7 +18,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .cost import CostInput
 from .device import DeviceParams
 from .emulator import AccessPlan, MediaImage, Scan
-from .rs import PhysAddr, RSAddr, layer_scans, rs_params, rs_scan
+from .rs import (PhysAddr, RSAddr, layer_scans, rs_params, rs_scan,
+                 write_values)
 
 
 @dataclass(frozen=True)
@@ -54,36 +55,6 @@ class QueryRegion:
         if self.x0 > x1 or self.y0 > y1:
             return None
         return self.x0, self.y0, x1, y1
-
-
-@dataclass(frozen=True)
-class WorkloadProfile:
-    entries: Tuple[Tuple[float, int, int], ...]  # (frequency, qx, qy)
-
-    def __post_init__(self):
-        for f, qx, qy in self.entries:
-            if f <= 0 or qx < 1 or qy < 1:
-                raise ValueError("profile rows need frequency > 0 and extents >= 1")
-
-    @property
-    def weighted_aspect(self) -> float:
-        fx = sum(f * qx for f, qx, _ in self.entries)
-        fy = sum(f * qy for f, _, qy in self.entries)
-        return fx / fy
-
-
-def parse_profile(text: str) -> WorkloadProfile:
-    """One `f qx qy` triple per line; blank lines and # comments skipped."""
-    entries: List[Tuple[float, int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != 3:
-            raise ValueError(f"profile line {lineno}: expected 'f qx qy'")
-        entries.append((float(fields[0]), int(fields[1]), int(fields[2])))
-    return WorkloadProfile(entries=tuple(entries))
 
 
 # -- column-per-tip layout -------------------------------------------------
@@ -211,28 +182,25 @@ def _power_of_two_pairs(n: int) -> List[Tuple[int, int]]:
     return pairs
 
 
-def build_block_grid(params: DeviceParams, space: SpatialSpace,
-                     profile: Optional[WorkloadProfile] = None,
-                     curve: str = "hilbert",
-                     ratio: Optional[float] = None) -> BlockGrid:
-    """Pick block dimensions for the workload's aspect mix and order them.
+def build_block_grid(params: DeviceParams, space: SpatialSpace, ratio: float,
+                     curve: str = "hilbert") -> BlockGrid:
+    """Pick block dimensions closest to the aspect `ratio` and order them.
 
     Candidate dimensions are the factor pairs of the region count whose own
     ratio is a power of two, so the curve runs on a power-of-two grid.
     """
     if curve not in ("hilbert", "zorder"):
         raise ValueError(f"unknown curve: {curve!r}")
-    if ratio is None:
-        if profile is None or not profile.entries:
-            raise ValueError("need a workload profile or an explicit ratio")
-        ratio = profile.weighted_aspect
     if ratio <= 0:
         raise ValueError("aspect ratio must be positive")
     n_r = params.n_regions
+    pairs = _power_of_two_pairs(n_r)
+    if not pairs:
+        raise ValueError(f"no block shape for {n_r} regions: no factor pair "
+                         f"of {n_r} has a power-of-two ratio")
     target = math.log2(ratio)
-    best = min(_power_of_two_pairs(n_r),
-               key=lambda p: (abs(math.log2(p[0] / p[1]) - target), -p[0]))
-    b_x, b_y = best
+    b_x, b_y = min(pairs, key=lambda p: (abs(math.log2(p[0] / p[1]) - target),
+                                         -p[0]))
     if space.width % b_x or space.height % b_y:
         raise ValueError(f"{b_x}x{b_y} blocks do not tile the "
                          f"{space.width}x{space.height} space")
@@ -362,23 +330,11 @@ def compile_ssy(layout: SSYLayout, qr: QueryRegion) -> AccessPlan:
     return layout.compile(qr)
 
 
-def _write_objects(space: SpatialSpace, mapper, image: MediaImage, value_fn) -> None:
-    spo = -(-space.obj_bits // image.params.sector_bits)
-    cell = image.sector_bytes
-    for x in range(1, space.width + 1):
-        for y in range(1, space.height + 1):
-            payload = value_fn(x, y)
-            if len(payload) != spo * cell:
-                raise ValueError(f"object payload must be {spo * cell} bytes")
-            addr = mapper(x, y)
-            for i in range(spo):
-                image.write_cell(addr.region, addr.sector + i,
-                                 payload[i * cell:(i + 1) * cell])
-
-
 def write_image_ssy(layout: SSYLayout, image: MediaImage, value_fn) -> None:
-    _write_objects(layout.space, layout.map, image, value_fn)
+    write_values(image, layout.map, layout.space.width, layout.space.height,
+                 layout.spo, value_fn)
 
 
 def write_image_sp(grid: BlockGrid, image: MediaImage, value_fn) -> None:
-    _write_objects(grid.space, lambda x, y: map_sp(grid, x, y), image, value_fn)
+    write_values(image, lambda x, y: map_sp(grid, x, y), grid.space.width,
+                 grid.space.height, grid.spo, value_fn)

@@ -157,6 +157,17 @@ def test_bench_unknown_placement_fails(capsys):
     assert "placement" in err
 
 
+@pytest.mark.parametrize("placement", ["relational-lowerbound", "nsm-griffin",
+                                       "dsm-griffin"])
+def test_bench_projection_wider_than_schema_fails(placement, capsys):
+    code, out, err = run_cli(["bench", "relational", "--sizes", "",
+                              "--nproj", "17", "--repeats", "1",
+                              "--placement", placement], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: projection width 17 exceeds schema k=16\n"
+
+
 @pytest.mark.parametrize("command", ["relational", "spatial"])
 @pytest.mark.parametrize("repeats", ["0", "-2"])
 def test_bench_repeats_below_one_fails(command, repeats, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from memsrs.cost import CostInput, estimate, estimate_from_trace, lower_bound, trace_k_values
+from memsrs.cost import CostInput, estimate, lower_bound, trace_k_values
 from memsrs.device import DeviceParams, cmu_defaults
 from memsrs.emulator import AccessPlan, Emulator, Scan
 from memsrs.rs import rs_params
@@ -151,9 +151,3 @@ def test_trace_k_multipass_reversals():
     assert k.k_parallel == pytest.approx(1280.0)
     expected = 4 * CMU.turnaround_time_s / RS.seek_time_rs_s
     assert k.k_random == pytest.approx(expected)
-
-
-def test_estimate_from_trace_is_estimate_of_trace_k():
-    t = Emulator(CMU).execute(AccessPlan([Scan(tips=(1, 2, 3), start=100, length=9)]))
-    direct = estimate(trace_k_values(t, RS, CMU), RS)
-    assert estimate_from_trace(t, RS, CMU) == direct

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from memsrs.device import DeviceParams, cmu_defaults, derive
 from memsrs.emulator import Emulator, MediaImage, Scan
+from memsrs.linear import (DsmLayout, NsmLayout, compile_dsm, compile_nsm,
+                           write_image_dsm, write_image_nsm)
 from memsrs.relational import (RangeQuery, RelationSchema, RelLayoutRP,
                                RelLayoutRSY, write_image_rp, write_image_rsy)
 from memsrs.rs import (
@@ -255,3 +257,71 @@ def test_layered_plans_read_back_their_contract(rx, ry, napt, sy, extra_x, spv,
         for plan, image in ((ssy.compile(qr), "ssy"), (compile_sp(grid, qr), "sp")):
             _, data = em.read(plan, images[image])
             assert _chunks(data, 10) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(rx=st.sampled_from((1, 2, 4)), ry=st.sampled_from((1, 2, 4)),
+       sy=st.integers(1, 6), extra_x=st.integers(0, 2), n=st.integers(1, 60),
+       data=st.data(), rng=st.randoms())
+def test_row_and_column_stores_read_back_their_contract(rx, ry, sy, extra_x, n,
+                                                        data, rng):
+    # the tips split into whole groups of n_active_tips, and one tuple
+    # (row store) or one value (column store) fits a group's sector row
+    n_tips = rx * ry
+    napt = data.draw(st.sampled_from([g for g in (1, 2, 4, 8, 16) if g <= n_tips]))
+    spv = data.draw(st.integers(1, min(3, napt)))
+    k = data.draw(st.integers(1, min(4, napt // spv)))
+    blocks = max(-(-n // (napt // (k * spv))), k * -(-n // (napt // spv)))
+    groups = n_tips // napt
+    p = DeviceParams(regions_x=rx, regions_y=ry, sectors_y=sy,
+                     sectors_x=-(-blocks // (groups * sy)) + extra_x,
+                     n_active_tips=napt, sector_bits=80)
+    em = Emulator(p)
+    schema = RelationSchema(k=k, n=n, attr_bits=80 * spv)
+    nsm, dsm = NsmLayout(p, schema), DsmLayout(p, schema)
+    value = lambda a, b: b"".join(_cells((a, b), spv))
+    images = {"nsm": MediaImage(p), "dsm": MediaImage(p)}
+    write_image_nsm(nsm, images["nsm"], value)
+    write_image_dsm(dsm, images["dsm"], value)
+
+    def read(plan, image):
+        # slots past the last value of a block read back as zero cells
+        _, got = em.read(plan, images[image])
+        return [c for c in _chunks(got, 10) if c != bytes(10)]
+
+    assert read(compile_nsm(nsm), "nsm") == sorted(
+        c for v in range(1, n + 1) for w in range(1, k + 1)
+        for c in _cells((v, w), spv))
+    for _ in range(3):
+        proj = tuple(sorted(rng.sample(range(1, k + 1), rng.randint(1, k))))
+        q = RangeQuery(projected=proj, predicate_attr=proj[0], bound=0,
+                       selectivity=0.5)
+        assert read(compile_dsm(dsm, q), "dsm") == sorted(
+            c for v in range(1, n + 1) for w in proj
+            for c in _cells((v, w), spv))
+
+
+# -- every image writer checks the payload length --------------------------
+
+def _writer_cases():
+    # 16-byte values: two 8-byte sectors each
+    p = DeviceParams(regions_x=2, regions_y=2, sectors_x=8, sectors_y=4,
+                     n_active_tips=4)
+    schema = RelationSchema(k=2, n=4, attr_bits=128)
+    space = SpatialSpace(width=4, height=4, obj_bits=128)
+    return p, [(write_image_rsy, RelLayoutRSY(p, schema)),
+               (write_image_rp, RelLayoutRP(p, schema)),
+               (write_image_nsm, NsmLayout(p, schema)),
+               (write_image_dsm, DsmLayout(p, schema)),
+               (write_image_ssy, SSYLayout(p, space)),
+               (write_image_sp, build_block_grid(p, space, ratio=1.0))]
+
+
+@pytest.mark.parametrize("size", [15, 17])
+@pytest.mark.parametrize("case", range(6), ids=["rsy", "rp", "nsm", "dsm",
+                                                "ssy", "sp"])
+def test_writer_rejects_payload_of_wrong_length(case, size):
+    p, cases = _writer_cases()
+    write, layout = cases[case]
+    with pytest.raises(ValueError, match=f"must be 16 bytes, got {size}"):
+        write(layout, MediaImage(p), lambda a, b: bytes(size))

@@ -12,13 +12,11 @@ from memsrs.spatial import (
     QueryRegion,
     SpatialSpace,
     SSYLayout,
-    WorkloadProfile,
     build_block_grid,
     compile_sp,
     compile_ssy,
     k_values_sp,
     map_sp,
-    parse_profile,
     query_block_set,
     write_image_sp,
     write_image_ssy,
@@ -99,22 +97,10 @@ def test_block_grid_quarter_ratio():
     assert (grid.B_x, grid.B_y) == (40, 160)
 
 
-def test_block_grid_from_profile():
-    profile = parse_profile("1 40 160\n")
-    grid = build_block_grid(CMU, SPACE, profile=profile)
-    assert (grid.B_x, grid.B_y) == (40, 160)
-
-
 def test_block_grid_tie_breaks_wider():
     # ratio 2 sits exactly between the 1 and 4 ratio pairs
     grid = build_block_grid(CMU, SPACE, ratio=2.0)
     assert (grid.B_x, grid.B_y) == (160, 40)
-
-
-def test_block_grid_profile_weighting():
-    profile = WorkloadProfile(entries=((3.0, 80, 80), (1.0, 160, 40)))
-    # ratio of weighted sums: (3*80+160)/(3*80+40) = 400/280
-    assert profile.weighted_aspect == pytest.approx(400 / 280)
 
 
 def test_hilbert_order_small_oracle():
@@ -223,15 +209,21 @@ def test_block_order_matches_curve_walk(curve, g_x, g_y):
 
 def test_block_grid_rejections():
     with pytest.raises(ValueError):
-        build_block_grid(CMU, SPACE)  # neither profile nor ratio
-    with pytest.raises(ValueError):
-        build_block_grid(CMU, SPACE, profile=WorkloadProfile(entries=()))
-    with pytest.raises(ValueError):
         build_block_grid(CMU, SPACE, ratio=1.0, curve="peano")
     with pytest.raises(ValueError):
         # blocks would not tile the space
         build_block_grid(TINY, SpatialSpace(width=7, height=6, obj_bits=64),
                          ratio=1.0)
+
+
+@pytest.mark.parametrize("rx, ry", [(1, 3), (3, 2), (3, 4)])
+def test_block_grid_without_power_of_two_shape_names_region_count(rx, ry):
+    # 3, 6 and 12 regions: no factor pair has a power-of-two ratio
+    dev = DeviceParams(regions_x=rx, regions_y=ry, sectors_x=8, sectors_y=4,
+                       n_active_tips=1)
+    space = SpatialSpace(width=rx * ry, height=rx * ry, obj_bits=64)
+    with pytest.raises(ValueError, match=f"no block shape for {rx * ry} regions"):
+        build_block_grid(dev, space, ratio=1.0)
 
 
 def test_map_sp_row_major_within_block():
@@ -372,20 +364,6 @@ def test_k_values_sp():
     assert ci.k_parallel == 1280.0
     corner = k_values_sp(grid, region(41, 41, 64, 64))
     assert corner.k_random == 4
-
-
-# -- profile parsing ------------------------------------------------------
-
-def test_parse_profile():
-    profile = parse_profile("# comment\n2 640 640\n\n1 2560 160\n")
-    assert profile.entries == ((2.0, 640, 640), (1.0, 2560, 160))
-
-
-def test_parse_profile_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_profile("1 2\n")
-    with pytest.raises(ValueError):
-        WorkloadProfile(entries=((0.0, 10, 10),))
 
 
 def test_query_region_validation():
