@@ -34,11 +34,18 @@ from .cost import estimate, lower_bound, trace_k_values
 from .device import DeviceParams, cmu_defaults
 from .emulator import Emulator
 from .linear import DsmLayout, NsmLayout, compile_dsm, compile_nsm
-from .relational import RangeQuery, RelationSchema, RelLayoutRP, RelLayoutRSY
+from .relational import (RangeQuery, RelationSchema, RelLayoutRP, RelLayoutRSY,
+                         exact_ceil)
 from .rs import rs_params
-from .spatial import SSYLayout, build_block_grid, compile_sp, query_block_set
-from .workload import (PREDICATE_BOUND, exact_ceil, gen_query_region,
-                       gen_relation, gen_spatial)
+from .spatial import (SpatialSpace, SSYLayout, build_block_grid, compile_sp,
+                      query_block_set)
+from .workload import PREDICATE_BOUND, Relation, gen_query_region
+
+# The paper's data: a relation of 16 attributes of 8 bytes each, whose
+# tuple count follows from the sweep's data size, and a 6400 x 6400 grid
+# of 8-byte spatial objects (312.5 MB).
+_K, _ATTR_BYTES = 16, 8
+_SPACE = SpatialSpace(width=6400, height=6400, obj_bits=64)
 
 # Each relational placement: its layout class, the sweep fields its plan
 # varies with (one compile and run serves every row that agrees on them)
@@ -49,7 +56,7 @@ from .workload import (PREDICATE_BOUND, exact_ceil, gen_query_region,
 # layout: it is priced from the query's bit volume.
 _RELATIONAL_LAYOUTS = {
     "relational-parallel": (RelLayoutRP, ("data_mb", "n_projection", "seed"),
-                            lambda lay, q, rows: lay.compile(q, (), rows())),
+                            lambda lay, q, rows: lay.compile(q, rows())),
     "relational-sequential-yu": (RelLayoutRSY, ("data_mb", "n_projection"),
                                  lambda lay, q, rows: lay.compile(q)),
     "relational-lowerbound": (None, (), None),
@@ -128,19 +135,18 @@ def _check_placements(given: Sequence[str], known: Sequence[str]) -> None:
 # -- relational sweeps --------------------------------------------------------
 
 def _relational_rows(params: DeviceParams, experiment: int,
-                     points: Iterable[Tuple[float, int]], *, k: int,
-                     attr_bytes: int, selectivity: float,
-                     seeds: Sequence[int], placements: Sequence[str],
-                     qual_mode: str, seek_model: str) -> List[Row]:
+                     points: Iterable[Tuple[float, int]], *,
+                     selectivity: float, seeds: Sequence[int],
+                     placements: Sequence[str], qual_mode: str,
+                     seek_model: str) -> List[Row]:
     _check_placements(placements, RELATIONAL_PLACEMENTS)
-    attr_bits = attr_bytes * 8
     cache: dict = {}
     out: List[Row] = []
     for size_mb, nproj in points:
-        if nproj > k:
-            raise ValueError(f"projection width {nproj} exceeds schema k={k}")
-        n = int(size_mb * 2**20) // (k * attr_bytes)
-        sch = RelationSchema(k=k, n=n, attr_bits=attr_bits)
+        if nproj > _K:
+            raise ValueError(f"projection width {nproj} exceeds schema k={_K}")
+        n = int(size_mb * 2**20) // (_K * _ATTR_BYTES)
+        sch = RelationSchema(k=_K, n=n, attr_bits=_ATTR_BYTES * 8)
         query = RangeQuery(projected=tuple(range(1, nproj + 1)),
                            predicate_attr=1, bound=PREDICATE_BOUND,
                            selectivity=selectivity)
@@ -151,15 +157,14 @@ def _relational_rows(params: DeviceParams, experiment: int,
                              "data_mb": size_mb, "n_projection": nproj,
                              "selectivity": selectivity, "seed": seed}
                 if cls is None:
-                    bits = exact_ceil(selectivity, n) * nproj * attr_bits
+                    bits = exact_ceil(selectivity, n) * nproj * sch.attr_bits
                     out.append(_lowerbound_row(base, bits, params))
                     continue
                 lay = _get(cache, (cls, n), lambda: cls(params, sch))
                 # drawn once per (size, seed) and shared by every width
                 rows = lambda: _get(cache, ("rows", n, seed), lambda: (
-                    lay.qualifying_rows(
-                        gen_relation(n, k=k, attr_bytes=attr_bytes, seed=seed)
-                        .qualifying_set(selectivity, qual_mode))))
+                    lay.qualifying_rows(Relation(n, seed).qualifying_set(
+                        selectivity, qual_mode))))
                 out.append(_measured_row(base, varies,
                                          lambda: plan(lay, query, rows),
                                          cache, params, seek_model))
@@ -169,7 +174,6 @@ def _relational_rows(params: DeviceParams, experiment: int,
 def run_experiment1(params: Optional[DeviceParams] = None, *,
                     sizes_mb: Sequence[float] = SIZES_MB,
                     n_projection: int = 8, selectivity: float = 0.1,
-                    k: int = 16, attr_bytes: int = 8,
                     seeds: Sequence[int] = tuple(range(20)),
                     placements: Sequence[str] = RELATIONAL_PLACEMENTS,
                     qual_mode: str = "uniform",
@@ -177,7 +181,6 @@ def run_experiment1(params: Optional[DeviceParams] = None, *,
     """Relational data-size sweep at a fixed projection width."""
     params = params or cmu_defaults()
     return _relational_rows(params, 1, [(mb, n_projection) for mb in sizes_mb],
-                            k=k, attr_bytes=attr_bytes,
                             selectivity=selectivity, seeds=tuple(seeds),
                             placements=placements, qual_mode=qual_mode,
                             seek_model=seek_model)
@@ -186,8 +189,7 @@ def run_experiment1(params: Optional[DeviceParams] = None, *,
 def run_experiment2(params: Optional[DeviceParams] = None, *,
                     size_mb: float = 320,
                     n_projections: Sequence[int] = tuple(range(1, 17)),
-                    selectivity: float = 0.1, k: int = 16,
-                    attr_bytes: int = 8,
+                    selectivity: float = 0.1,
                     seeds: Sequence[int] = tuple(range(20)),
                     placements: Sequence[str] = RELATIONAL_PLACEMENTS,
                     qual_mode: str = "uniform",
@@ -196,7 +198,6 @@ def run_experiment2(params: Optional[DeviceParams] = None, *,
     params = params or cmu_defaults()
     return _relational_rows(params, 2,
                             [(size_mb, np_) for np_ in n_projections],
-                            k=k, attr_bytes=attr_bytes,
                             selectivity=selectivity, seeds=tuple(seeds),
                             placements=placements, qual_mode=qual_mode,
                             seek_model=seek_model)
@@ -207,18 +208,16 @@ def run_experiment2(params: Optional[DeviceParams] = None, *,
 def _spatial_rows(params: DeviceParams, experiment: int,
                   points: Iterable[Tuple[float, float]], *,
                   seeds: Sequence[int], placements: Sequence[str],
-                  curve: str, seek_model: str, obj_count: int,
-                  obj_bytes: int) -> List[Row]:
+                  curve: str, seek_model: str) -> List[Row]:
     _check_placements(placements, SPATIAL_PLACEMENTS)
-    space = gen_spatial(count=obj_count, obj_bytes=obj_bytes).space
-    data_mb = space.width * space.height * obj_bytes / 2**20
+    data_mb = _SPACE.width * _SPACE.height * _SPACE.obj_bits / 8 / 2**20
     cache: dict = {}
     out: List[Row] = []
     for frac, aspect in points:
         for placement in placements:
             for seed in seeds:
                 try:
-                    qr = gen_query_region(space, frac, aspect, seed=seed)
+                    qr = gen_query_region(_SPACE, frac, aspect, seed=seed)
                 except ValueError as exc:
                     raise ValueError(
                         f"experiment {experiment}, query_frac={frac:g}, "
@@ -229,14 +228,14 @@ def _spatial_rows(params: DeviceParams, experiment: int,
                              "aspect": aspect, "qx": qr.qx, "qy": qr.qy,
                              "seed": seed}
                 if placement == "spatial-lowerbound":
-                    row = _lowerbound_row(base, qr.qx * qr.qy * space.obj_bits,
+                    row = _lowerbound_row(base, qr.qx * qr.qy * _SPACE.obj_bits,
                                           params)
                     row["n_query_blocks"] = 0
                 elif placement == "spatial-parallel":
                     # the block shape is workload-tuned: each sweep point
                     # declares its aspect, so the grid is rebuilt per point
                     grid = _get(cache, ("grid", aspect),
-                                lambda: build_block_grid(params, space,
+                                lambda: build_block_grid(params, _SPACE,
                                                          ratio=aspect,
                                                          curve=curve))
                     row = _measured_row(base, _SPATIAL_VARIES,
@@ -244,7 +243,7 @@ def _spatial_rows(params: DeviceParams, experiment: int,
                                         cache, params, seek_model)
                     row["n_query_blocks"] = len(query_block_set(grid, qr))
                 else:
-                    ssy = _get(cache, "ssy", lambda: SSYLayout(params, space))
+                    ssy = _get(cache, "ssy", lambda: SSYLayout(params, _SPACE))
                     row = _measured_row(base, _SPATIAL_VARIES,
                                         lambda: ssy.compile(qr),
                                         cache, params, seek_model)
@@ -259,15 +258,13 @@ def run_experiment3(params: Optional[DeviceParams] = None, *,
                     aspect: float = 1.0,
                     seeds: Sequence[int] = tuple(range(20)),
                     placements: Sequence[str] = SPATIAL_PLACEMENTS,
-                    curve: str = "hilbert", seek_model: str = "average",
-                    obj_count: int = 40_960_000,
-                    obj_bytes: int = 8) -> List[Row]:
+                    curve: str = "hilbert",
+                    seek_model: str = "average") -> List[Row]:
     """Spatial query-size sweep at a fixed aspect ratio."""
     params = params or cmu_defaults()
     return _spatial_rows(params, 3, [(f, aspect) for f in query_fracs],
                          seeds=tuple(seeds), placements=placements,
-                         curve=curve, seek_model=seek_model,
-                         obj_count=obj_count, obj_bytes=obj_bytes)
+                         curve=curve, seek_model=seek_model)
 
 
 def run_experiment4(params: Optional[DeviceParams] = None, *,
@@ -275,15 +272,13 @@ def run_experiment4(params: Optional[DeviceParams] = None, *,
                     aspects: Sequence[float] = ASPECTS,
                     seeds: Sequence[int] = tuple(range(20)),
                     placements: Sequence[str] = SPATIAL_PLACEMENTS,
-                    curve: str = "hilbert", seek_model: str = "average",
-                    obj_count: int = 40_960_000,
-                    obj_bytes: int = 8) -> List[Row]:
+                    curve: str = "hilbert",
+                    seek_model: str = "average") -> List[Row]:
     """Spatial query-aspect sweep at a fixed query size."""
     params = params or cmu_defaults()
     return _spatial_rows(params, 4, [(query_frac, a) for a in aspects],
                          seeds=tuple(seeds), placements=placements,
-                         curve=curve, seek_model=seek_model,
-                         obj_count=obj_count, obj_bytes=obj_bytes)
+                         curve=curve, seek_model=seek_model)
 
 
 # -- ordering and CSV rendering ------------------------------------------------

@@ -30,7 +30,8 @@ def _col_of(s: int, sy: int) -> int:
 
 
 def _col_row(s: int, sy: int) -> Tuple[int, int]:
-    """Linear RS row -> (column, physical row) under serpentine order."""
+    """Linear RS row -> (column, physical row) under serpentine order:
+    odd columns run downward, even columns run back up."""
     col = (s - 1) // sy + 1
     off = (s - 1) % sy
     row = off + 1 if col % 2 == 1 else sy - off
@@ -38,6 +39,7 @@ def _col_row(s: int, sy: int) -> Tuple[int, int]:
 
 
 def _lin(col: int, row: int, sy: int) -> int:
+    """(column, physical row) -> linear RS row; inverse of `_col_row`."""
     off = row - 1 if col % 2 == 1 else sy - row
     return (col - 1) * sy + off + 1
 

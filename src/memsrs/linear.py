@@ -17,7 +17,7 @@ from typing import Callable, List, Optional, Tuple
 
 from .device import DeviceParams
 from .emulator import AccessPlan, MediaImage, Scan
-from .relational import RangeQuery, RelationSchema
+from .relational import RangeQuery, RelationSchema, _check_query
 
 
 class LinearMap:
@@ -119,6 +119,7 @@ def compile_nsm(layout: NsmLayout, query: Optional[RangeQuery] = None) -> Access
 
 def compile_dsm(layout: DsmLayout, query: RangeQuery) -> AccessPlan:
     """Column store: every block of each projected sub-relation."""
+    _check_query(query, layout.schema)
     bpa = layout.blocks_per_attr
     runs: List[Tuple[int, int]] = []
     for w in query.projected:

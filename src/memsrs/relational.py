@@ -14,12 +14,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .cost import CostInput
 from .device import DeviceParams
 from .emulator import AccessPlan, MediaImage, Scan
 from .rs import PhysAddr, RSAddr, layer_scans, write_values
+
+
+def exact_ceil(fraction: float, n: int) -> int:
+    """ceil(fraction * n), the number of tuples a selectivity qualifies."""
+    # 0.07 * 100 is 7.000000000000001 in floating point; shave such drift
+    return math.ceil(round(fraction * n, 9))
 
 
 @dataclass(frozen=True)
@@ -173,24 +179,21 @@ class RelLayoutRP:
             buckets.setdefault((v - 1) // n_pt + 1, []).append((v - 1) % n_pt + 1)
         return {row: tuple(sorted(tips)) for row, tips in buckets.items()}
 
-    def compile(self, query: RangeQuery, qualifying: Iterable[int],
-                rows: Optional[Mapping[int, Sequence[int]]] = None) -> AccessPlan:
+    def compile(self, query: RangeQuery,
+                rows: Mapping[int, Sequence[int]]) -> AccessPlan:
         """Plan: the predicate band in full, other bands only where tuples qualify.
 
-        `rows` short-circuits the bucketing when the per-row qualifying map
-        was already built (it is identical for every attribute band).
+        `rows` maps band rows to their qualifying tips, as `qualifying_rows`
+        builds it; the map is the same for every attribute band.
         """
         _check_query(query, self.schema)
         h = self.band_rows
         full = [range(1, self._row_count(j) + 1) for j in range(1, h + 1)]
         scans = layer_scans(self.band_start(query.predicate_attr), self.spv,
                             full, self.params)
-        others = [w for w in query.projected if w != query.predicate_attr]
-        if others:
-            if rows is None:
-                rows = self.qualifying_rows(qualifying)
-            qual = [rows.get(j, ()) for j in range(1, h + 1)]
-            for w in others:
+        qual = [rows.get(j, ()) for j in range(1, h + 1)]
+        for w in query.projected:
+            if w != query.predicate_attr:
                 scans.extend(layer_scans(self.band_start(w), self.spv, qual,
                                          self.params))
         return AccessPlan(scans)
@@ -198,7 +201,7 @@ class RelLayoutRP:
     def k_values(self, query: RangeQuery) -> CostInput:
         _check_query(query, self.schema)
         nproj = query.n_projection
-        qualifying = math.ceil(query.selectivity * self.schema.n)
+        qualifying = exact_ceil(query.selectivity, self.schema.n)
         bits = (self.schema.n + (nproj - 1) * qualifying) * self.schema.attr_bits
         return CostInput(bits=bits, k_parallel=self.params.n_active_tips,
                          k_random=nproj)
@@ -210,9 +213,9 @@ def compile_rsy(layout: RelLayoutRSY, query: RangeQuery) -> AccessPlan:
     return layout.compile(query)
 
 
-def compile_rp(layout: RelLayoutRP, query: RangeQuery, qualifying: Iterable[int],
-               rows: Optional[Mapping[int, Sequence[int]]] = None) -> AccessPlan:
-    return layout.compile(query, qualifying, rows)
+def compile_rp(layout: RelLayoutRP, query: RangeQuery,
+               qualifying: Iterable[int]) -> AccessPlan:
+    return layout.compile(query, layout.qualifying_rows(qualifying))
 
 
 def write_image_rsy(layout: RelLayoutRSY, image: MediaImage, value_fn) -> None:

@@ -21,7 +21,7 @@ from itertools import groupby
 from typing import Callable, Dict, Iterable, List, NamedTuple, Sequence
 
 from .device import DeviceParams, derive
-from .emulator import AccessPlan, MediaImage, Scan
+from .emulator import AccessPlan, MediaImage, Scan, _col_row, _lin
 
 
 class RSAddr(NamedTuple):
@@ -46,13 +46,8 @@ def rs_to_mems(a: RSAddr, p: DeviceParams) -> PhysAddr:
     r, s = a
     if not (1 <= r <= p.n_regions and 1 <= s <= p.sectors_per_region):
         raise ValueError(f"RS address out of bounds: {a}")
-    region_x = (r - 1) % p.regions_x + 1
-    region_y = (r - 1) // p.regions_x + 1
-    col = (s - 1) // p.sectors_y + 1
-    off = (s - 1) % p.sectors_y
-    # serpentine: odd columns run downward, even columns run back up
-    row = off + 1 if col % 2 == 1 else p.sectors_y - off
-    return PhysAddr(region_x, region_y, col, row)
+    return PhysAddr((r - 1) % p.regions_x + 1, (r - 1) // p.regions_x + 1,
+                    *_col_row(s, p.sectors_y))
 
 
 def mems_to_rs(a: PhysAddr, p: DeviceParams) -> RSAddr:
@@ -60,10 +55,8 @@ def mems_to_rs(a: PhysAddr, p: DeviceParams) -> RSAddr:
     if not (1 <= region_x <= p.regions_x and 1 <= region_y <= p.regions_y
             and 1 <= col <= p.sectors_x and 1 <= row <= p.sectors_y):
         raise ValueError(f"physical address out of bounds: {a}")
-    r = (region_y - 1) * p.regions_x + region_x
-    off = row - 1 if col % 2 == 1 else p.sectors_y - row
-    s = (col - 1) * p.sectors_y + off + 1
-    return RSAddr(r, s)
+    return RSAddr((region_y - 1) * p.regions_x + region_x,
+                  _lin(col, row, p.sectors_y))
 
 
 def rs_params(p: DeviceParams) -> RSParams:

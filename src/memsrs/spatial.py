@@ -191,8 +191,8 @@ def build_block_grid(params: DeviceParams, space: SpatialSpace, ratio: float,
     """
     if curve not in ("hilbert", "zorder"):
         raise ValueError(f"unknown curve: {curve!r}")
-    if ratio <= 0:
-        raise ValueError("aspect ratio must be positive")
+    if not 0 < ratio < math.inf:
+        raise ValueError(f"aspect ratio must be positive and finite, got {ratio}")
     n_r = params.n_regions
     pairs = _power_of_two_pairs(n_r)
     if not pairs:

@@ -1,93 +1,37 @@
-"""Synthetic workload generators: relation content, spatial object grid,
-and query regions. Everything is a pure function of its seed."""
+"""Synthetic workload generators: qualifying tuple sets and query regions.
+Everything is a pure function of its seed."""
 
 from __future__ import annotations
 
 import math
 import random
-import struct
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, Tuple
+from typing import Tuple
 
-from .relational import RelationSchema
+from .relational import exact_ceil
 from .spatial import QueryRegion, SpatialSpace
 
 # range predicates select tuples whose first attribute exceeds this
 PREDICATE_BOUND = 1_000_000
 
-_MIX1 = 0x9E3779B97F4A7C15
-_MIX2 = 0xBF58476D1CE4E5B9
-_MASK = (1 << 64) - 1
-
-
-def _mix(*parts: int) -> int:
-    """Stateless 64-bit scrambler for reproducible filler values."""
-    h = _MIX1
-    for v in parts:
-        h = ((h ^ (v & _MASK)) * _MIX2) & _MASK
-        h ^= h >> 31
-    return h
-
-
-def exact_ceil(fraction: float, n: int) -> int:
-    # 0.1 * 2621440 lands a hair above the integer; shave float drift
-    return math.ceil(round(fraction * n, 9))
-
 
 @dataclass(frozen=True)
 class Relation:
-    schema: RelationSchema
+    """A relation of `n` tuples whose predicate outcomes `seed` fixes."""
+    n: int
     seed: int
 
     def qualifying_set(self, sigma: float, mode: str = "uniform") -> Tuple[int, ...]:
         """Tuple ids satisfying the predicate; exactly ceil(sigma*n) of them."""
         if not 0.0 <= sigma <= 1.0:
             raise ValueError("selectivity must be within [0, 1]")
-        m = exact_ceil(sigma, self.schema.n)
+        m = exact_ceil(sigma, self.n)
         if mode == "uniform":
             rng = random.Random(f"{self.seed}:qualifying")
-            return tuple(sorted(rng.sample(range(1, self.schema.n + 1), m)))
+            return tuple(sorted(rng.sample(range(1, self.n + 1), m)))
         if mode == "clustered":
             return tuple(range(1, m + 1))
         raise ValueError(f"unknown qualifying mode {mode!r}")
-
-    def value_fn(self, qualifying: FrozenSet[int]) -> Callable[[int, int], bytes]:
-        """Per-value payload bytes; attribute 1 realizes the predicate."""
-        bytes_per_value = self.schema.attr_bits // 8
-        seed = self.seed
-
-        def value(t: int, w: int) -> bytes:
-            if w == 1:
-                v = PREDICATE_BOUND + t if t in qualifying else t % PREDICATE_BOUND
-                return struct.pack(">Q", v).rjust(bytes_per_value, b"\0")
-            return _mix(seed, t, w).to_bytes(8, "big").rjust(bytes_per_value, b"\0")
-
-        return value
-
-
-def gen_relation(n: int, k: int = 16, attr_bytes: int = 8, seed: int = 0) -> Relation:
-    return Relation(schema=RelationSchema(k=k, n=n, attr_bits=attr_bytes * 8),
-                    seed=seed)
-
-
-@dataclass(frozen=True)
-class SpatialDataset:
-    space: SpatialSpace
-    seed: int
-
-    def object_bytes(self, x: int, y: int) -> bytes:
-        n = self.space.obj_bits // 8
-        return _mix(self.seed, x * 1_000_003, y).to_bytes(8, "big").rjust(n, b"\0")
-
-
-def gen_spatial(count: int = 40_960_000, obj_bytes: int = 8,
-                seed: int = 0) -> SpatialDataset:
-    side = math.isqrt(count)
-    if side * side != count:
-        raise ValueError("object count must form a square grid")
-    return SpatialDataset(space=SpatialSpace(width=side, height=side,
-                                             obj_bits=obj_bytes * 8),
-                          seed=seed)
 
 
 def gen_query_region(space: SpatialSpace, size_fraction: float, aspect: float,

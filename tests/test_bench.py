@@ -26,6 +26,7 @@ from memsrs.bench import (
 from memsrs.device import cmu_defaults
 from memsrs.emulator import Emulator
 from memsrs.relational import RangeQuery, RelationSchema, RelLayoutRSY, compile_rsy
+from perfbench import tracing
 
 CMU = cmu_defaults()
 NAPT = CMU.n_active_tips
@@ -275,3 +276,12 @@ def test_write_csv_roundtrip(tmp_path):
 def test_sweep_csv_bytes_pinned(run, kw, digest):
     # any cell that moves changes the hash; a refactor must keep them all
     assert hashlib.sha256(csv_text(run(**kw)).encode()).hexdigest() == digest
+
+
+# -- benchmark tracer --------------------------------------------------------
+
+def test_every_tracer_target_binds():
+    # the benchmark's tracer wraps memsrs functions and methods by name; a
+    # target that binds nowhere would leave its layer silently untimed
+    bound = {target for _, _, _, target in tracing.target_bindings()}
+    assert [t for t in tracing.TARGETS if t not in bound] == []

@@ -241,6 +241,13 @@ def test_dsm_read_back_non_adjacent_attributes():
     assert cells == sorted(expected)
 
 
+def test_dsm_projection_wider_than_schema_rejected():
+    layout = DsmLayout(CMU, RelationSchema(k=16, n=40960))
+    q = RangeQuery(projected=(1, 17), predicate_attr=1, bound=0, selectivity=0.1)
+    with pytest.raises(ValueError, match="projected attribute 17 exceeds schema k=16"):
+        compile_dsm(layout, q)
+
+
 def test_dsm_capacity_error():
     with pytest.raises(ValueError):
         DsmLayout(RED, RelationSchema(k=4, n=2000))

@@ -16,10 +16,12 @@ from memsrs.relational import (
     RelationSchema,
     compile_rp,
     compile_rsy,
+    exact_ceil,
     write_image_rp,
     write_image_rsy,
 )
 from memsrs.rs import PhysAddr, RSAddr, rs_to_mems
+from memsrs.workload import Relation
 
 CMU = cmu_defaults()
 TINY = DeviceParams(regions_x=3, regions_y=3, sectors_x=4, sectors_y=3,
@@ -259,6 +261,15 @@ def test_k_values_rp():
     assert ci.k_parallel == 1280
     assert ci.k_random == 8
     assert ci.bits == (BIG.n + 7 * math.ceil(0.1 * BIG.n)) * 64
+
+
+def test_k_values_rp_prices_the_drawn_qualifying_count():
+    # 0.07 * 100 is 7.000000000000001 in floating point: a plain ceil
+    # would price 8 qualifying tuples where the workload draws 7
+    lay = RelLayoutRP(CMU, RelationSchema(k=4, n=100))
+    drawn = Relation(n=100, seed=0).qualifying_set(0.07)
+    assert len(drawn) == exact_ceil(0.07, 100) == 7
+    assert lay.k_values(q([1, 2], sel=0.07)).bits == (100 + 7) * 64 == 6848
 
 
 # -- query validation ------------------------------------------------------

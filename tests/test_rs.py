@@ -246,7 +246,7 @@ def test_layered_plans_read_back_their_contract(rx, ry, napt, sy, extra_x, spv,
         assert _chunks(data, 10) == sorted(want)
         want = [c for v in range(1, n + 1) for c in _cells((v, proj[0]), spv)]
         want += [c for v in qual for w in proj[1:] for c in _cells((v, w), spv)]
-        _, data = em.read(rp.compile(q, qual), images["rp"])
+        _, data = em.read(rp.compile(q, rp.qualifying_rows(qual)), images["rp"])
         assert _chunks(data, 10) == sorted(want)
 
         qr = QueryRegion(x0=rng.randint(1, side_x), y0=rng.randint(1, side_y),

@@ -1,5 +1,6 @@
 """Spatial placements: space mapping, block grid, curve orders, compilers."""
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -214,6 +215,12 @@ def test_block_grid_rejections():
         # blocks would not tile the space
         build_block_grid(TINY, SpatialSpace(width=7, height=6, obj_bits=64),
                          ratio=1.0)
+
+
+@pytest.mark.parametrize("ratio", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_block_grid_rejects_non_positive_or_non_finite_ratio(ratio):
+    with pytest.raises(ValueError, match="aspect ratio must be positive and finite"):
+        build_block_grid(CMU, SPACE, ratio=ratio)
 
 
 @pytest.mark.parametrize("rx, ry", [(1, 3), (3, 2), (3, 4)])

@@ -1,21 +1,18 @@
-"""Synthetic relation, spatial grid, and query-region generators."""
-
-import struct
+"""Qualifying-set and query-region generators."""
 
 import pytest
 
 from memsrs.spatial import SpatialSpace
-from memsrs.workload import PREDICATE_BOUND, gen_query_region, gen_relation, gen_spatial
+from memsrs.workload import Relation, gen_query_region
 
 
 def test_relation_tuple_count_320mb():
-    rel = gen_relation(n=320 * 2**20 // (16 * 8), seed=1)
-    assert rel.schema.n == 2_621_440
-    assert rel.schema.k == 16
+    rel = Relation(n=320 * 2**20 // (16 * 8), seed=1)
+    assert rel.n == 2_621_440
 
 
 def test_qualifying_cardinality_is_exact():
-    rel = gen_relation(n=1000, k=4, seed=3)
+    rel = Relation(n=1000, seed=3)
     # ceil(sigma*n) without float-product drift: 0.1*1000 is exactly 100
     for sigma, want in ((0.0, 0), (0.001, 1), (0.0015, 2), (0.1, 100),
                         (0.5, 500), (1.0, 1000)):
@@ -26,7 +23,7 @@ def test_qualifying_cardinality_is_exact():
 
 
 def test_qualifying_modes():
-    rel = gen_relation(n=100, k=4, seed=9)
+    rel = Relation(n=100, seed=9)
     clustered = rel.qualifying_set(0.25, mode="clustered")
     assert clustered == tuple(range(1, 26))
     uniform = rel.qualifying_set(0.25, mode="uniform")
@@ -38,49 +35,12 @@ def test_qualifying_modes():
 
 
 def test_same_seed_same_content():
-    a = gen_relation(n=500, k=8, seed=42)
-    b = gen_relation(n=500, k=8, seed=42)
+    a = Relation(n=500, seed=42)
+    b = Relation(n=500, seed=42)
     qa, qb = a.qualifying_set(0.1), b.qualifying_set(0.1)
     assert qa == qb
-    fa, fb = a.value_fn(frozenset(qa)), b.value_fn(frozenset(qb))
-    assert all(fa(t, w) == fb(t, w) for t in (1, 250, 500) for w in (1, 8))
-    c = gen_relation(n=500, k=8, seed=43)
+    c = Relation(n=500, seed=43)
     assert c.qualifying_set(0.1) != qa
-
-
-def test_predicate_values_realize_selectivity():
-    rel = gen_relation(n=400, k=4, seed=5)
-    qual = frozenset(rel.qualifying_set(0.1))
-    value = rel.value_fn(qual)
-    over = 0
-    for t in range(1, 401):
-        v = struct.unpack(">Q", value(t, 1))[0]
-        if v > PREDICATE_BOUND:
-            over += 1
-            assert t in qual
-        else:
-            assert t not in qual
-    assert over == 40
-    # non-predicate attributes are 8 deterministic bytes
-    assert len(value(7, 3)) == 8
-    assert value(7, 3) == value(7, 3)
-    assert value(7, 3) != value(7, 4)
-
-
-def test_gen_spatial_shapes():
-    assert gen_spatial(count=16, seed=1).space == SpatialSpace(4, 4, 64)
-    sp = gen_spatial(seed=1)
-    assert sp.space.width == sp.space.height == 6400
-    with pytest.raises(ValueError):
-        gen_spatial(count=15, seed=1)
-
-
-def test_gen_spatial_payload_deterministic():
-    a = gen_spatial(count=16, seed=2)
-    b = gen_spatial(count=16, seed=2)
-    assert a.object_bytes(3, 4) == b.object_bytes(3, 4)
-    assert len(a.object_bytes(1, 1)) == 8
-    assert a.object_bytes(1, 2) != a.object_bytes(2, 1)
 
 
 def test_query_region_sizes():
