@@ -214,14 +214,14 @@ def _spatial_rows(params: DeviceParams, experiment: int,
     cache: dict = {}
     out: List[Row] = []
     for frac, aspect in points:
-        for placement in placements:
-            for seed in seeds:
-                try:
-                    qr = gen_query_region(_SPACE, frac, aspect, seed=seed)
-                except ValueError as exc:
-                    raise ValueError(
-                        f"experiment {experiment}, query_frac={frac:g}, "
-                        f"aspect={aspect:g}, seed={seed}: {exc}") from exc
+        for seed in seeds:
+            try:
+                qr = gen_query_region(_SPACE, frac, aspect, seed=seed)
+            except ValueError as exc:
+                raise ValueError(
+                    f"experiment {experiment}, query_frac={frac:g}, "
+                    f"aspect={aspect:g}, seed={seed}: {exc}") from exc
+            for placement in placements:
                 base: Row = {"experiment": experiment, "placement": placement,
                              "data_mb": data_mb, "n_projection": "",
                              "selectivity": "", "query_frac": frac,

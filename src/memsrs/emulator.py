@@ -145,28 +145,11 @@ def _transition_cost(state: SledState, tcol: int, trow: int, first_dir: int,
         else:
             x_comp = p.move_x_s + p.settle_time_s
         y_move = p.move_y_s if drow else 0.0
-    elif model == "distance":
+    else:  # "distance", the only other model `Emulator` accepts
         x_comp = 0.0 if dcol == 0 else 3.0 * p.move_x_s * dcol / p.sectors_x + p.settle_time_s
         y_move = 3.0 * p.move_y_s * drow / p.sectors_y
-    else:
-        raise ValueError(f"unknown seek model: {model!r}")
     turn = p.turnaround_time_s if first_dir != 0 and first_dir == -state.y_dir else 0.0
     return max(x_comp, y_move + turn), bool(dcol or drow)
-
-
-def seek_time(state: SledState, col: int, row: int, p: DeviceParams,
-              model: str = "average") -> float:
-    """Repositioning time from `state` to physical (col, row)."""
-    if not 1 <= col <= p.sectors_x:
-        raise ValueError(f"column {col} out of range 1..{p.sectors_x}")
-    if not 1 <= row <= p.sectors_y:
-        raise ValueError(f"row {row} out of range 1..{p.sectors_y}")
-    if row != state.row:
-        first_dir = 1 if row > state.row else -1
-    else:
-        first_dir = 0
-    cost, _ = _transition_cost(state, col, row, first_dir, p, model)
-    return cost
 
 
 class Emulator:

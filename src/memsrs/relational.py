@@ -13,6 +13,7 @@ Two layouts over the region-sector plane:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
@@ -171,13 +172,19 @@ class RelLayoutRP:
 
     def qualifying_rows(self, qualifying: Iterable[int]) -> Dict[int, Tuple[int, ...]]:
         """Bucket qualifying tuple ids by band row; shared by every band."""
-        n_pt = self.params.n_tips
-        buckets: Dict[int, List[int]] = {}
-        for v in qualifying:
+        ids = sorted(qualifying)
+        for v in ids[:1] + ids[-1:]:
             if not 1 <= v <= self.schema.n:
                 raise ValueError(f"qualifying tuple id {v} out of range")
-            buckets.setdefault((v - 1) // n_pt + 1, []).append((v - 1) % n_pt + 1)
-        return {row: tuple(sorted(tips)) for row, tips in buckets.items()}
+        n_pt = self.params.n_tips
+        rows: Dict[int, Tuple[int, ...]] = {}
+        i = 0
+        while i < len(ids):
+            row = (ids[i] - 1) // n_pt + 1
+            j = bisect_right(ids, row * n_pt, i)
+            rows[row] = tuple(v - (row - 1) * n_pt for v in ids[i:j])
+            i = j
+        return rows
 
     def compile(self, query: RangeQuery,
                 rows: Mapping[int, Sequence[int]]) -> AccessPlan:

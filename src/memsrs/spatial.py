@@ -32,6 +32,12 @@ class SpatialSpace:
         if self.width < 1 or self.height < 1 or self.obj_bits < 1:
             raise ValueError("space dimensions and object size must be >= 1")
 
+    def check(self, x: int, y: int) -> None:
+        if not 1 <= x <= self.width:
+            raise ValueError(f"x {x} out of range 1..{self.width}")
+        if not 1 <= y <= self.height:
+            raise ValueError(f"y {y} out of range 1..{self.height}")
+
 
 @dataclass(frozen=True)
 class QueryRegion:
@@ -71,21 +77,15 @@ class SSYLayout:
         if self.n_components * self.component_rows > params.sectors_per_region:
             raise ValueError("space does not fit the device under this layout")
 
-    def _check(self, x: int, y: int) -> None:
-        if not 1 <= x <= self.space.width:
-            raise ValueError(f"x {x} out of range 1..{self.space.width}")
-        if not 1 <= y <= self.space.height:
-            raise ValueError(f"y {y} out of range 1..{self.space.height}")
-
     def map(self, x: int, y: int) -> RSAddr:
-        self._check(x, y)
+        self.space.check(x, y)
         comp = (x - 1) // self.params.n_tips
         return RSAddr((x - 1) % self.params.n_tips + 1,
                       comp * self.component_rows + (y - 1) * self.spo + 1)
 
     def map_phys(self, x: int, y: int) -> PhysAddr:
         """Straight-line physical mapping; oracle for the RS composition."""
-        self._check(x, y)
+        self.space.check(x, y)
         p = self.params
         tip = (x - 1) % p.n_tips
         s0 = ((x - 1) // p.n_tips) * self.component_rows + (y - 1) * self.spo
@@ -154,20 +154,35 @@ def _zorder_xy2d(x: int, y: int) -> int:
 
 @dataclass(frozen=True)
 class BlockGrid:
+    """B_x x B_y blocks of one object per region, row-major within a block;
+    `rank` gives each block (gx, gy) its 1-based position on the curve."""
     params: DeviceParams
     space: SpatialSpace
     B_x: int
     B_y: int
-    G_x: int
-    G_y: int
     spo: int
-    curve: str
-    order: Tuple[Tuple[int, int], ...]
     rank: Dict[Tuple[int, int], int]
 
-    @property
-    def n_blocks(self) -> int:
-        return self.G_x * self.G_y
+    def map(self, x: int, y: int) -> RSAddr:
+        self.space.check(x, y)
+        b = self.rank[((x - 1) // self.B_x + 1, (y - 1) // self.B_y + 1)]
+        return RSAddr(((y - 1) % self.B_y) * self.B_x + (x - 1) % self.B_x + 1,
+                      (b - 1) * self.spo + 1)
+
+    def k_values(self, qr: QueryRegion) -> CostInput:
+        box = qr.clip(self.space)
+        if box is None:
+            return CostInput(bits=0, k_parallel=self.params.n_active_tips, k_random=0)
+        x0, y0, x1, y1 = box
+        napt = self.params.n_active_tips
+        cells = steps = 0
+        blocks = query_block_set(self, qr)
+        for _, (gx, gy) in blocks:
+            cnt = len(_block_tips(self, box, gx, gy))
+            cells += cnt
+            steps += -(-cnt // napt) * self.spo
+        return CostInput(bits=(x1 - x0 + 1) * (y1 - y0 + 1) * self.space.obj_bits,
+                         k_parallel=cells / steps, k_random=len(blocks))
 
 
 def _power_of_two_pairs(n: int) -> List[Tuple[int, int]]:
@@ -218,23 +233,8 @@ def build_block_grid(params: DeviceParams, space: SpatialSpace, ratio: float,
         order.sort(key=lambda c: _hilbert_xy2d(side, c[0] - 1, c[1] - 1))
     else:
         order.sort(key=lambda c: _zorder_xy2d(c[0] - 1, c[1] - 1))
-    rank = {cell: i + 1 for i, cell in enumerate(order)}
-    return BlockGrid(params=params, space=space, B_x=b_x, B_y=b_y,
-                     G_x=g_x, G_y=g_y, spo=spo, curve=curve,
-                     order=tuple(order), rank=rank)
-
-
-def map_sp(grid: BlockGrid, x: int, y: int) -> RSAddr:
-    if not 1 <= x <= grid.space.width:
-        raise ValueError(f"x {x} out of range 1..{grid.space.width}")
-    if not 1 <= y <= grid.space.height:
-        raise ValueError(f"y {y} out of range 1..{grid.space.height}")
-    gx = (x - 1) // grid.B_x + 1
-    gy = (y - 1) // grid.B_y + 1
-    x_l = (x - 1) % grid.B_x + 1
-    y_l = (y - 1) % grid.B_y + 1
-    b = grid.rank[(gx, gy)]
-    return RSAddr((y_l - 1) * grid.B_x + x_l, (b - 1) * grid.spo + 1)
+    return BlockGrid(params=params, space=space, B_x=b_x, B_y=b_y, spo=spo,
+                     rank={cell: i + 1 for i, cell in enumerate(order)})
 
 
 def query_block_set(grid: BlockGrid, qr: QueryRegion) -> List[Tuple[int, Tuple[int, int]]]:
@@ -276,52 +276,33 @@ def compile_sp(grid: BlockGrid, qr: QueryRegion) -> AccessPlan:
     max_gap = int(seek_rs / (spo * sector_time))
     if max_gap * spo * sector_time >= seek_rs:
         max_gap -= 1
-    runs: List[List[Tuple[int, Sequence[int]]]] = []
+    # each run as its first rank and one tip set per rank, () where the
+    # run streams through a block the query misses
+    runs: List[Tuple[int, List[Sequence[int]]]] = []
     prev_rank = None
     for rank, (gx, gy) in query_block_set(grid, qr):
         tips = _block_tips(grid, box, gx, gy)
         if prev_rank is not None and rank - prev_rank - 1 <= max_gap:
-            runs[-1].append((rank, tips))
+            runs[-1][1].extend([()] * (rank - prev_rank - 1) + [tips])
         else:
-            runs.append([(rank, tips)])
+            runs.append((rank, [tips]))
         prev_rank = rank
     napt = p.n_active_tips
     scans: List[Scan] = []
-    for run in runs:
-        first_rank = run[0][0]
-        present = dict(run)
-        units = [present.get(rank, ()) for rank in range(first_rank, run[-1][0] + 1)]
+    for first_rank, units in runs:
         deepest = max(map(len, units))
-        # one scan for a run within the activation limit or holding a full
-        # block; the emulator's passes read the layers past the limit
-        if deepest <= napt or deepest == grid.B_x * grid.B_y:
+        # a run holding a full block is one scan, whose passes read the
+        # layers past the activation limit; any other run is one scan per
+        # tip layer, from the first to the last block with tips in it
+        if deepest == grid.B_x * grid.B_y:
             scans.append(rs_scan((first_rank - 1) * spo + 1, spo, units))
             continue
-        # a run of partial blocks only, some past the activation limit:
-        # one scan per tip layer, from the first to the last block with
-        # tips in that layer, instead of full retraces
         for lo in range(0, deepest, napt):
             want = [i for i, tips in enumerate(units) if len(tips) > lo]
             scans.append(rs_scan((first_rank + want[0] - 1) * spo + 1, spo,
                                  [tips[lo:lo + napt]
                                   for tips in units[want[0]:want[-1] + 1]]))
     return AccessPlan(scans)
-
-
-def k_values_sp(grid: BlockGrid, qr: QueryRegion) -> CostInput:
-    box = qr.clip(grid.space)
-    if box is None:
-        return CostInput(bits=0, k_parallel=grid.params.n_active_tips, k_random=0)
-    x0, y0, x1, y1 = box
-    napt = grid.params.n_active_tips
-    cells = steps = 0
-    blocks = query_block_set(grid, qr)
-    for _, (gx, gy) in blocks:
-        cnt = len(_block_tips(grid, box, gx, gy))
-        cells += cnt
-        steps += -(-cnt // napt) * grid.spo
-    return CostInput(bits=(x1 - x0 + 1) * (y1 - y0 + 1) * grid.space.obj_bits,
-                     k_parallel=cells / steps, k_random=len(blocks))
 
 
 # -- module-level operation names and image writers -------------------------
@@ -336,5 +317,5 @@ def write_image_ssy(layout: SSYLayout, image: MediaImage, value_fn) -> None:
 
 
 def write_image_sp(grid: BlockGrid, image: MediaImage, value_fn) -> None:
-    write_values(image, lambda x, y: map_sp(grid, x, y), grid.space.width,
-                 grid.space.height, grid.spo, value_fn)
+    write_values(image, grid.map, grid.space.width, grid.space.height,
+                 grid.spo, value_fn)

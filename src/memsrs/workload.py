@@ -38,6 +38,9 @@ def gen_query_region(space: SpatialSpace, size_fraction: float, aspect: float,
                      seed: int = 0) -> QueryRegion:
     """Rectangle of the given area fraction and width:height ratio at a
     uniformly random in-bounds origin."""
+    for name, value in (("size fraction", size_fraction), ("aspect", aspect)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"query {name} must be positive and finite, got {value}")
     area = size_fraction * space.width * space.height
     qx = round(math.sqrt(area * aspect))
     if qx < 1:

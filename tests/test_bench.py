@@ -26,7 +26,7 @@ from memsrs.bench import (
 from memsrs.device import cmu_defaults
 from memsrs.emulator import Emulator
 from memsrs.relational import RangeQuery, RelationSchema, RelLayoutRSY, compile_rsy
-from perfbench import tracing
+from perfbench import readback, tracing, workloads
 
 CMU = cmu_defaults()
 NAPT = CMU.n_active_tips
@@ -221,6 +221,12 @@ def test_infeasible_spatial_point_is_named():
     assert isinstance(info.value.__cause__, ValueError)
 
 
+def test_non_finite_query_aspect_is_named():
+    with pytest.raises(ValueError, match=r"experiment 4, query_frac=0\.01, "
+                       r"aspect=inf, seed=0: query aspect must be positive"):
+        run_experiment4(query_frac=0.01, aspects=(float("inf"),), seeds=(0,))
+
+
 # -- CSV rendering -----------------------------------------------------------
 
 def test_relational_csv_header_and_cells():
@@ -276,6 +282,13 @@ def test_write_csv_roundtrip(tmp_path):
 def test_sweep_csv_bytes_pinned(run, kw, digest):
     # any cell that moves changes the hash; a refactor must keep them all
     assert hashlib.sha256(csv_text(run(**kw)).encode()).hexdigest() == digest
+
+
+def test_readback_output_pinned():
+    # every read's placement, query, simulated time, length and byte hash
+    text, _ = workloads.summary("readback", readback.run(readback.device(), 0))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "10eaeb84b2db21d1cad666706a1f440c3bd6020f9e088f821c721e65c117ba14")
 
 
 # -- benchmark tracer --------------------------------------------------------

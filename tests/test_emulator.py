@@ -14,9 +14,9 @@ from memsrs.emulator import (
     Scan,
     SledState,
     _check_tips,
+    _lin,
     plan_from_text,
     plan_to_text,
-    seek_time,
 )
 
 CMU = cmu_defaults()
@@ -28,40 +28,40 @@ TINY = DeviceParams(regions_x=3, regions_y=3, sectors_x=4, sectors_y=3,
 
 # -- seek model ---------------------------------------------------------
 
+def reposition_s(state, col, row, model="average"):
+    """Repositioning charge of a one-row scan at physical (col, row)."""
+    scan = Scan(tips=(1,), start=_lin(col, row, CMU.sectors_y), length=1)
+    t = Emulator(CMU, model, state).execute(AccessPlan([scan]))
+    return t.seek_s + t.turnaround_s
+
+
 def test_seek_no_movement_is_free():
-    assert seek_time(SledState(col=7, row=3, y_dir=1), 7, 3, CMU) == 0.0
+    assert reposition_s(SledState(col=7, row=3, y_dir=1), 7, 3) == 0.0
 
 
 def test_seek_col_and_row_change():
     # far column move: X move + settle dominates the Y move
-    t = seek_time(SledState(col=1, row=1, y_dir=1), 100, 20, CMU)
+    t = reposition_s(SledState(col=1, row=1, y_dir=1), 100, 20)
     assert t == max(0.52e-3 + 0.215e-3, 0.35e-3)
     assert t == 0.735e-3
 
 
 def test_seek_same_col_reversal():
     # moving back up the column against the current direction
-    t = seek_time(SledState(col=5, row=20, y_dir=1), 5, 3, CMU)
+    t = reposition_s(SledState(col=5, row=20, y_dir=1), 5, 3)
     assert t == 0.35e-3 + 0.06e-3
 
 
 def test_seek_adjacent_column_costs_settle():
-    t = seek_time(SledState(col=5, row=20, y_dir=1), 6, 20, CMU)
+    t = reposition_s(SledState(col=5, row=20, y_dir=1), 6, 20)
     assert t == 0.215e-3
 
 
 def test_seek_distance_model():
     st_ = SledState(col=1, row=1, y_dir=1)
-    t = seek_time(st_, 1 + CMU.sectors_x // 2, 1, CMU, model="distance")
+    t = reposition_s(st_, 1 + CMU.sectors_x // 2, 1, model="distance")
     expected = 3 * 0.52e-3 * (CMU.sectors_x // 2) / CMU.sectors_x + 0.215e-3
     assert math.isclose(t, expected, rel_tol=1e-12)
-
-
-def test_seek_bounds():
-    with pytest.raises(ValueError):
-        seek_time(SledState(), 0, 1, CMU)
-    with pytest.raises(ValueError):
-        seek_time(SledState(), 1, 28, CMU)
 
 
 # -- execute ------------------------------------------------------------

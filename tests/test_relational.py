@@ -245,6 +245,25 @@ def test_compile_rp_reads_predicate_band_plus_qualifying():
 
 # -- analytic cost inputs -------------------------------------------------
 
+def test_qualifying_rows_matches_per_id_bucketing():
+    dev = DeviceParams(regions_x=2, regions_y=2, sectors_x=10, sectors_y=3,
+                       n_active_tips=4)
+    lay = RelLayoutRP(dev, RelationSchema(k=2, n=50))
+    rng = random.Random(5)
+    ids = rng.sample(range(1, 51), 20) + [1, 7, 7, 50, 50]
+    rng.shuffle(ids)
+    want = {}
+    for v in ids:
+        want.setdefault((v - 1) // 4 + 1, []).append((v - 1) % 4 + 1)
+    want = {row: tuple(sorted(tips)) for row, tips in want.items()}
+    assert lay.qualifying_rows(ids) == want
+    assert lay.qualifying_rows(sorted(ids)) == want
+    assert lay.qualifying_rows(()) == {}
+    for bad in (0, 51):
+        with pytest.raises(ValueError, match=f"qualifying tuple id {bad} out of range"):
+            lay.qualifying_rows([5, bad, 9])
+
+
 def test_k_values_rsy():
     lay = RelLayoutRSY(CMU, BIG)
     ci = lay.k_values(q(range(1, 9)))

@@ -16,8 +16,6 @@ from memsrs.spatial import (
     build_block_grid,
     compile_sp,
     compile_ssy,
-    k_values_sp,
-    map_sp,
     query_block_set,
     write_image_sp,
     write_image_ssy,
@@ -31,6 +29,16 @@ SPACE = SpatialSpace(width=6400, height=6400, obj_bits=64)
 
 def region(x0, y0, qx, qy):
     return QueryRegion(x0=x0, y0=y0, qx=qx, qy=qy)
+
+
+def curve_order(grid):
+    """The blocks in curve order: the cells sorted by rank."""
+    return tuple(sorted(grid.rank, key=grid.rank.get))
+
+
+def grid_size(grid):
+    """Blocks across and down: the space divided by the block size."""
+    return grid.space.width // grid.B_x, grid.space.height // grid.B_y
 
 
 # -- column-per-tip mapping ----------------------------------------------
@@ -89,8 +97,8 @@ def test_map_ssy_bounds_and_capacity():
 def test_block_grid_square_for_ratio_one():
     grid = build_block_grid(CMU, SPACE, ratio=1.0)
     assert (grid.B_x, grid.B_y) == (80, 80)
-    assert (grid.G_x, grid.G_y) == (80, 80)
-    assert grid.n_blocks == 6400
+    assert grid_size(grid) == (80, 80)
+    assert len(grid.rank) == 6400
 
 
 def test_block_grid_quarter_ratio():
@@ -109,7 +117,7 @@ def test_hilbert_order_small_oracle():
                        n_active_tips=4)
     grid = build_block_grid(dev, SpatialSpace(width=4, height=4, obj_bits=64),
                             ratio=1.0)
-    assert grid.order == ((1, 1), (1, 2), (2, 2), (2, 1))
+    assert curve_order(grid) == ((1, 1), (1, 2), (2, 2), (2, 1))
 
 
 def test_zorder_small_oracle():
@@ -117,7 +125,7 @@ def test_zorder_small_oracle():
                        n_active_tips=4)
     grid = build_block_grid(dev, SpatialSpace(width=4, height=4, obj_bits=64),
                             ratio=1.0, curve="zorder")
-    assert grid.order == ((1, 1), (2, 1), (1, 2), (2, 2))
+    assert curve_order(grid) == ((1, 1), (2, 1), (1, 2), (2, 2))
 
 
 def test_hilbert_consecutive_blocks_are_adjacent():
@@ -126,16 +134,17 @@ def test_hilbert_consecutive_blocks_are_adjacent():
                        n_active_tips=16)
     grid = build_block_grid(dev, SpatialSpace(width=64, height=64, obj_bits=64),
                             ratio=1.0)
-    assert (grid.G_x, grid.G_y) == (8, 8)
-    prev = grid.order[0]
-    for cell in grid.order[1:]:
+    assert grid_size(grid) == (8, 8)
+    order = curve_order(grid)
+    prev = order[0]
+    for cell in order[1:]:
         assert abs(cell[0] - prev[0]) + abs(cell[1] - prev[1]) == 1
         prev = cell
 
 
 def test_hilbert_order_is_a_permutation_at_cmu_scale():
     grid = build_block_grid(CMU, SPACE, ratio=1.0)
-    assert sorted(grid.order) == [(x, y) for x in range(1, 81) for y in range(1, 81)]
+    assert sorted(curve_order(grid)) == [(x, y) for x in range(1, 81) for y in range(1, 81)]
 
 
 def test_padded_grid_covers_every_block_once():
@@ -145,8 +154,8 @@ def test_padded_grid_covers_every_block_once():
     grid = build_block_grid(dev, SpatialSpace(width=16, height=2, obj_bits=64),
                             ratio=4.0)
     assert (grid.B_x, grid.B_y) == (4, 1)
-    assert (grid.G_x, grid.G_y) == (4, 2)
-    assert sorted(grid.order) == [(x, y) for x in range(1, 5) for y in range(1, 3)]
+    assert grid_size(grid) == (4, 2)
+    assert sorted(curve_order(grid)) == [(x, y) for x in range(1, 5) for y in range(1, 3)]
 
 
 def _hilbert_d2xy(side, d):
@@ -203,9 +212,9 @@ def test_block_order_matches_curve_walk(curve, g_x, g_y):
                        n_active_tips=1)
     grid = build_block_grid(dev, SpatialSpace(width=g_x, height=g_y, obj_bits=64),
                             ratio=1.0, curve=curve)
-    assert (grid.G_x, grid.G_y) == (g_x, g_y)
-    assert grid.order == _walk_order(curve, g_x, g_y)
-    assert grid.rank == {cell: i + 1 for i, cell in enumerate(grid.order)}
+    assert grid_size(grid) == (g_x, g_y)
+    assert curve_order(grid) == _walk_order(curve, g_x, g_y)
+    assert sorted(grid.rank.values()) == list(range(1, g_x * g_y + 1))
 
 
 def test_block_grid_rejections():
@@ -235,12 +244,22 @@ def test_block_grid_without_power_of_two_shape_names_region_count(rx, ry):
 
 def test_map_sp_row_major_within_block():
     grid = build_block_grid(CMU, SPACE, ratio=1.0)
-    first = map_sp(grid, 1, 1)
+    first = grid.map(1, 1)
     assert (first.region, first.sector) == (1, 1)
-    assert map_sp(grid, 1, 2).region == 81
-    a = map_sp(grid, 5, 7)
-    b = map_sp(grid, 6, 7)
+    assert grid.map(1, 2).region == 81
+    a = grid.map(5, 7)
+    b = grid.map(6, 7)
     assert a.sector == b.sector and a.region != b.region
+
+
+def test_block_grid_map_bounds():
+    grid = build_block_grid(CMU, SPACE, ratio=1.0)
+    for x, y, msg in ((0, 1, "x 0 out of range 1..6400"),
+                      (6401, 1, "x 6401 out of range 1..6400"),
+                      (1, 0, "y 0 out of range 1..6400"),
+                      (1, 6401, "y 6401 out of range 1..6400")):
+        with pytest.raises(ValueError, match=msg):
+            grid.map(x, y)
 
 
 # -- column-per-tip compiler ----------------------------------------------
@@ -365,11 +384,11 @@ def test_compile_sp_empty_intersection():
 
 def test_k_values_sp():
     grid = build_block_grid(CMU, SPACE, ratio=1.0)
-    ci = k_values_sp(grid, region(81, 1, 80, 80))
+    ci = grid.k_values(region(81, 1, 80, 80))
     assert ci.k_random == 1  # one block touched
     assert ci.bits == 6400 * 64
     assert ci.k_parallel == 1280.0
-    corner = k_values_sp(grid, region(41, 41, 64, 64))
+    corner = grid.k_values(region(41, 41, 64, 64))
     assert corner.k_random == 4
 
 

@@ -1,5 +1,7 @@
 """Qualifying-set and query-region generators."""
 
+import math
+
 import pytest
 
 from memsrs.spatial import SpatialSpace
@@ -76,3 +78,19 @@ def test_query_region_infeasible():
         gen_query_region(space, 0.5, 256.0, seed=1)  # qx would exceed W
     with pytest.raises(ValueError):
         gen_query_region(space, 0.0, 1.0, seed=1)
+
+
+@pytest.mark.parametrize("frac, aspect, name, value", [
+    (math.inf, 1.0, "size fraction", "inf"),
+    (math.nan, 1.0, "size fraction", "nan"),
+    (-0.01, 1.0, "size fraction", "-0.01"),
+    (0.01, math.inf, "aspect", "inf"),
+    (0.01, math.nan, "aspect", "nan"),
+    (0.01, -1.0, "aspect", "-1.0"),
+    (0.01, 0.0, "aspect", "0.0"),
+])
+def test_query_region_rejects_bad_shape_by_value(frac, aspect, name, value):
+    space = SpatialSpace(6400, 6400, 64)
+    with pytest.raises(ValueError, match=f"query {name} must be positive and "
+                                         f"finite, got {value}$"):
+        gen_query_region(space, frac, aspect, seed=1)
