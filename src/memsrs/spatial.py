@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cost import CostInput
@@ -178,7 +179,8 @@ class BlockGrid:
         cells = steps = 0
         blocks = query_block_set(self, qr)
         for _, (gx, gy) in blocks:
-            cnt = len(_block_tips(self, box, gx, gy))
+            la, lb, ya, yb = _block_clip(self, box, gx, gy)
+            cnt = (lb - la + 1) * (yb - ya + 1)
             cells += cnt
             steps += -(-cnt // napt) * self.spo
         return CostInput(bits=(x1 - x0 + 1) * (y1 - y0 + 1) * self.space.obj_bits,
@@ -251,16 +253,24 @@ def query_block_set(grid: BlockGrid, qr: QueryRegion) -> List[Tuple[int, Tuple[i
     return blocks
 
 
-def _block_tips(grid: BlockGrid, box, gx: int, gy: int) -> Sequence[int]:
+def _block_clip(grid: BlockGrid, box, gx: int, gy: int) -> Tuple[int, int, int, int]:
+    """The clipped box inside block (gx, gy) as local spans (la, lb, ya, yb):
+    columns la..lb and rows ya..yb, 1-based within the block."""
     x0, y0, x1, y1 = box
-    la = max(x0, (gx - 1) * grid.B_x + 1) - (gx - 1) * grid.B_x
-    lb = min(x1, gx * grid.B_x) - (gx - 1) * grid.B_x
-    ya = max(y0, (gy - 1) * grid.B_y + 1) - (gy - 1) * grid.B_y
-    yb = min(y1, gy * grid.B_y) - (gy - 1) * grid.B_y
-    if (la, ya, lb, yb) == (1, 1, grid.B_x, grid.B_y):
-        return range(1, grid.B_x * grid.B_y + 1)
-    return tuple((y_l - 1) * grid.B_x + x_l
-                 for y_l in range(ya, yb + 1) for x_l in range(la, lb + 1))
+    left, top = (gx - 1) * grid.B_x, (gy - 1) * grid.B_y
+    return (max(x0, left + 1) - left, min(x1, left + grid.B_x) - left,
+            max(y0, top + 1) - top, min(y1, top + grid.B_y) - top)
+
+
+def _clip_tips(grid: BlockGrid, clip: Tuple[int, int, int, int]) -> Sequence[int]:
+    """Tips of a block clip, row-major: a `range` for the whole block, a
+    tuple built one local row at a time otherwise."""
+    la, lb, ya, yb = clip
+    b_x = grid.B_x
+    if clip == (1, b_x, 1, grid.B_y):
+        return range(1, b_x * grid.B_y + 1)
+    return tuple(chain.from_iterable(range(base + la, base + lb + 1)
+                                     for base in range((ya - 1) * b_x, yb * b_x, b_x)))
 
 
 def compile_sp(grid: BlockGrid, qr: QueryRegion) -> AccessPlan:
@@ -279,9 +289,16 @@ def compile_sp(grid: BlockGrid, qr: QueryRegion) -> AccessPlan:
     # each run as its first rank and one tip set per rank, () where the
     # run streams through a block the query misses
     runs: List[Tuple[int, List[Sequence[int]]]] = []
+    # a block's tip set depends only on its clip, and a query has at most
+    # nine distinct clips (interior, edges, corners), so each set is built
+    # once and shared by every block with that clip
+    clip_tips: Dict[Tuple[int, int, int, int], Sequence[int]] = {}
     prev_rank = None
     for rank, (gx, gy) in query_block_set(grid, qr):
-        tips = _block_tips(grid, box, gx, gy)
+        clip = _block_clip(grid, box, gx, gy)
+        tips = clip_tips.get(clip)
+        if tips is None:
+            tips = clip_tips[clip] = _clip_tips(grid, clip)
         if prev_rank is not None and rank - prev_rank - 1 <= max_gap:
             runs[-1][1].extend([()] * (rank - prev_rank - 1) + [tips])
         else:

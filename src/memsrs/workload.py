@@ -42,6 +42,9 @@ def gen_query_region(space: SpatialSpace, size_fraction: float, aspect: float,
         if not 0 < value < math.inf:
             raise ValueError(f"query {name} must be positive and finite, got {value}")
     area = size_fraction * space.width * space.height
+    if area * aspect == math.inf:
+        raise ValueError(f"query of size fraction {size_fraction} and aspect "
+                         f"{aspect} does not fit the space")
     qx = round(math.sqrt(area * aspect))
     if qx < 1:
         raise ValueError("query region smaller than one object")

@@ -1,13 +1,17 @@
 """Spatial placements: space mapping, block grid, curve orders, compilers."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from memsrs.cost import CostInput
 from memsrs.device import DeviceParams, cmu_defaults
-from memsrs.emulator import Emulator, MediaImage
-from memsrs.rs import PhysAddr, rs_to_mems
+from memsrs.emulator import AccessPlan, Emulator, MediaImage, plan_to_text
+from memsrs.rs import PhysAddr, rs_params, rs_scan, rs_to_mems
 from memsrs.spatial import (
     BlockGrid,
     QueryRegion,
@@ -20,6 +24,7 @@ from memsrs.spatial import (
     write_image_sp,
     write_image_ssy,
 )
+from memsrs.workload import gen_query_region
 
 CMU = cmu_defaults()
 TINY = DeviceParams(regions_x=3, regions_y=3, sectors_x=4, sectors_y=3,
@@ -390,6 +395,138 @@ def test_k_values_sp():
     assert ci.k_parallel == 1280.0
     corner = grid.k_values(region(41, 41, 64, 64))
     assert corner.k_random == 4
+
+
+# -- block compiler against a per-cell reference ------------------------------
+
+def _per_cell_tips(grid, box, gx, gy):
+    """Block (gx, gy)'s cells inside the box, tested cell by cell in
+    row-major order; the whole block is the range of all its tips."""
+    x0, y0, x1, y1 = box
+    left, top = (gx - 1) * grid.B_x, (gy - 1) * grid.B_y
+    tips = tuple((y_l - 1) * grid.B_x + x_l
+                 for y_l in range(1, grid.B_y + 1) for x_l in range(1, grid.B_x + 1)
+                 if x0 <= left + x_l <= x1 and y0 <= top + y_l <= y1)
+    if len(tips) == grid.B_x * grid.B_y:
+        return range(1, grid.B_x * grid.B_y + 1)
+    return tips
+
+
+def _reference_compile_sp(grid, qr):
+    """The block compiler building one tip set per overlapped block."""
+    box = qr.clip(grid.space)
+    if box is None:
+        return AccessPlan([])
+    p, spo = grid.params, grid.spo
+    sector_time = p.sector_bits / p.tip_rate_bits_s
+    seek_rs = rs_params(p).seek_time_rs_s
+    max_gap = int(seek_rs / (spo * sector_time))
+    if max_gap * spo * sector_time >= seek_rs:
+        max_gap -= 1
+    runs = []
+    prev_rank = None
+    for rank, (gx, gy) in query_block_set(grid, qr):
+        tips = _per_cell_tips(grid, box, gx, gy)
+        if prev_rank is not None and rank - prev_rank - 1 <= max_gap:
+            runs[-1][1].extend([()] * (rank - prev_rank - 1) + [tips])
+        else:
+            runs.append((rank, [tips]))
+        prev_rank = rank
+    napt = p.n_active_tips
+    scans = []
+    for first_rank, units in runs:
+        deepest = max(map(len, units))
+        if deepest == grid.B_x * grid.B_y:
+            scans.append(rs_scan((first_rank - 1) * spo + 1, spo, units))
+            continue
+        for lo in range(0, deepest, napt):
+            want = [i for i, tips in enumerate(units) if len(tips) > lo]
+            scans.append(rs_scan((first_rank + want[0] - 1) * spo + 1, spo,
+                                 [tips[lo:lo + napt]
+                                  for tips in units[want[0]:want[-1] + 1]]))
+    return AccessPlan(scans)
+
+
+def _tip_sets(plan):
+    """Every tip set a plan holds: each scan's default and its overrides."""
+    for scan in plan.scans:
+        yield scan.tips
+        yield from (scan.per_row_tips or {}).values()
+
+
+@st.composite
+def _reduced_grids(draw):
+    rx, ry = draw(st.sampled_from(((1, 1), (2, 1), (2, 2), (4, 2), (2, 4),
+                                   (4, 4), (3, 3), (6, 3))))
+    n_tips = rx * ry
+    spo = draw(st.integers(1, 3))
+    space = SpatialSpace(width=n_tips * draw(st.integers(1, 2)),
+                         height=n_tips * draw(st.integers(1, 2)), obj_bits=64 * spo)
+    sy = draw(st.integers(1, 6))
+    need = space.width * space.height // n_tips * spo
+    # the slow tip makes a one-row gap cost more than a seek, so no
+    # rank gap is streamed through
+    p = DeviceParams(regions_x=rx, regions_y=ry, sectors_x=-(-need // sy),
+                     sectors_y=sy, n_active_tips=draw(st.integers(1, n_tips)),
+                     tip_rate_bits_s=draw(st.sampled_from((0.7e6, 50_000))))
+    grid = build_block_grid(p, space,
+                            ratio=draw(st.sampled_from((0.25, 0.5, 1.0, 2.0, 4.0))),
+                            curve=draw(st.sampled_from(("hilbert", "zorder"))))
+    return p, grid
+
+
+def _regions(space):
+    # origins up to two past the edge, so some queries miss the space
+    return st.builds(QueryRegion, x0=st.integers(1, space.width + 2),
+                     y0=st.integers(1, space.height + 2),
+                     qx=st.integers(0, space.width), qy=st.integers(0, space.height))
+
+
+@settings(max_examples=80, deadline=None)
+@given(geo=_reduced_grids(), data=st.data())
+def test_compile_sp_matches_per_cell_reference(geo, data):
+    p, grid = geo
+    full = grid.B_x * grid.B_y
+    for _ in range(4):
+        qr = data.draw(_regions(grid.space))
+        plan, want = compile_sp(grid, qr), _reference_compile_sp(grid, qr)
+        assert plan_to_text(plan) == plan_to_text(want)
+        assert Emulator(p).execute(plan) == Emulator(p).execute(want)
+        for tips in _tip_sets(plan):
+            assert type(tips) is (range if len(tips) == full else tuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(geo=_reduced_grids(), data=st.data())
+def test_k_values_sp_matches_per_cell_count(geo, data):
+    p, grid = geo
+    for _ in range(4):
+        qr = data.draw(_regions(grid.space))
+        box = qr.clip(grid.space)
+        if box is None:
+            want = CostInput(bits=0, k_parallel=p.n_active_tips, k_random=0)
+        else:
+            x0, y0, x1, y1 = box
+            per_block = Counter(((x - 1) // grid.B_x, (y - 1) // grid.B_y)
+                                for x in range(x0, x1 + 1) for y in range(y0, y1 + 1))
+            cells = sum(per_block.values())
+            steps = sum(-(-n // p.n_active_tips) * grid.spo
+                        for n in per_block.values())
+            want = CostInput(bits=cells * grid.space.obj_bits,
+                             k_parallel=cells / steps, k_random=len(per_block))
+        assert grid.k_values(qr) == want
+
+
+def test_compile_sp_builds_each_clip_tip_set_once():
+    # the 10% square query overlaps 676 blocks but has at most nine
+    # distinct clips, so its plan holds about one tip-set object per
+    # scan; a set built per block gives hundreds
+    grid = build_block_grid(CMU, SPACE, ratio=1.0)
+    qr = gen_query_region(SPACE, 0.1, 1.0, seed=0)
+    assert len(query_block_set(grid, qr)) == 676
+    plan = compile_sp(grid, qr)
+    assert len(plan.scans) == 24
+    assert len({id(tips) for tips in _tip_sets(plan)}) <= len(plan.scans) + 10
 
 
 def test_query_region_validation():

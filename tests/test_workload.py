@@ -1,6 +1,7 @@
 """Qualifying-set and query-region generators."""
 
 import math
+import re
 
 import pytest
 
@@ -93,4 +94,14 @@ def test_query_region_rejects_bad_shape_by_value(frac, aspect, name, value):
     space = SpatialSpace(6400, 6400, 64)
     with pytest.raises(ValueError, match=f"query {name} must be positive and "
                                          f"finite, got {value}$"):
+        gen_query_region(space, frac, aspect, seed=1)
+
+
+@pytest.mark.parametrize("frac, aspect", [(0.01, 1e308), (1e300, 1e300)])
+def test_query_region_rejects_overflowing_shape_by_value(frac, aspect):
+    # finite inputs whose width:height product overflows to inf
+    space = SpatialSpace(6400, 6400, 64)
+    with pytest.raises(ValueError, match=re.escape(
+            f"query of size fraction {frac} and aspect {aspect} "
+            f"does not fit the space") + "$"):
         gen_query_region(space, frac, aspect, seed=1)
