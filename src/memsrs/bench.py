@@ -317,8 +317,3 @@ def csv_text(rows: List[Row], fields: Optional[Sequence[str]] = None) -> str:
         writer.writerow([_cell(f, r[f]) for f in fields])
     return buf.getvalue()
 
-
-def write_csv(rows: List[Row], path,
-              fields: Optional[Sequence[str]] = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(csv_text(rows, fields))

@@ -124,6 +124,7 @@ def to_config_text(p: DeviceParams) -> str:
 
 def from_config_text(text: str) -> DeviceParams:
     raw: dict[str, str] = {}
+    key_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -131,6 +132,10 @@ def from_config_text(text: str) -> DeviceParams:
         parts = line.split(None, 1)
         if len(parts) != 2:
             raise ValueError(f"config line {lineno}: expected 'key value'")
+        first = key_line.setdefault(parts[0], lineno)
+        if first != lineno:
+            raise ValueError(f"config line {lineno}: key {parts[0]} "
+                             f"already set on line {first}")
         raw[parts[0]] = parts[1].strip()
 
     kwargs: dict[str, int | float] = {}

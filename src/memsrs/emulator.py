@@ -356,18 +356,21 @@ def plan_to_text(plan: AccessPlan) -> str:
 def plan_from_text(text: str) -> AccessPlan:
     """Parse the `plan_to_text` form; a bad record fails naming its line."""
     scans: List[Scan] = []
+    # (scan count, row) -> the line of that scan's override of the row
+    row_lines: Dict[Tuple[int, int], int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            _parse_record(line.split(), scans)
+            _parse_record(line.split(), scans, row_lines, lineno)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     return AccessPlan(scans)
 
 
-def _parse_record(fields: List[str], scans: List[Scan]) -> None:
+def _parse_record(fields: List[str], scans: List[Scan],
+                  row_lines: Dict[Tuple[int, int], int], lineno: int) -> None:
     if fields[0] == "scan":
         if len(fields) != 4:
             raise ValueError("expected 'scan start length tips'")
@@ -380,6 +383,10 @@ def _parse_record(fields: List[str], scans: List[Scan]) -> None:
         if len(fields) != 3:
             raise ValueError("expected 'row s tips'")
         s = _parse_int(fields[1], "row")
+        first = row_lines.setdefault((len(scans), s), lineno)
+        if first != lineno:
+            raise ValueError(f"row {s} of this scan already overridden "
+                             f"on line {first}")
         if scans[-1].per_row_tips is None:
             scans[-1].per_row_tips = {}
         scans[-1].per_row_tips[s] = _parse_rle(fields[2])

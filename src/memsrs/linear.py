@@ -12,8 +12,7 @@ advances land in the adjacent position (settle only).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from .device import DeviceParams
 from .emulator import AccessPlan, MediaImage, Scan
@@ -29,7 +28,6 @@ class LinearMap:
             raise ValueError("tip count must be a multiple of the active-tip limit")
         self.params = params
         self.tip_groups = n_tips // params.n_active_tips
-        self.block_bits = params.n_active_tips * params.sector_bits
         self.lba_count = self.tip_groups * params.sectors_x * params.sectors_y
 
     def locate(self, lba: int) -> Tuple[int, int, int]:
@@ -72,47 +70,39 @@ def lba_to_plan(lm: LinearMap, lba_start: int, lba_len: int) -> AccessPlan:
     return AccessPlan(scans)
 
 
-@dataclass(frozen=True)
 class NsmLayout:
     """Tuples packed sequentially into logical blocks."""
-    params: DeviceParams
-    schema: RelationSchema
 
-    def __post_init__(self):
-        lm = LinearMap(self.params)
-        spv = self.schema.sectors_per_value(self.params.sector_bits)
-        tpb = self.params.n_active_tips // (self.schema.k * spv)
-        if tpb < 1:
+    def __init__(self, params: DeviceParams, schema: RelationSchema):
+        self.params = params
+        self.schema = schema
+        self.linear = LinearMap(params)
+        spv = schema.sectors_per_value(params.sector_bits)
+        self.tuples_per_block = params.n_active_tips // (schema.k * spv)
+        if self.tuples_per_block < 1:
             raise ValueError("tuple does not fit in one logical block")
-        n_blocks = -(-self.schema.n // tpb)
-        if n_blocks > lm.lba_count:
+        self.n_blocks = -(-schema.n // self.tuples_per_block)
+        if self.n_blocks > self.linear.lba_count:
             raise ValueError("relation exceeds device capacity")
-        object.__setattr__(self, "linear", lm)
-        object.__setattr__(self, "tuples_per_block", tpb)
-        object.__setattr__(self, "n_blocks", n_blocks)
 
 
-@dataclass(frozen=True)
 class DsmLayout:
     """One sub-relation per attribute, each packed sequentially."""
-    params: DeviceParams
-    schema: RelationSchema
 
-    def __post_init__(self):
-        lm = LinearMap(self.params)
-        spv = self.schema.sectors_per_value(self.params.sector_bits)
-        vpb = self.params.n_active_tips // spv
-        if vpb < 1:
+    def __init__(self, params: DeviceParams, schema: RelationSchema):
+        self.params = params
+        self.schema = schema
+        self.linear = LinearMap(params)
+        spv = schema.sectors_per_value(params.sector_bits)
+        self.values_per_block = params.n_active_tips // spv
+        if self.values_per_block < 1:
             raise ValueError("attribute does not fit in one logical block")
-        bpa = -(-self.schema.n // vpb)
-        if bpa * self.schema.k > lm.lba_count:
+        self.blocks_per_attr = -(-schema.n // self.values_per_block)
+        if self.blocks_per_attr * schema.k > self.linear.lba_count:
             raise ValueError("relation exceeds device capacity")
-        object.__setattr__(self, "linear", lm)
-        object.__setattr__(self, "values_per_block", vpb)
-        object.__setattr__(self, "blocks_per_attr", bpa)
 
 
-def compile_nsm(layout: NsmLayout, query: Optional[RangeQuery] = None) -> AccessPlan:
+def compile_nsm(layout: NsmLayout) -> AccessPlan:
     """Row store: every block of the relation, whatever the query asks."""
     return lba_to_plan(layout.linear, 1, layout.n_blocks)
 

@@ -178,8 +178,7 @@ class BlockGrid:
         napt = self.params.n_active_tips
         cells = steps = 0
         blocks = query_block_set(self, qr)
-        for _, (gx, gy) in blocks:
-            la, lb, ya, yb = _block_clip(self, box, gx, gy)
+        for _, (la, lb, ya, yb) in blocks:
             cnt = (lb - la + 1) * (yb - ya + 1)
             cells += cnt
             steps += -(-cnt // napt) * self.spo
@@ -239,27 +238,26 @@ def build_block_grid(params: DeviceParams, space: SpatialSpace, ratio: float,
                      rank={cell: i + 1 for i, cell in enumerate(order)})
 
 
-def query_block_set(grid: BlockGrid, qr: QueryRegion) -> List[Tuple[int, Tuple[int, int]]]:
-    """Blocks overlapping the query as (rank, (gx, gy)), rank-ascending."""
+def _spans(lo: int, hi: int, size: int) -> List[Tuple[int, int, int]]:
+    """(block index, first local, last local) for each block of `size`
+    cells that the interval lo..hi overlaps, all 1-based."""
+    return [(g + 1, max(lo - g * size, 1), min(hi - g * size, size))
+            for g in range((lo - 1) // size, (hi - 1) // size + 1)]
+
+
+def query_block_set(grid: BlockGrid, qr: QueryRegion
+                    ) -> List[Tuple[int, Tuple[int, int, int, int]]]:
+    """Blocks overlapping the query as (rank, clip), rank-ascending.  The
+    clip (la, lb, ya, yb) is the query's part of the block: local columns
+    la..lb and rows ya..yb, 1-based within the block."""
     box = qr.clip(grid.space)
     if box is None:
         return []
     x0, y0, x1, y1 = box
-    blocks = []
-    for gx in range((x0 - 1) // grid.B_x + 1, (x1 - 1) // grid.B_x + 2):
-        for gy in range((y0 - 1) // grid.B_y + 1, (y1 - 1) // grid.B_y + 2):
-            blocks.append((grid.rank[(gx, gy)], (gx, gy)))
-    blocks.sort()
-    return blocks
-
-
-def _block_clip(grid: BlockGrid, box, gx: int, gy: int) -> Tuple[int, int, int, int]:
-    """The clipped box inside block (gx, gy) as local spans (la, lb, ya, yb):
-    columns la..lb and rows ya..yb, 1-based within the block."""
-    x0, y0, x1, y1 = box
-    left, top = (gx - 1) * grid.B_x, (gy - 1) * grid.B_y
-    return (max(x0, left + 1) - left, min(x1, left + grid.B_x) - left,
-            max(y0, top + 1) - top, min(y1, top + grid.B_y) - top)
+    rows = _spans(y0, y1, grid.B_y)
+    return sorted((grid.rank[gx, gy], (la, lb, ya, yb))
+                  for gx, la, lb in _spans(x0, x1, grid.B_x)
+                  for gy, ya, yb in rows)
 
 
 def _clip_tips(grid: BlockGrid, clip: Tuple[int, int, int, int]) -> Sequence[int]:
@@ -276,9 +274,6 @@ def _clip_tips(grid: BlockGrid, clip: Tuple[int, int, int, int]) -> Sequence[int
 def compile_sp(grid: BlockGrid, qr: QueryRegion) -> AccessPlan:
     """Visit overlapped blocks in curve order, streaming through rank gaps
     that cost less to read over than the device's averaged seek."""
-    box = qr.clip(grid.space)
-    if box is None:
-        return AccessPlan([])
     p = grid.params
     spo = grid.spo
     sector_time = p.sector_bits / p.tip_rate_bits_s
@@ -294,8 +289,7 @@ def compile_sp(grid: BlockGrid, qr: QueryRegion) -> AccessPlan:
     # once and shared by every block with that clip
     clip_tips: Dict[Tuple[int, int, int, int], Sequence[int]] = {}
     prev_rank = None
-    for rank, (gx, gy) in query_block_set(grid, qr):
-        clip = _block_clip(grid, box, gx, gy)
+    for rank, clip in query_block_set(grid, qr):
         tips = clip_tips.get(clip)
         if tips is None:
             tips = clip_tips[clip] = _clip_tips(grid, clip)

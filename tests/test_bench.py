@@ -21,7 +21,6 @@ from memsrs.bench import (
     run_experiment3,
     run_experiment4,
     sort_rows,
-    write_csv,
 )
 from memsrs.device import cmu_defaults
 from memsrs.emulator import Emulator
@@ -256,15 +255,6 @@ def test_spatial_csv_header_and_cells():
     assert cells[2] == "312.5"
     assert cells[3] == "" and cells[4] == ""
     assert cells[13] == "0.0625"
-
-
-def test_write_csv_roundtrip(tmp_path):
-    rows = small_exp1(seeds=(0,))
-    path = tmp_path / "out.csv"
-    write_csv(rows, path)
-    text = path.read_text()
-    assert text == csv_text(rows)
-    assert text.endswith("\n")
 
 
 # -- CSV pin ---------------------------------------------------------------

@@ -128,6 +128,13 @@ def test_config_unknown_key_rejected():
         from_config_text("R_x 4\nbogus 7\n")
 
 
+def test_config_repeated_key_names_both_lines():
+    # the second value used to win silently, giving a 40-wide device
+    with pytest.raises(ValueError,
+                       match=r"^config line 2: key R_x already set on line 1$"):
+        from_config_text("R_x 80\nR_x 40\n")
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     rx=st.integers(1, 50),

@@ -375,3 +375,13 @@ def test_plan_text_empty_tips_marker():
 def test_plan_text_bad_field_names_its_line(text, message):
     with pytest.raises(ValueError, match=message):
         plan_from_text("# header\n" + text + "\n")
+
+
+def test_plan_text_repeated_row_override_names_both_lines():
+    # the second override used to replace the first silently
+    with pytest.raises(ValueError, match=r"^line 3: row 2 of this scan "
+                                         r"already overridden on line 2$"):
+        plan_from_text("scan 1 3 1-4\nrow 2 1\nrow 2 3-4\n")
+    # the same row in two scans is two overrides, not a repeat
+    plan = plan_from_text("scan 1 3 1-4\nrow 2 1\nscan 4 3 1-4\nrow 2 3-4\n")
+    assert [s.per_row_tips for s in plan.scans] == [{2: (1,)}, {2: (3, 4)}]

@@ -39,7 +39,6 @@ def query(nproj, k=16):
 
 def test_linear_map_cmu_shape():
     lm = LinearMap(CMU)
-    assert lm.block_bits == 1280 * 64
     assert lm.tip_groups == 5
     assert lm.lba_count == 5 * 67500
 
@@ -144,10 +143,7 @@ def test_nsm_block_count_320mb():
 def test_nsm_reads_whole_relation_regardless_of_query():
     n = 320 * 2**20 // (16 * 8)
     layout = NsmLayout(CMU, RelationSchema(k=16, n=n))
-    p1 = compile_nsm(layout, query(1))
-    p16 = compile_nsm(layout, query(16))
-    assert p1 == p16
-    t = Emulator(CMU).execute(p1)
+    t = Emulator(CMU).execute(compile_nsm(layout))
     assert t.n_sectors == 32768 * 1280
 
 
@@ -159,8 +155,8 @@ def test_nsm_320mb_timing_by_hand():
     # nearer interior row: a Y move with turnaround, not a reversal.
     n = 320 * 2**20 // (16 * 8)
     layout = NsmLayout(CMU, RelationSchema(k=16, n=n))
-    t = Emulator(CMU).execute(compile_nsm(layout, query(8)))
-    assert len(compile_nsm(layout, query(8)).scans) == 242 * 5 + 4
+    t = Emulator(CMU).execute(compile_nsm(layout))
+    assert len(compile_nsm(layout).scans) == 242 * 5 + 4
     expected = (32768 * ST
                 + 242 * CMU.settle_time_s
                 + (CMU.move_y_s + CMU.turnaround_time_s)
@@ -182,7 +178,7 @@ def test_nsm_read_back_with_slack_zeros():
     assert layout.n_blocks == 10
     im = MediaImage(RED)
     write_image_nsm(layout, im, lambda t, w: bytes([t, w, 0, 0, 0, 0, 0, 0]))
-    _, data = Emulator(RED).read(compile_nsm(layout, query(4, k=4)), im)
+    _, data = Emulator(RED).read(compile_nsm(layout), im)
     cells = sorted(data[i:i + 8] for i in range(0, len(data), 8))
     expected = [bytes([t, w, 0, 0, 0, 0, 0, 0])
                 for t in range(1, 38) for w in range(1, 5)]
@@ -220,7 +216,7 @@ def test_dsm_full_projection_equals_row_store_plan():
     n = 320 * 2**20 // (16 * 8)
     nsm = NsmLayout(CMU, RelationSchema(k=16, n=n))
     dsm = DsmLayout(CMU, RelationSchema(k=16, n=n))
-    assert compile_dsm(dsm, query(16)) == compile_nsm(nsm, query(16))
+    assert compile_dsm(dsm, query(16)) == compile_nsm(nsm)
 
 
 def test_dsm_read_back_non_adjacent_attributes():

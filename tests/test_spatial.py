@@ -413,10 +413,15 @@ def _per_cell_tips(grid, box, gx, gy):
 
 
 def _reference_compile_sp(grid, qr):
-    """The block compiler building one tip set per overlapped block."""
+    """The block compiler building one tip set per overlapped block, the
+    blocks found by testing every block of the grid against the box."""
     box = qr.clip(grid.space)
     if box is None:
         return AccessPlan([])
+    x0, y0, x1, y1 = box
+    blocks = sorted((rank, cell) for cell, rank in grid.rank.items()
+                    if (cell[0] - 1) * grid.B_x < x1 and cell[0] * grid.B_x >= x0
+                    and (cell[1] - 1) * grid.B_y < y1 and cell[1] * grid.B_y >= y0)
     p, spo = grid.params, grid.spo
     sector_time = p.sector_bits / p.tip_rate_bits_s
     seek_rs = rs_params(p).seek_time_rs_s
@@ -425,7 +430,7 @@ def _reference_compile_sp(grid, qr):
         max_gap -= 1
     runs = []
     prev_rank = None
-    for rank, (gx, gy) in query_block_set(grid, qr):
+    for rank, (gx, gy) in blocks:
         tips = _per_cell_tips(grid, box, gx, gy)
         if prev_rank is not None and rank - prev_rank - 1 <= max_gap:
             runs[-1][1].extend([()] * (rank - prev_rank - 1) + [tips])
@@ -480,6 +485,38 @@ def _regions(space):
     return st.builds(QueryRegion, x0=st.integers(1, space.width + 2),
                      y0=st.integers(1, space.height + 2),
                      qx=st.integers(0, space.width), qy=st.integers(0, space.height))
+
+
+@settings(max_examples=60, deadline=None)
+@given(geo=_reduced_grids(), data=st.data())
+def test_query_block_set_clips_cover_the_box_once(geo, data):
+    _, grid = geo
+    space = grid.space
+    assert query_block_set(grid, region(1, 1, 0, space.height)) == []
+    for _ in range(4):
+        qr = data.draw(_regions(space))
+        blocks = query_block_set(grid, qr)
+        box = qr.clip(space)
+        if box is None:
+            assert blocks == []
+            continue
+        ranks = [rank for rank, _ in blocks]
+        assert all(a < b for a, b in zip(ranks, ranks[1:]))
+        # each cell of the box, as a local cell of the block holding it,
+        # filed under that block's rank
+        x0, y0, x1, y1 = box
+        want = {}
+        for x in range(x0, x1 + 1):
+            for y in range(y0, y1 + 1):
+                rank = grid.rank[(x - 1) // grid.B_x + 1, (y - 1) // grid.B_y + 1]
+                want.setdefault(rank, set()).add(
+                    ((x - 1) % grid.B_x + 1, (y - 1) % grid.B_y + 1))
+        got = {rank: {(lx, ly) for lx in range(la, lb + 1)
+                      for ly in range(ya, yb + 1)}
+               for rank, (la, lb, ya, yb) in blocks}
+        assert got == want
+        assert sum((lb - la + 1) * (yb - ya + 1)
+                   for _, (la, lb, ya, yb) in blocks) == (x1 - x0 + 1) * (y1 - y0 + 1)
 
 
 @settings(max_examples=80, deadline=None)
