@@ -1,15 +1,14 @@
 """Probe-storage emulator, region-sector layer, and placement engines."""
 
-from .device import DeviceParams, DerivedParams, cmu_defaults, derive
+from .device import DeviceParams, cmu_defaults
 from .emulator import AccessPlan, Emulator, MediaImage, Scan, SledState, Timing
-from .rs import RSAddr, PhysAddr, RSParams, mems_to_rs, rs_params, rs_read, rs_to_mems
+from .rs import RSAddr, PhysAddr, RSParams, mems_to_rs, rs_params, rs_to_mems
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DeviceParams", "DerivedParams", "cmu_defaults", "derive",
+    "DeviceParams", "cmu_defaults",
     "AccessPlan", "Emulator", "MediaImage", "Scan", "SledState", "Timing",
-    "RSAddr", "PhysAddr", "RSParams", "mems_to_rs", "rs_params", "rs_read",
-    "rs_to_mems",
+    "RSAddr", "PhysAddr", "RSParams", "mems_to_rs", "rs_params", "rs_to_mems",
     "__version__",
 ]

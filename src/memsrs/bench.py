@@ -134,6 +134,35 @@ def _check_placements(given: Sequence[str], known: Sequence[str]) -> None:
 
 # -- relational sweeps --------------------------------------------------------
 
+def _relational_point(params: DeviceParams, experiment: int, size_mb: float,
+                      nproj: int, placements: Sequence[str],
+                      cache: dict) -> RelationSchema:
+    """The relation of one sweep point, with each placement's layout of it
+    built into `cache` under (class, n).  A point the device cannot hold
+    fails naming the point."""
+    if nproj > _K:
+        raise ValueError(f"projection width {nproj} exceeds schema k={_K}")
+    try:
+        n = int(size_mb * 2**20) // (_K * _ATTR_BYTES)
+        if n < 1:
+            raise ValueError(f"no {_K * _ATTR_BYTES}-byte tuple fits in "
+                             f"{size_mb:g} MB")
+        sch = RelationSchema(k=_K, n=n, attr_bits=_ATTR_BYTES * 8)
+        sectors = n * _K * sch.sectors_per_value(params.sector_bits)
+        capacity = params.n_tips * params.sectors_per_region
+        if sectors > capacity:
+            raise ValueError(f"relation needs {sectors} sectors, the device "
+                             f"holds {capacity}")
+        for placement in placements:
+            cls = _RELATIONAL_LAYOUTS[placement][0]
+            if cls is not None:
+                _get(cache, (cls, n), lambda: cls(params, sch))
+    except ValueError as exc:
+        raise ValueError(f"experiment {experiment}, data_mb={size_mb:g}, "
+                         f"n_projection={nproj}: {exc}") from exc
+    return sch
+
+
 def _relational_rows(params: DeviceParams, experiment: int,
                      points: Iterable[Tuple[float, int]], *,
                      selectivity: float, seeds: Sequence[int],
@@ -141,12 +170,13 @@ def _relational_rows(params: DeviceParams, experiment: int,
                      seek_model: str) -> List[Row]:
     _check_placements(placements, RELATIONAL_PLACEMENTS)
     cache: dict = {}
+    # every point is checked, and its layouts built, before any row is made
+    checked = [(size_mb, nproj, _relational_point(params, experiment, size_mb,
+                                                  nproj, placements, cache))
+               for size_mb, nproj in points]
     out: List[Row] = []
-    for size_mb, nproj in points:
-        if nproj > _K:
-            raise ValueError(f"projection width {nproj} exceeds schema k={_K}")
-        n = int(size_mb * 2**20) // (_K * _ATTR_BYTES)
-        sch = RelationSchema(k=_K, n=n, attr_bits=_ATTR_BYTES * 8)
+    for size_mb, nproj, sch in checked:
+        n = sch.n
         query = RangeQuery(projected=tuple(range(1, nproj + 1)),
                            predicate_attr=1, bound=PREDICATE_BOUND,
                            selectivity=selectivity)
@@ -160,7 +190,7 @@ def _relational_rows(params: DeviceParams, experiment: int,
                     bits = exact_ceil(selectivity, n) * nproj * sch.attr_bits
                     out.append(_lowerbound_row(base, bits, params))
                     continue
-                lay = _get(cache, (cls, n), lambda: cls(params, sch))
+                lay = cache[cls, n]
                 # drawn once per (size, seed) and shared by every width
                 rows = lambda: _get(cache, ("rows", n, seed), lambda: (
                     lay.qualifying_rows(Relation(n, seed).qualifying_set(

@@ -14,7 +14,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from . import bench
-from .device import DeviceParams, cmu_defaults, derive, load_config
+from .device import DeviceParams, cmu_defaults, load_config
 from .rs import PhysAddr, RSAddr, mems_to_rs, rs_params, rs_to_mems
 
 
@@ -58,7 +58,6 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def cmd_info(args: argparse.Namespace) -> int:
     p = _device(args)
-    d = derive(p)
     rs = rs_params(p)
     settle_total = (p.sectors_x - 1) * p.settle_time_s
     pairs = [
@@ -72,13 +71,13 @@ def cmd_info(args: argparse.Namespace) -> int:
         ("move_x_s", p.move_x_s), ("move_y_s", p.move_y_s),
         ("settle_time_s", p.settle_time_s),
         ("turnaround_time_s", p.turnaround_time_s),
-        ("region_bits", d.region_bits),
-        ("sector_time_s", d.sector_time_s),
-        ("region_read_time_s", d.region_read_time_s),
+        ("region_bits", p.region_bits),
+        ("sector_time_s", p.sector_time_s),
+        ("region_read_time_s", p.region_read_time_s),
         ("transfer_rate_rs_bits_s", rs.transfer_rate_rs_bits_s),
         ("seek_time_rs_s", rs.seek_time_rs_s),
         # share of a full-region read spent settling between columns
-        ("seek_fraction", settle_total / d.region_read_time_s),
+        ("seek_fraction", settle_total / p.region_read_time_s),
     ]
     for name, value in pairs:
         print(f"{name} = {value}")

@@ -57,27 +57,27 @@ class DeviceParams:
     def sectors_per_region(self) -> int:
         return self.sectors_x * self.sectors_y
 
+    @property
+    def region_bits(self) -> int:
+        """Capacity of one region."""
+        return self.sectors_per_region * self.sector_bits
 
-@dataclass(frozen=True)
-class DerivedParams:
-    region_bits: int            # capacity of one region
-    sector_time_s: float        # per-tip time to transfer one sector
-    region_read_time_s: float   # one tip reading a whole region in column-prime order
+    @property
+    def sector_time_s(self) -> float:
+        """Per-tip time to transfer one sector."""
+        return self.sector_bits / self.tip_rate_bits_s
+
+    @property
+    def region_read_time_s(self) -> float:
+        """One tip reading a whole region in column-prime order, which
+        crosses (sectors_x - 1) column boundaries at one settle each."""
+        return (self.region_bits / self.tip_rate_bits_s
+                + (self.sectors_x - 1) * self.settle_time_s)
 
 
 def cmu_defaults() -> DeviceParams:
     """The published reference device this artifact is calibrated to."""
     return DeviceParams()
-
-
-def derive(params: DeviceParams) -> DerivedParams:
-    region_bits = params.sectors_per_region * params.sector_bits
-    sector_time = params.sector_bits / params.tip_rate_bits_s
-    # column-prime order crosses (sectors_x - 1) column boundaries,
-    # each costing one settle
-    read_time = (region_bits / params.tip_rate_bits_s
-                 + (params.sectors_x - 1) * params.settle_time_s)
-    return DerivedParams(region_bits, sector_time, read_time)
 
 
 # -- key/value config ---------------------------------------------------

@@ -155,14 +155,12 @@ def _transition_cost(state: SledState, tcol: int, trow: int, first_dir: int,
 class Emulator:
     """Executes access plans scan by scan, accumulating a timing trace."""
 
-    def __init__(self, params: DeviceParams, seek_model: str = "average",
-                 state: Optional[SledState] = None):
+    def __init__(self, params: DeviceParams, seek_model: str = "average"):
         if seek_model not in ("average", "distance"):
             raise ValueError(f"unknown seek model: {seek_model!r}")
         self.params = params
         self.seek_model = seek_model
-        self.state = state if state is not None else SledState()
-        self._sector_time = params.sector_bits / params.tip_rate_bits_s
+        self.state = SledState()
 
     def execute(self, plan: AccessPlan) -> Timing:
         t, _ = self._run(plan, None)
@@ -286,7 +284,7 @@ class Emulator:
         # seconds come from event counts, so execute and read agree
         # exactly; total_s adds repositioning and streaming time in the
         # order the bench's seek_s and transfer_s columns sum them
-        transfer_s = n_row_steps * self._sector_time
+        transfer_s = n_row_steps * p.sector_time_s
         settle_s = n_settles * p.settle_time_s
         turnaround_s = n_turnarounds * p.turnaround_time_s
         timing = Timing(total_s=(seek_s + turnaround_s) + (transfer_s + settle_s),
@@ -336,6 +334,11 @@ def _parse_rle(text: str) -> Tuple[int, ...]:
         if last < first:
             raise ValueError(f"tip run {part!r} runs backwards")
         vals.extend(range(first, last + 1))
+    seen = set()
+    for v in vals:
+        if v in seen:
+            raise ValueError(f"tip {v} listed twice in {text!r}")
+        seen.add(v)
     return tuple(vals)
 
 

@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 from .cost import CostInput
 from .device import DeviceParams
 from .emulator import AccessPlan, MediaImage, Scan
-from .rs import PhysAddr, RSAddr, layer_scans, write_values
+from .rs import RSAddr, layer_scans, write_values
 
 
 def exact_ceil(fraction: float, n: int) -> int:
@@ -100,18 +100,6 @@ class RelLayoutRSY:
         slot = (v - 1) % self.m
         vrow = (v - 1) // self.m
         return RSAddr(self.schema.k * slot + w, vrow * self.spv + 1)
-
-    def map_phys(self, v: int, w: int) -> PhysAddr:
-        """Straight-line physical mapping; oracle for the RS composition."""
-        _check_vw(v, w, self.schema)
-        p = self.params
-        r = self.schema.k * ((v - 1) % self.m) + w
-        s = ((v - 1) // self.m) * self.spv + 1
-        col = (s - 1) // p.sectors_y + 1
-        off = (s - 1) % p.sectors_y
-        row = off + 1 if col % 2 == 1 else p.sectors_y - off
-        return PhysAddr((r - 1) % p.regions_x + 1, (r - 1) // p.regions_x + 1,
-                        col, row)
 
     def compile(self, query: RangeQuery) -> AccessPlan:
         _check_query(query, self.schema)

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Callable, Dict, Iterable, List, NamedTuple, Sequence
+from typing import Callable, Dict, List, NamedTuple, Sequence
 
-from .device import DeviceParams, derive
-from .emulator import AccessPlan, MediaImage, Scan, _col_row, _lin
+from .device import DeviceParams
+from .emulator import MediaImage, Scan, _col_row, _lin
 
 
 class RSAddr(NamedTuple):
@@ -60,10 +60,9 @@ def mems_to_rs(a: PhysAddr, p: DeviceParams) -> RSAddr:
 
 
 def rs_params(p: DeviceParams) -> RSParams:
-    d = derive(p)
     # one settle per sector column, folded into the streaming rate
-    denominator = d.region_bits / p.tip_rate_bits_s + p.sectors_x * p.settle_time_s
-    rate = d.region_bits / denominator
+    denominator = p.region_bits / p.tip_rate_bits_s + p.sectors_x * p.settle_time_s
+    rate = p.region_bits / denominator
     seek = max(p.move_x_s + p.settle_time_s, p.move_y_s + p.turnaround_time_s)
     return RSParams(transfer_rate_rs_bits_s=rate, seek_time_rs_s=seek)
 
@@ -102,21 +101,6 @@ def layer_scans(start: int, unit_rows: int,
                 scans.append(rs_scan(start + run[0] * unit_rows, unit_rows,
                                      [unit_tips[i][lo:lo + napt] for i in run]))
     return scans
-
-
-def rs_read(regions: Iterable[int], s_start: int, s_len: int,
-            p: DeviceParams) -> AccessPlan:
-    """Read rows [s_start, s_start+s_len-1] of the given regions.
-
-    Regions are assigned to scans in ascending order, at most
-    n_active_tips per scan; each scan re-traverses the whole row range.
-    """
-    tips = tuple(sorted(set(regions)))
-    if s_len < 1 or s_start < 1 or s_start + s_len - 1 > p.sectors_per_region:
-        raise ValueError("sector range out of bounds")
-    if tips and (tips[0] < 1 or tips[-1] > p.n_regions):
-        raise ValueError("region index out of bounds")
-    return AccessPlan(scans=layer_scans(s_start, s_len, [tips], p))
 
 
 def write_values(image: MediaImage, mapper: Callable[[int, int], RSAddr],

@@ -19,8 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .cost import CostInput
 from .device import DeviceParams
 from .emulator import AccessPlan, MediaImage, Scan
-from .rs import (PhysAddr, RSAddr, layer_scans, rs_params, rs_scan,
-                 write_values)
+from .rs import RSAddr, layer_scans, rs_params, rs_scan, write_values
 
 
 @dataclass(frozen=True)
@@ -83,16 +82,6 @@ class SSYLayout:
         comp = (x - 1) // self.params.n_tips
         return RSAddr((x - 1) % self.params.n_tips + 1,
                       comp * self.component_rows + (y - 1) * self.spo + 1)
-
-    def map_phys(self, x: int, y: int) -> PhysAddr:
-        """Straight-line physical mapping; oracle for the RS composition."""
-        self.space.check(x, y)
-        p = self.params
-        tip = (x - 1) % p.n_tips
-        s0 = ((x - 1) // p.n_tips) * self.component_rows + (y - 1) * self.spo
-        col, off = divmod(s0, p.sectors_y)
-        return PhysAddr(tip % p.regions_x + 1, tip // p.regions_x + 1, col + 1,
-                        off + 1 if col % 2 == 0 else p.sectors_y - off)
 
     def compile(self, qr: QueryRegion) -> AccessPlan:
         box = qr.clip(self.space)
@@ -276,7 +265,7 @@ def compile_sp(grid: BlockGrid, qr: QueryRegion) -> AccessPlan:
     that cost less to read over than the device's averaged seek."""
     p = grid.params
     spo = grid.spo
-    sector_time = p.sector_bits / p.tip_rate_bits_s
+    sector_time = p.sector_time_s
     seek_rs = rs_params(p).seek_time_rs_s
     max_gap = int(seek_rs / (spo * sector_time))
     if max_gap * spo * sector_time >= seek_rs:

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from memsrs import bench
 from memsrs.bench import (
     RELATIONAL_FIELDS,
     RELATIONAL_PLACEMENTS,
@@ -211,6 +212,41 @@ def test_exp4_stripe_layout_pays_for_tall_queries():
     assert by_aspect[8]["meas_total_s"] > by_aspect[4]["meas_total_s"]
     for r in rows:
         assert r["query_frac"] == 0.01 and r["experiment"] == 4
+
+
+@pytest.mark.parametrize("placement", RELATIONAL_PLACEMENTS)
+def test_relation_larger_than_the_device_is_named(placement):
+    # about 100 GB against 3296 MiB: no placement, the lower bound
+    # included, can hold it
+    with pytest.raises(ValueError, match=(
+            r"^experiment 1, data_mb=100000, n_projection=8: relation needs "
+            r"13107200000 sectors, the device holds 432000000$")):
+        run_experiment1(sizes_mb=(100000,), seeds=(0,), placements=(placement,))
+
+
+@pytest.mark.parametrize("run, kw, message", [
+    (run_experiment1, {"sizes_mb": (0.0001,)},
+     r"^experiment 1, data_mb=0\.0001, n_projection=8: no 128-byte tuple "
+     r"fits in 0\.0001 MB$"),
+    # fits the device's sectors, but 16 bands of 4219 rows exceed 67500
+    (run_experiment2, {"size_mb": 3295.7, "n_projections": (1,),
+                       "placements": ("relational-parallel",)},
+     r"^experiment 2, data_mb=3295\.7, n_projection=1: relation does not "
+     r"fit the device under this layout$"),
+], ids=["no-tuple", "layout"])
+def test_infeasible_relational_point_is_named(run, kw, message):
+    with pytest.raises(ValueError, match=message) as info:
+        run(seeds=(0,), **kw)
+    assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_infeasible_relational_point_fails_before_any_row(monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("a row was made before the sweep was checked")
+    monkeypatch.setattr(bench, "_measured_row", no_rows)
+    monkeypatch.setattr(bench, "_lowerbound_row", no_rows)
+    with pytest.raises(ValueError, match=r"^experiment 1, data_mb=100000, "):
+        run_experiment1(sizes_mb=(5, 100000), seeds=(0,))
 
 
 def test_infeasible_spatial_point_is_named():

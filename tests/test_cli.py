@@ -168,6 +168,19 @@ def test_bench_projection_wider_than_schema_fails(placement, capsys):
     assert err == "error: projection width 17 exceeds schema k=16\n"
 
 
+def test_bench_relation_larger_than_the_device_fails(capsys):
+    # a 100 GB relation: the lower bound needs no layout, so the point
+    # itself is checked
+    code, out, err = run_cli(["bench", "relational", "--sizes", "100000",
+                              "--nproj", "", "--repeats", "1",
+                              "--placement", "relational-lowerbound"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == ("error: experiment 1, data_mb=100000, n_projection=8: "
+                   "relation needs 13107200000 sectors, the device holds "
+                   "432000000\n")
+
+
 @pytest.mark.parametrize("command", ["relational", "spatial"])
 @pytest.mark.parametrize("repeats", ["0", "-2"])
 def test_bench_repeats_below_one_fails(command, repeats, capsys):

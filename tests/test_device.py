@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from memsrs.device import (
     DeviceParams,
     cmu_defaults,
-    derive,
     from_config_text,
     to_config_text,
 )
@@ -36,28 +35,26 @@ def test_cmu_defaults_timing():
 
 
 def test_derived_region_bits():
-    d = derive(cmu_defaults())
     # 2500 * 27 * 64
-    assert d.region_bits == 4_320_000
+    assert cmu_defaults().region_bits == 4_320_000
 
 
 def test_derived_sector_time():
-    d = derive(cmu_defaults())
-    assert d.sector_time_s == 64 / 0.7e6
-    assert abs(d.sector_time_s - 91.43e-6) < 0.01e-6
+    p = cmu_defaults()
+    assert p.sector_time_s == 64 / 0.7e6
+    assert abs(p.sector_time_s - 91.43e-6) < 0.01e-6
 
 
 def test_sector_time_unit_ratio():
     # one sector at a rate of one sector per second takes one second
     p = DeviceParams(sector_bits=64, tip_rate_bits_s=64.0)
-    assert derive(p).sector_time_s == 1.0
+    assert p.sector_time_s == 1.0
 
 
 def test_region_read_time_matches_column_prime_composition():
     p = cmu_defaults()
-    d = derive(p)
-    expected = d.region_bits / p.tip_rate_bits_s + (p.sectors_x - 1) * p.settle_time_s
-    assert math.isclose(d.region_read_time_s, expected, rel_tol=0, abs_tol=1e-15)
+    expected = p.region_bits / p.tip_rate_bits_s + (p.sectors_x - 1) * p.settle_time_s
+    assert math.isclose(p.region_read_time_s, expected, rel_tol=0, abs_tol=1e-15)
 
 
 def test_invalid_params_rejected():
@@ -165,7 +162,3 @@ def test_config_round_trip_any_valid_params(rx, ry, sx, sy, napt_frac, rate, tx,
     )
     assert from_config_text(to_config_text(p)) == p
 
-
-def test_derive_is_deterministic():
-    p = cmu_defaults()
-    assert derive(p) == derive(p)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from memsrs.device import DeviceParams, cmu_defaults, derive
+from memsrs.device import DeviceParams, cmu_defaults
 from memsrs.emulator import (
     AccessPlan,
     Emulator,
@@ -31,7 +31,9 @@ TINY = DeviceParams(regions_x=3, regions_y=3, sectors_x=4, sectors_y=3,
 def reposition_s(state, col, row, model="average"):
     """Repositioning charge of a one-row scan at physical (col, row)."""
     scan = Scan(tips=(1,), start=_lin(col, row, CMU.sectors_y), length=1)
-    t = Emulator(CMU, model, state).execute(AccessPlan([scan]))
+    em = Emulator(CMU, model)
+    em.state = state
+    t = em.execute(AccessPlan([scan]))
     return t.seek_s + t.turnaround_s
 
 
@@ -92,10 +94,10 @@ def test_full_region_single_tip():
 def test_full_region_matches_streaming_rate_denominator():
     # starting one column over, the entry seek costs exactly one settle,
     # completing the sectors_x-settles identity
-    em = Emulator(CMU, state=SledState(col=2, row=1, y_dir=1))
+    em = Emulator(CMU)
+    em.state = SledState(col=2, row=1, y_dir=1)
     t = em.execute(AccessPlan([Scan(tips=(1,), start=1, length=67500)]))
-    d = derive(CMU)
-    denominator = d.region_bits / CMU.tip_rate_bits_s + CMU.sectors_x * CMU.settle_time_s
+    denominator = CMU.region_bits / CMU.tip_rate_bits_s + CMU.sectors_x * CMU.settle_time_s
     assert abs(t.total_s - denominator) < 1e-9
 
 
@@ -314,8 +316,8 @@ _EXIT_ROW_ONLY = AccessPlan([Scan(tips=(1,), start=1, length=2,
        model=st.sampled_from(("average", "distance")))
 @example(plan=_EXIT_ROW_ONLY, col=1, row=1, y_dir=1, model="average")
 def test_read_prices_exactly_like_execute(plan, col, row, y_dir, model):
-    ex = Emulator(SMALL, model, SledState(col, row, y_dir))
-    rd = Emulator(SMALL, model, SledState(col, row, y_dir))
+    ex, rd = Emulator(SMALL, model), Emulator(SMALL, model)
+    ex.state, rd.state = SledState(col, row, y_dir), SledState(col, row, y_dir)
     t = ex.execute(plan)
     t_read, _ = rd.read(plan, MediaImage(SMALL))
     assert t == t_read
@@ -371,7 +373,12 @@ def test_plan_text_empty_tips_marker():
     ("scan 1 x 1-3", r"^line 2: length 'x' is not an integer$"),
     ("scan 1 2 1-2-3", r"^line 2: tip run '1-2-3' is not 'n' or 'n-m'$"),
     ("scan 1 2 5-3", r"^line 2: tip run '5-3' runs backwards$"),
-], ids=["bad-int", "three-part-run", "backwards-run"])
+    # each listing of a tip would be priced as one more sector
+    ("scan 1 1 1,1", r"^line 2: tip 1 listed twice in '1,1'$"),
+    ("scan 1 1 1-3,2", r"^line 2: tip 2 listed twice in '1-3,2'$"),
+    ("scan 1 3 1-4\nrow 2 5,3-6", r"^line 3: tip 5 listed twice in '5,3-6'$"),
+], ids=["bad-int", "three-part-run", "backwards-run", "tip-twice",
+        "tip-twice-in-runs", "tip-twice-in-row"])
 def test_plan_text_bad_field_names_its_line(text, message):
     with pytest.raises(ValueError, match=message):
         plan_from_text("# header\n" + text + "\n")

@@ -1,9 +1,12 @@
-"""Every name a `memsrs` module imports is used in that module."""
+"""Every name a `memsrs` module imports is used in that module, and every
+name the package exports exists."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import memsrs
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "memsrs"
 
@@ -45,3 +48,8 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_exported_name_exists():
+    # a stale `__all__` entry breaks only `from memsrs import *`
+    assert [name for name in memsrs.__all__ if not hasattr(memsrs, name)] == []

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from memsrs.device import DeviceParams, cmu_defaults, derive
+from memsrs.device import DeviceParams, cmu_defaults
 from memsrs.emulator import Emulator, MediaImage, Scan
 from memsrs.linear import (DsmLayout, NsmLayout, compile_dsm, compile_nsm,
                            write_image_dsm, write_image_nsm)
@@ -20,7 +20,6 @@ from memsrs.rs import (
     layer_scans,
     mems_to_rs,
     rs_params,
-    rs_read,
     rs_scan,
     rs_to_mems,
 )
@@ -109,9 +108,8 @@ def test_quasi_contiguity_exhaustive_small(rx, ry, sx, sy):
 
 def test_rs_params_cmu_values():
     rs = rs_params(CMU)
-    d = derive(CMU)
-    denominator = d.region_bits / CMU.tip_rate_bits_s + CMU.sectors_x * CMU.settle_time_s
-    assert math.isclose(rs.transfer_rate_rs_bits_s, d.region_bits / denominator, rel_tol=1e-12)
+    denominator = CMU.region_bits / CMU.tip_rate_bits_s + CMU.sectors_x * CMU.settle_time_s
+    assert math.isclose(rs.transfer_rate_rs_bits_s, CMU.region_bits / denominator, rel_tol=1e-12)
     assert abs(rs.transfer_rate_rs_bits_s - 0.644e6) < 0.001e6
     assert rs.seek_time_rs_s == max(0.52e-3 + 0.215e-3, 0.35e-3 + 0.06e-3)
     assert rs.seek_time_rs_s == 0.735e-3
@@ -123,38 +121,29 @@ def test_rs_params_no_settle_overhead():
     assert math.isclose(rs.transfer_rate_rs_bits_s, p.tip_rate_bits_s, rel_tol=1e-9)
 
 
+# reading one sector-row range of a set of regions: `layer_scans` with
+# that set as its one unit
+
 def test_rs_read_scan_counts():
-    plan = rs_read(range(1, 65), 1, 64, CMU)
-    assert len(plan.scans) == 1
-    plan = rs_read(range(1, 3201), 1, 10, CMU)
-    assert len(plan.scans) == 3
-    plan = rs_read(range(1, 6401), 1, 10, CMU)
-    assert len(plan.scans) == 5
+    assert len(layer_scans(1, 64, [range(1, 65)], CMU)) == 1
+    assert len(layer_scans(1, 10, [range(1, 3201)], CMU)) == 3
+    assert len(layer_scans(1, 10, [range(1, 6401)], CMU)) == 5
 
 
 def test_rs_read_scan_contents():
-    plan = rs_read([5, 1, 3000], 10, 4, CMU)
-    assert len(plan.scans) == 1
-    scan = plan.scans[0]
+    scans = layer_scans(10, 4, [(1, 5, 3000)], CMU)
+    assert len(scans) == 1
+    scan = scans[0]
     assert tuple(scan.tips) == (1, 5, 3000)
     assert scan.start == 10 and scan.length == 4
 
 
 def test_rs_read_splits_in_ascending_region_order():
-    plan = rs_read(range(1, 3201), 5, 2, CMU)
-    assert [len(s.tips) for s in plan.scans] == [1280, 1280, 640]
-    assert list(plan.scans[0].tips) == list(range(1, 1281))
-    assert list(plan.scans[2].tips) == list(range(2561, 3201))
-    assert all(s.start == 5 and s.length == 2 for s in plan.scans)
-
-
-def test_rs_read_bounds():
-    with pytest.raises(ValueError):
-        rs_read([1], 0, 5, CMU)
-    with pytest.raises(ValueError):
-        rs_read([1], 67500, 2, CMU)
-    with pytest.raises(ValueError):
-        rs_read([6401], 1, 1, CMU)
+    scans = layer_scans(5, 2, [range(1, 3201)], CMU)
+    assert [len(s.tips) for s in scans] == [1280, 1280, 640]
+    assert list(scans[0].tips) == list(range(1, 1281))
+    assert list(scans[2].tips) == list(range(2561, 3201))
+    assert all(s.start == 5 and s.length == 2 for s in scans)
 
 
 # -- scan layering -------------------------------------------------------
