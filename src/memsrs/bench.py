@@ -37,8 +37,8 @@ from .linear import DsmLayout, NsmLayout, compile_dsm, compile_nsm
 from .relational import (RangeQuery, RelationSchema, RelLayoutRP, RelLayoutRSY,
                          exact_ceil)
 from .rs import rs_params
-from .spatial import (SpatialSpace, SSYLayout, build_block_grid, compile_sp,
-                      query_block_set)
+from .spatial import (QueryRegion, SpatialSpace, SSYLayout, build_block_grid,
+                      compile_sp, query_block_set)
 from .workload import PREDICATE_BOUND, Relation, gen_query_region
 
 # The paper's data: a relation of 16 attributes of 8 bytes each, whose
@@ -125,14 +125,32 @@ def _get(cache: dict, key, make):
     return cache[key]
 
 
-def _check_placements(given: Sequence[str], known: Sequence[str]) -> None:
+def _check_unique(values: Iterable, name) -> None:
+    """Fail on the first value listed twice, named by `name(value)`."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ValueError(f"{name(value)} listed twice")
+        seen.add(value)
+
+
+def _check_inputs(experiment: int, seeds: Sequence[int], given: Sequence[str],
+                  known: Sequence[str]) -> None:
+    """Every placement known, and no placement or seed repeated: a repeat
+    would only make duplicate rows."""
     for name in given:
         if name not in known:
             raise ValueError(f"unknown placement {name!r}; "
                              f"expected one of {', '.join(known)}")
+    _check_unique(given, lambda name: f"placement {name!r}")
+    _check_unique(seeds, lambda seed: f"experiment {experiment}: seed {seed}")
 
 
 # -- relational sweeps --------------------------------------------------------
+
+def _relational_name(experiment: int, size_mb: float, nproj: int) -> str:
+    return f"experiment {experiment}, data_mb={size_mb:g}, n_projection={nproj}"
+
 
 def _relational_point(params: DeviceParams, experiment: int, size_mb: float,
                       nproj: int, placements: Sequence[str],
@@ -158,17 +176,19 @@ def _relational_point(params: DeviceParams, experiment: int, size_mb: float,
             if cls is not None:
                 _get(cache, (cls, n), lambda: cls(params, sch))
     except ValueError as exc:
-        raise ValueError(f"experiment {experiment}, data_mb={size_mb:g}, "
-                         f"n_projection={nproj}: {exc}") from exc
+        raise ValueError(f"{_relational_name(experiment, size_mb, nproj)}: "
+                         f"{exc}") from exc
     return sch
 
 
 def _relational_rows(params: DeviceParams, experiment: int,
-                     points: Iterable[Tuple[float, int]], *,
+                     points: Sequence[Tuple[float, int]], *,
                      selectivity: float, seeds: Sequence[int],
                      placements: Sequence[str], qual_mode: str,
                      seek_model: str) -> List[Row]:
-    _check_placements(placements, RELATIONAL_PLACEMENTS)
+    _check_inputs(experiment, seeds, placements, RELATIONAL_PLACEMENTS)
+    _check_unique(points, lambda pt: f"{_relational_name(experiment, *pt)}: "
+                                     f"sweep point")
     cache: dict = {}
     # every point is checked, and its layouts built, before any row is made
     checked = [(size_mb, nproj, _relational_point(params, experiment, size_mb,
@@ -235,22 +255,54 @@ def run_experiment2(params: Optional[DeviceParams] = None, *,
 
 # -- spatial sweeps ------------------------------------------------------------
 
+def _spatial_name(experiment: int, frac: float, aspect: float) -> str:
+    return f"experiment {experiment}, query_frac={frac:g}, aspect={aspect:g}"
+
+
+def _spatial_point(params: DeviceParams, experiment: int, frac: float,
+                   aspect: float, seeds: Sequence[int],
+                   placements: Sequence[str], curve: str,
+                   cache: dict) -> List[QueryRegion]:
+    """Each seed's query at one sweep point, with the point's block grid
+    and the stripe layout built into `cache` under ("grid", aspect) and
+    "ssy".  A point that cannot be run fails naming the point."""
+    name = _spatial_name(experiment, frac, aspect)
+    queries = []
+    for seed in seeds:
+        try:
+            queries.append(gen_query_region(_SPACE, frac, aspect, seed=seed))
+        except ValueError as exc:
+            raise ValueError(f"{name}, seed={seed}: {exc}") from exc
+    try:
+        if "spatial-parallel" in placements:
+            # the block shape is workload-tuned: each sweep point
+            # declares its aspect, so the grid is rebuilt per point
+            _get(cache, ("grid", aspect),
+                 lambda: build_block_grid(params, _SPACE, ratio=aspect,
+                                          curve=curve))
+        if "spatial-sequential-yu" in placements:
+            _get(cache, "ssy", lambda: SSYLayout(params, _SPACE))
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from exc
+    return queries
+
+
 def _spatial_rows(params: DeviceParams, experiment: int,
-                  points: Iterable[Tuple[float, float]], *,
+                  points: Sequence[Tuple[float, float]], *,
                   seeds: Sequence[int], placements: Sequence[str],
                   curve: str, seek_model: str) -> List[Row]:
-    _check_placements(placements, SPATIAL_PLACEMENTS)
+    _check_inputs(experiment, seeds, placements, SPATIAL_PLACEMENTS)
+    _check_unique(points, lambda pt: f"{_spatial_name(experiment, *pt)}: "
+                                     f"sweep point")
     data_mb = _SPACE.width * _SPACE.height * _SPACE.obj_bits / 8 / 2**20
     cache: dict = {}
+    # every point's queries, grid and layout are made before any row
+    checked = [(frac, aspect, _spatial_point(params, experiment, frac, aspect,
+                                             seeds, placements, curve, cache))
+               for frac, aspect in points]
     out: List[Row] = []
-    for frac, aspect in points:
-        for seed in seeds:
-            try:
-                qr = gen_query_region(_SPACE, frac, aspect, seed=seed)
-            except ValueError as exc:
-                raise ValueError(
-                    f"experiment {experiment}, query_frac={frac:g}, "
-                    f"aspect={aspect:g}, seed={seed}: {exc}") from exc
+    for frac, aspect, queries in checked:
+        for seed, qr in zip(seeds, queries):
             for placement in placements:
                 base: Row = {"experiment": experiment, "placement": placement,
                              "data_mb": data_mb, "n_projection": "",
@@ -262,18 +314,13 @@ def _spatial_rows(params: DeviceParams, experiment: int,
                                           params)
                     row["n_query_blocks"] = 0
                 elif placement == "spatial-parallel":
-                    # the block shape is workload-tuned: each sweep point
-                    # declares its aspect, so the grid is rebuilt per point
-                    grid = _get(cache, ("grid", aspect),
-                                lambda: build_block_grid(params, _SPACE,
-                                                         ratio=aspect,
-                                                         curve=curve))
+                    grid = cache["grid", aspect]
                     row = _measured_row(base, _SPATIAL_VARIES,
                                         lambda: compile_sp(grid, qr),
                                         cache, params, seek_model)
                     row["n_query_blocks"] = len(query_block_set(grid, qr))
                 else:
-                    ssy = _get(cache, "ssy", lambda: SSYLayout(params, _SPACE))
+                    ssy = cache["ssy"]
                     row = _measured_row(base, _SPATIAL_VARIES,
                                         lambda: ssy.compile(qr),
                                         cache, params, seek_model)

@@ -30,8 +30,14 @@ def _ratio(token: str) -> float:
     return value
 
 
-def _num_list(text: str, conv) -> List:
-    return [conv(tok.strip()) for tok in text.split(",") if tok.strip()]
+def _num_list(text: str, conv, option: str) -> List:
+    """The comma-separated values of `option`; a repeat would only make
+    duplicate rows."""
+    values = [conv(tok.strip()) for tok in text.split(",") if tok.strip()]
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"{option} lists {value:g} twice")
+    return values
 
 
 def _device(args: argparse.Namespace) -> DeviceParams:
@@ -103,14 +109,15 @@ def cmd_bench_relational(args: argparse.Namespace) -> int:
     p = _device(args)
     seeds = _seeds(args)
     placements = tuple(args.placement or bench.RELATIONAL_PLACEMENTS)
+    # both lists are parsed before either sweep runs
+    sizes = _num_list(args.sizes, _ratio, "--sizes")
+    nprojs = _num_list(args.nproj, int, "--nproj")
     rows: List[bench.Row] = []
-    sizes = _num_list(args.sizes, _ratio)
     if sizes:
         rows += bench.run_experiment1(p, sizes_mb=sizes,
                                       selectivity=args.selectivity,
                                       seeds=seeds, placements=placements,
                                       seek_model=args.seek_model)
-    nprojs = _num_list(args.nproj, int)
     if nprojs:
         rows += bench.run_experiment2(p, n_projections=nprojs,
                                       selectivity=args.selectivity,
@@ -124,13 +131,14 @@ def cmd_bench_spatial(args: argparse.Namespace) -> int:
     p = _device(args)
     seeds = _seeds(args)
     placements = tuple(args.placement or bench.SPATIAL_PLACEMENTS)
+    fracs = [pct / 100 for pct in _num_list(args.query_sizes, _ratio,
+                                            "--query-sizes")]
+    aspects = _num_list(args.aspects, _ratio, "--aspects")
     rows: List[bench.Row] = []
-    fracs = [pct / 100 for pct in _num_list(args.query_sizes, _ratio)]
     if fracs:
         rows += bench.run_experiment3(p, query_fracs=fracs, seeds=seeds,
                                       placements=placements, curve=args.curve,
                                       seek_model=args.seek_model)
-    aspects = _num_list(args.aspects, _ratio)
     if aspects:
         rows += bench.run_experiment4(p, aspects=aspects, seeds=seeds,
                                       placements=placements, curve=args.curve,
@@ -214,3 +222,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

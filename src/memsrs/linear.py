@@ -12,6 +12,7 @@ advances land in the adjacent position (settle only).
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Callable, List, Tuple
 
 from .device import DeviceParams
@@ -70,90 +71,83 @@ def lba_to_plan(lm: LinearMap, lba_start: int, lba_len: int) -> AccessPlan:
     return AccessPlan(scans)
 
 
-class NsmLayout:
-    """Tuples packed sequentially into logical blocks."""
+class _PackedLayout:
+    """`k // width` sub-relations of `width` attributes each; every
+    sub-relation packs its records (one tuple's values of its attributes)
+    in tuple order into its own run of `sub_blocks` logical blocks."""
+
+    column_store: bool  # width 1 if set, else all k attributes
 
     def __init__(self, params: DeviceParams, schema: RelationSchema):
         self.params = params
         self.schema = schema
         self.linear = LinearMap(params)
-        spv = schema.sectors_per_value(params.sector_bits)
-        self.tuples_per_block = params.n_active_tips // (schema.k * spv)
-        if self.tuples_per_block < 1:
-            raise ValueError("tuple does not fit in one logical block")
-        self.n_blocks = -(-schema.n // self.tuples_per_block)
-        if self.n_blocks > self.linear.lba_count:
+        self.width = 1 if self.column_store else schema.k
+        self.spv = schema.sectors_per_value(params.sector_bits)
+        self.records_per_block = params.n_active_tips // (self.width * self.spv)
+        if self.records_per_block < 1:
+            raise ValueError(f"a record of {self.width} attributes does not "
+                             f"fit in one logical block")
+        self.sub_blocks = -(-schema.n // self.records_per_block)
+        if self.sub_blocks * (schema.k // self.width) > self.linear.lba_count:
             raise ValueError("relation exceeds device capacity")
 
+    def compile(self, query: RangeQuery) -> AccessPlan:
+        """Every block of each sub-relation the query projects; adjacent
+        sub-relations (equal index minus position) form one block run."""
+        _check_query(query, self.schema)
+        subs = sorted({(w - 1) // self.width for w in query.projected})
+        scans: List[Scan] = []
+        for _, run in groupby(enumerate(subs), lambda ig: ig[1] - ig[0]):
+            run = [g for _, g in run]
+            scans += lba_to_plan(self.linear, run[0] * self.sub_blocks + 1,
+                                 len(run) * self.sub_blocks).scans
+        return AccessPlan(scans)
 
-class DsmLayout:
-    """One sub-relation per attribute, each packed sequentially."""
+    def write_image(self, image: MediaImage,
+                    value_bytes: Callable[[int, int], bytes]) -> None:
+        """Store `value_bytes(t, w)` in `spv` adjacent tips of its block row."""
+        sch, spv, step = self.schema, self.spv, image.sector_bytes
+        for w in range(1, sch.k + 1):
+            g, a = divmod(w - 1, self.width)
+            for t in range(1, sch.n + 1):
+                payload = value_bytes(t, w)
+                if len(payload) != spv * step:
+                    raise ValueError(f"value payload must be {spv * step} "
+                                     f"bytes, got {len(payload)}")
+                b, i = divmod(t - 1, self.records_per_block)
+                tip0, s = self.linear.block_cells(g * self.sub_blocks + b + 1)
+                tip = tip0 + (i * self.width + a) * spv
+                for d in range(spv):
+                    image.write_cell(tip + d, s, payload[d * step:(d + 1) * step])
 
-    def __init__(self, params: DeviceParams, schema: RelationSchema):
-        self.params = params
-        self.schema = schema
-        self.linear = LinearMap(params)
-        spv = schema.sectors_per_value(params.sector_bits)
-        self.values_per_block = params.n_active_tips // spv
-        if self.values_per_block < 1:
-            raise ValueError("attribute does not fit in one logical block")
-        self.blocks_per_attr = -(-schema.n // self.values_per_block)
-        if self.blocks_per_attr * schema.k > self.linear.lba_count:
-            raise ValueError("relation exceeds device capacity")
+
+class NsmLayout(_PackedLayout):
+    """Row store: whole tuples packed sequentially into logical blocks."""
+    column_store = False
+
+
+class DsmLayout(_PackedLayout):
+    """Column store: one sub-relation per attribute, each packed sequentially."""
+    column_store = True
 
 
 def compile_nsm(layout: NsmLayout) -> AccessPlan:
     """Row store: every block of the relation, whatever the query asks."""
-    return lba_to_plan(layout.linear, 1, layout.n_blocks)
+    return layout.compile(RangeQuery(tuple(range(1, layout.schema.k + 1)),
+                                     predicate_attr=1, bound=0, selectivity=1.0))
 
 
 def compile_dsm(layout: DsmLayout, query: RangeQuery) -> AccessPlan:
     """Column store: every block of each projected sub-relation."""
-    _check_query(query, layout.schema)
-    bpa = layout.blocks_per_attr
-    runs: List[Tuple[int, int]] = []
-    for w in query.projected:
-        lo = (w - 1) * bpa + 1
-        if runs and runs[-1][0] + runs[-1][1] == lo:
-            runs[-1] = (runs[-1][0], runs[-1][1] + bpa)
-        else:
-            runs.append((lo, bpa))
-    scans: List[Scan] = []
-    for lo, ln in runs:
-        scans.extend(lba_to_plan(layout.linear, lo, ln).scans)
-    return AccessPlan(scans)
-
-
-def _write_slots(lm: LinearMap, image: MediaImage, lba: int, slot: int,
-                 payload: bytes, spv: int) -> None:
-    step = image.sector_bytes
-    if len(payload) != spv * step:
-        raise ValueError(f"value payload must be {spv * step} bytes, "
-                         f"got {len(payload)}")
-    tip0, s = lm.block_cells(lba)
-    for d in range(spv):
-        image.write_cell(tip0 + slot + d, s, payload[d * step:(d + 1) * step])
+    return layout.compile(query)
 
 
 def write_image_nsm(layout: NsmLayout, image: MediaImage,
                     value_bytes: Callable[[int, int], bytes]) -> None:
-    sch = layout.schema
-    spv = sch.sectors_per_value(layout.params.sector_bits)
-    for t in range(1, sch.n + 1):
-        lba, i = divmod(t - 1, layout.tuples_per_block)
-        for w in range(1, sch.k + 1):
-            slot = (i * sch.k + w - 1) * spv
-            _write_slots(layout.linear, image, lba + 1, slot,
-                         value_bytes(t, w), spv)
+    layout.write_image(image, value_bytes)
 
 
 def write_image_dsm(layout: DsmLayout, image: MediaImage,
                     value_bytes: Callable[[int, int], bytes]) -> None:
-    sch = layout.schema
-    spv = sch.sectors_per_value(layout.params.sector_bits)
-    for w in range(1, sch.k + 1):
-        base = (w - 1) * layout.blocks_per_attr
-        for t in range(1, sch.n + 1):
-            b, i = divmod(t - 1, layout.values_per_block)
-            _write_slots(layout.linear, image, base + b + 1, i * spv,
-                         value_bytes(t, w), spv)
+    layout.write_image(image, value_bytes)

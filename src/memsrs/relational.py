@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 from .cost import CostInput
 from .device import DeviceParams
 from .emulator import AccessPlan, MediaImage, Scan
-from .rs import RSAddr, layer_scans, write_values
+from .rs import RSAddr, layer_scans, rs_scan, write_values
 
 
 def exact_ceil(fraction: float, n: int) -> int:
@@ -110,19 +110,13 @@ class RelLayoutRSY:
         needed = sorted(k * slot + w
                         for slot in range(occupied_slots)
                         for w in query.projected)
-        last_rows = range((self.rows_used - 1) * self.spv + 1,
-                          self.rows_used * self.spv + 1)
         scans: List[Scan] = []
         for i in range(0, len(needed), napt):
             chunk = tuple(needed[i:i + napt])
             # the final sector row holds only the first n_last slots
-            restricted = tuple(t for t in chunk if (t - 1) // k < n_last)
-            prt = None
-            if len(restricted) != len(chunk):
-                prt = {s: restricted for s in last_rows}
-            scans.append(Scan(tips=chunk, start=1,
-                              length=self.rows_used * self.spv,
-                              per_row_tips=prt))
+            last = tuple(t for t in chunk if (t - 1) // k < n_last)
+            scans.append(rs_scan(1, self.spv,
+                                 [chunk] * (self.rows_used - 1) + [last]))
         return AccessPlan(scans)
 
     def k_values(self, query: RangeQuery) -> CostInput:

@@ -72,11 +72,13 @@ def rs_scan(start: int, unit_rows: int,
     """One scan over consecutive units of `unit_rows` rows from `start`.
 
     Unit i reads `unit_tips[i]`. The first unit's set is the scan's
-    default; every row of a unit with another set overrides it.
+    default; every row of a unit with another set overrides it.  A unit
+    that repeats the default object is skipped without comparing sets.
     """
     default = unit_tips[0]
     prt: Dict[int, Sequence[int]] = {
-        s: tips for i, tips in enumerate(unit_tips) if tips != default
+        s: tips for i, tips in enumerate(unit_tips)
+        if tips is not default and tips != default
         for s in range(start + i * unit_rows, start + (i + 1) * unit_rows)}
     return Scan(tips=default, start=start, length=len(unit_tips) * unit_rows,
                 per_row_tips=prt or None)

@@ -1,9 +1,13 @@
 """Straight-line physical mappings of the tuple-major and column-per-x
-layouts.  Each computes a value's tip, column and row without going
-through the Region-Sector address, so tests use it as an oracle for
-`rs_to_mems(layout.map(...))`."""
+layouts, and of the row and column stores.  Each computes a value's tip,
+column and row without going through the Region-Sector address or the
+layout's own block walk, so tests use it as an oracle for
+`rs_to_mems(layout.map(...))` or for the cells a store's image holds."""
 
-from memsrs.relational import RelLayoutRSY, _check_vw
+from typing import Tuple
+
+from memsrs.device import DeviceParams
+from memsrs.relational import RelationSchema, RelLayoutRSY, _check_vw
 from memsrs.rs import PhysAddr
 from memsrs.spatial import SSYLayout
 
@@ -28,3 +32,30 @@ def ssy_map_phys(lay: SSYLayout, x: int, y: int) -> PhysAddr:
     col, off = divmod(s0, p.sectors_y)
     return PhysAddr(tip % p.regions_x + 1, tip // p.regions_x + 1, col + 1,
                     off + 1 if col % 2 == 0 else p.sectors_y - off)
+
+
+def _block_cell(p: DeviceParams, block: int, offset: int) -> Tuple[int, int]:
+    """(tip, sector row) of tip `offset` of 0-based logical block `block`;
+    blocks walk one column through every tip group, then the next."""
+    col, rem = divmod(block, p.n_tips // p.n_active_tips * p.sectors_y)
+    group, row = divmod(rem, p.sectors_y)
+    return group * p.n_active_tips + offset + 1, col * p.sectors_y + row + 1
+
+
+def nsm_cell(p: DeviceParams, schema: RelationSchema, v: int,
+             w: int) -> Tuple[int, int]:
+    """(tip, sector row) of the first sector of value (v, w) in the row
+    store: whole tuples in order, n_active_tips // (k * spv) a block."""
+    spv = schema.sectors_per_value(p.sector_bits)
+    block, i = divmod(v - 1, p.n_active_tips // (schema.k * spv))
+    return _block_cell(p, block, (i * schema.k + w - 1) * spv)
+
+
+def dsm_cell(p: DeviceParams, schema: RelationSchema, v: int,
+             w: int) -> Tuple[int, int]:
+    """(tip, sector row) of the first sector of value (v, w) in the column
+    store: attribute w's values in tuple order in the w-th run of blocks."""
+    spv = schema.sectors_per_value(p.sector_bits)
+    per_block = p.n_active_tips // spv
+    block, i = divmod(v - 1, per_block)
+    return _block_cell(p, (w - 1) * -(-schema.n // per_block) + block, i * spv)

@@ -23,7 +23,7 @@ from memsrs.bench import (
     run_experiment4,
     sort_rows,
 )
-from memsrs.device import cmu_defaults
+from memsrs.device import DeviceParams, cmu_defaults
 from memsrs.emulator import Emulator
 from memsrs.relational import RangeQuery, RelationSchema, RelLayoutRSY, compile_rsy
 from perfbench import readback, tracing, workloads
@@ -240,13 +240,59 @@ def test_infeasible_relational_point_is_named(run, kw, message):
     assert isinstance(info.value.__cause__, ValueError)
 
 
-def test_infeasible_relational_point_fails_before_any_row(monkeypatch):
-    def no_rows(*args):
+@pytest.fixture
+def no_rows(monkeypatch):
+    def fail(*args):
         raise AssertionError("a row was made before the sweep was checked")
-    monkeypatch.setattr(bench, "_measured_row", no_rows)
-    monkeypatch.setattr(bench, "_lowerbound_row", no_rows)
+    monkeypatch.setattr(bench, "_measured_row", fail)
+    monkeypatch.setattr(bench, "_lowerbound_row", fail)
+
+
+def test_infeasible_relational_point_fails_before_any_row(no_rows):
     with pytest.raises(ValueError, match=r"^experiment 1, data_mb=100000, "):
         run_experiment1(sizes_mb=(5, 100000), seeds=(0,))
+
+
+@pytest.mark.parametrize("run, kw, message", [
+    (run_experiment1, {"sizes_mb": (5, 10, 5)},
+     r"experiment 1, data_mb=5, n_projection=8: sweep point"),
+    (run_experiment1, {"sizes_mb": (5,), "seeds": (0, 1, 0)},
+     r"experiment 1: seed 0"),
+    (run_experiment1, {"sizes_mb": (5,),
+                       "placements": ("nsm-griffin", "nsm-griffin")},
+     r"placement 'nsm-griffin'"),
+    (run_experiment2, {"size_mb": 5, "n_projections": (1, 1)},
+     r"experiment 2, data_mb=5, n_projection=1: sweep point"),
+    (run_experiment3, {"query_fracs": (0.0001, 0.0001)},
+     r"experiment 3, query_frac=0\.0001, aspect=1: sweep point"),
+    (run_experiment4, {"aspects": (1, 1 / 2, 1)},
+     r"experiment 4, query_frac=0\.01, aspect=1: sweep point"),
+    (run_experiment4, {"seeds": (3, 3)}, r"experiment 4: seed 3"),
+    (run_experiment4, {"placements": ("spatial-lowerbound",) * 2},
+     r"placement 'spatial-lowerbound'"),
+], ids=["exp1-point", "exp1-seed", "exp1-placement", "exp2-point",
+        "exp3-point", "exp4-point", "exp4-seed", "exp4-placement"])
+def test_repeated_input_fails_before_any_row(run, kw, message, no_rows):
+    # a repeat would only duplicate rows
+    with pytest.raises(ValueError, match=f"^{message} listed twice$"):
+        run(**{"seeds": (0,), **kw})
+
+
+def test_infeasible_spatial_point_fails_before_any_row(no_rows):
+    # aspect 1 is feasible and comes first; 1/16 of a 10% query is not
+    with pytest.raises(ValueError, match=r"^experiment 4, query_frac=0\.1, "
+                       r"aspect=0\.0625, seed=0: query shape 506x8095"):
+        run_experiment4(query_frac=0.1, aspects=(1, 1 / 16), seeds=(0,))
+
+
+def test_spatial_grid_error_names_the_point():
+    # 48x48 regions give 48x48 blocks, which 6400 is no multiple of
+    with pytest.raises(ValueError, match=(
+            r"^experiment 4, query_frac=0\.01, aspect=1: 48x48 blocks do not "
+            r"tile the 6400x6400 space$")) as info:
+        run_experiment4(DeviceParams(regions_x=48, regions_y=48), aspects=(1,),
+                        seeds=(0,))
+    assert isinstance(info.value.__cause__, ValueError)
 
 
 def test_infeasible_spatial_point_is_named():

@@ -1,8 +1,14 @@
 """Command-line front end tests.
 
 Each test drives `main` directly with an argv list; the console script
-is the same function behind a setuptools wrapper.
+is the same function behind a setuptools wrapper, and `python -m memsrs`
+and `python -m memsrs.cli` call it too.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -179,6 +185,33 @@ def test_bench_relation_larger_than_the_device_fails(capsys):
     assert err == ("error: experiment 1, data_mb=100000, n_projection=8: "
                    "relation needs 13107200000 sectors, the device holds "
                    "432000000\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["relational", "--sizes", "5,5", "--nproj", ""], "--sizes lists 5 twice"),
+    # checked before the size sweep runs
+    (["relational", "--nproj", "1,2,1"], "--nproj lists 1 twice"),
+    (["spatial", "--aspects", "1,1/2,2/4"], "--aspects lists 0.5 twice"),
+    (["spatial", "--query-sizes", "0.01,1e-2"], "--query-sizes lists 0.01 twice"),
+    (["spatial", "--placement", "spatial-lowerbound",
+      "--placement", "spatial-lowerbound"],
+     "placement 'spatial-lowerbound' listed twice"),
+], ids=["sizes", "nproj", "aspects", "query-sizes", "placement"])
+def test_bench_repeated_input_fails(argv, message, capsys):
+    code, out, err = run_cli(["bench"] + argv + ["--repeats", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("module", ["memsrs", "memsrs.cli"])
+def test_python_m_runs_the_cli(module):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", module, "info"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "n_tips = 6400\n" in done.stdout
 
 
 @pytest.mark.parametrize("command", ["relational", "spatial"])

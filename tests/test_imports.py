@@ -1,14 +1,23 @@
-"""Every name a `memsrs` module imports is used in that module, and every
-name the package exports exists."""
+"""Every name a `memsrs` module imports is used in that module, every
+top-level function and class is named somewhere outside its own
+definition, and every name the package exports exists."""
 
 import ast
+import functools
+import re
 from pathlib import Path
 
 import pytest
 
 import memsrs
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "memsrs"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "memsrs"
+# where a definition may be named: the code, its tests, the benchmark
+# harness, the experiment scripts and the packaging metadata
+SEARCHED = ("src", "tests", "perfbench", "scripts")
+# a string naming code: "compile_nsm", "RelLayoutRP.compile", "memsrs.cli:main"
+_CODE_PATH = re.compile(r"[A-Za-z_][\w.:]*")
 
 
 def unused_imports(source: str):
@@ -34,6 +43,43 @@ def unused_imports(source: str):
                   if name not in used)
 
 
+def names(node: ast.AST) -> set:
+    """Identifiers the node names: names, attributes, imported names and
+    the parts of strings that are code paths."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.update(sub.name.split("."))
+        elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+              and _CODE_PATH.fullmatch(sub.value)):
+            out.update(re.split(r"[.:]", sub.value))
+    return out
+
+
+def unnamed_definitions(source: str, elsewhere: set):
+    """(line, name) of each top-level function or class of the source
+    that neither `elsewhere` nor the source's other statements name."""
+    tree = ast.parse(source)
+    named = [names(node) for node in tree.body]
+    return [(node.lineno, node.name) for i, node in enumerate(tree.body)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and node.name not in elsewhere.union(*named[:i], *named[i + 1:])]
+
+
+@functools.lru_cache(maxsize=None)
+def _names_by_file() -> dict:
+    found = {path: names(ast.parse(path.read_text(encoding="utf-8")))
+             for top in SEARCHED for path in sorted((ROOT / top).rglob("*.py"))}
+    pyproject = ROOT / "pyproject.toml"
+    found[pyproject] = set(re.findall(r"\w+", pyproject.read_text(encoding="utf-8")))
+    return found
+
+
 def test_checker_finds_an_unused_import():
     source = ("from __future__ import annotations\n"
               "import os.path\n"
@@ -45,9 +91,36 @@ def test_checker_finds_an_unused_import():
     assert unused_imports(source) == [(2, "os"), (3, "Opt")]
 
 
+def test_checker_finds_an_unnamed_definition():
+    source = ("def used():\n"
+              "    return 1\n"
+              "def recursive(n):\n"
+              "    return recursive(n - 1)\n"
+              "class Elsewhere:\n"
+              "    pass\n"
+              "def traced():\n"
+              "    'A docstring does not name unnamed().'\n"
+              "def unnamed():\n"
+              "    pass\n"
+              "VALUE = used()\n"
+              "TARGETS = ('module.traced', 'unnamed')\n")
+    # 'unnamed' is a code path too; without that string it is found
+    assert unnamed_definitions(source, {"Elsewhere"}) == [(3, "recursive")]
+    source = source.replace(", 'unnamed')", ")")
+    assert unnamed_definitions(source, {"Elsewhere"}) == [(3, "recursive"),
+                                                          (9, "unnamed")]
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_definition_is_named(path):
+    elsewhere = set().union(*(found for other, found in _names_by_file().items()
+                              if other != path))
+    assert unnamed_definitions(path.read_text(encoding="utf-8"), elsewhere) == []
 
 
 def test_every_exported_name_exists():

@@ -136,8 +136,8 @@ def test_full_device_settle_count_beats_multipass():
 def test_nsm_block_count_320mb():
     n = 320 * 2**20 // (16 * 8)
     layout = NsmLayout(CMU, RelationSchema(k=16, n=n))
-    assert layout.tuples_per_block == 80
-    assert layout.n_blocks == 32768
+    assert layout.records_per_block == 80
+    assert layout.sub_blocks == 32768
 
 
 def test_nsm_reads_whole_relation_regardless_of_query():
@@ -174,8 +174,8 @@ def test_nsm_capacity_error():
 def test_nsm_read_back_with_slack_zeros():
     schema = RelationSchema(k=4, n=37)
     layout = NsmLayout(RED, schema)
-    assert layout.tuples_per_block == 4
-    assert layout.n_blocks == 10
+    assert layout.records_per_block == 4
+    assert layout.sub_blocks == 10
     im = MediaImage(RED)
     write_image_nsm(layout, im, lambda t, w: bytes([t, w, 0, 0, 0, 0, 0, 0]))
     _, data = Emulator(RED).read(compile_nsm(layout), im)
@@ -191,8 +191,8 @@ def test_nsm_read_back_with_slack_zeros():
 def test_dsm_blocks_per_attribute():
     n = 320 * 2**20 // (16 * 8)
     layout = DsmLayout(CMU, RelationSchema(k=16, n=n))
-    assert layout.values_per_block == 1280
-    assert layout.blocks_per_attr == 2048
+    assert layout.records_per_block == 1280
+    assert layout.sub_blocks == 2048
 
 
 def test_dsm_single_attribute_volume():
@@ -222,7 +222,7 @@ def test_dsm_full_projection_equals_row_store_plan():
 def test_dsm_read_back_non_adjacent_attributes():
     schema = RelationSchema(k=4, n=37)
     layout = DsmLayout(RED, schema)
-    assert layout.blocks_per_attr == 3
+    assert layout.sub_blocks == 3
     im = MediaImage(RED)
     write_image_dsm(layout, im, lambda t, w: bytes([t, w, 0, 0, 0, 0, 0, 0]))
     q = RangeQuery(projected=(2, 4), predicate_attr=2, bound=1_000_000,

@@ -26,6 +26,7 @@ from memsrs.rs import (
 from memsrs.spatial import (QueryRegion, SpatialSpace, SSYLayout,
                             build_block_grid, compile_sp, write_image_sp,
                             write_image_ssy)
+from tests.oracles import dsm_cell, nsm_cell
 
 CMU = cmu_defaults()
 TINY = DeviceParams(regions_x=3, regions_y=3, sectors_x=4, sectors_y=3,
@@ -151,6 +152,12 @@ def test_rs_read_splits_in_ascending_region_order():
 def test_rs_scan_equal_sets_give_no_overrides():
     scan = rs_scan(5, 2, [(1, 2), (1, 2), (1, 2)])
     assert scan == Scan(tips=(1, 2), start=5, length=6, per_row_tips=None)
+    # the default object repeated, then an equal copy of it
+    default = (1, 2)
+    copy = tuple([1, 2])
+    assert copy is not default
+    scan = rs_scan(5, 2, [default, default, copy])
+    assert scan == Scan(tips=(1, 2), start=5, length=6, per_row_tips=None)
 
 
 def test_rs_scan_other_set_overrides_every_row_of_its_unit():
@@ -248,25 +255,34 @@ def test_layered_plans_read_back_their_contract(rx, ry, napt, sy, extra_x, spv,
             assert _chunks(data, 10) == want
 
 
-@settings(max_examples=40, deadline=None)
-@given(rx=st.sampled_from((1, 2, 4)), ry=st.sampled_from((1, 2, 4)),
-       sy=st.integers(1, 6), extra_x=st.integers(0, 2), n=st.integers(1, 60),
-       data=st.data(), rng=st.randoms())
-def test_row_and_column_stores_read_back_their_contract(rx, ry, sy, extra_x, n,
-                                                        data, rng):
-    # the tips split into whole groups of n_active_tips, and one tuple
-    # (row store) or one value (column store) fits a group's sector row
+@st.composite
+def _packed_geometry(draw):
+    """A device and relation where the tips split into whole groups of
+    n_active_tips, one tuple (row store) or one value (column store) fits
+    a group's sector row, and both stores fit the device."""
+    rx = draw(st.sampled_from((1, 2, 4)))
+    ry = draw(st.sampled_from((1, 2, 4)))
+    sy = draw(st.integers(1, 6))
+    extra_x = draw(st.integers(0, 2))
+    n = draw(st.integers(1, 60))
     n_tips = rx * ry
-    napt = data.draw(st.sampled_from([g for g in (1, 2, 4, 8, 16) if g <= n_tips]))
-    spv = data.draw(st.integers(1, min(3, napt)))
-    k = data.draw(st.integers(1, min(4, napt // spv)))
+    napt = draw(st.sampled_from([g for g in (1, 2, 4, 8, 16) if g <= n_tips]))
+    spv = draw(st.integers(1, min(3, napt)))
+    k = draw(st.integers(1, min(4, napt // spv)))
     blocks = max(-(-n // (napt // (k * spv))), k * -(-n // (napt // spv)))
     groups = n_tips // napt
     p = DeviceParams(regions_x=rx, regions_y=ry, sectors_y=sy,
                      sectors_x=-(-blocks // (groups * sy)) + extra_x,
                      n_active_tips=napt, sector_bits=80)
+    return p, RelationSchema(k=k, n=n, attr_bits=80 * spv), spv
+
+
+@settings(max_examples=40, deadline=None)
+@given(geometry=_packed_geometry(), rng=st.randoms())
+def test_row_and_column_stores_read_back_their_contract(geometry, rng):
+    p, schema, spv = geometry
+    n, k = schema.n, schema.k
     em = Emulator(p)
-    schema = RelationSchema(k=k, n=n, attr_bits=80 * spv)
     nsm, dsm = NsmLayout(p, schema), DsmLayout(p, schema)
     value = lambda a, b: b"".join(_cells((a, b), spv))
     images = {"nsm": MediaImage(p), "dsm": MediaImage(p)}
@@ -288,6 +304,33 @@ def test_row_and_column_stores_read_back_their_contract(rx, ry, sy, extra_x, n,
         assert read(compile_dsm(dsm, q), "dsm") == sorted(
             c for v in range(1, n + 1) for w in proj
             for c in _cells((v, w), spv))
+
+
+@settings(max_examples=40, deadline=None)
+@given(geometry=_packed_geometry())
+def test_row_and_column_stores_write_the_straight_line_cells(geometry):
+    p, schema, spv = geometry
+    n, k = schema.n, schema.k
+    value = lambda a, b: b"".join(_cells((a, b), spv))
+    for layout, cell in ((NsmLayout(p, schema), nsm_cell),
+                         (DsmLayout(p, schema), dsm_cell)):
+        image = MediaImage(p)
+        layout.write_image(image, value)
+        want = {}
+        for v in range(1, n + 1):
+            for w in range(1, k + 1):
+                tip, s = cell(p, schema, v, w)
+                for d, c in enumerate(_cells((v, w), spv)):
+                    want[tip + d, s] = c
+        assert len(want) == n * k * spv  # the oracle gives every sector a cell
+        assert image._cells == want
+    # the row store reads every block whatever the query projects
+    nsm = NsmLayout(p, schema)
+    for mask in range(1, 2 ** k):
+        proj = tuple(w for w in range(1, k + 1) if mask >> (w - 1) & 1)
+        q = RangeQuery(projected=proj, predicate_attr=proj[0], bound=0,
+                       selectivity=0.5)
+        assert nsm.compile(q) == compile_nsm(nsm)
 
 
 # -- every image writer checks the payload length --------------------------
