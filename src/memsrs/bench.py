@@ -37,9 +37,9 @@ from .linear import DsmLayout, NsmLayout, compile_dsm, compile_nsm
 from .relational import (RangeQuery, RelationSchema, RelLayoutRP, RelLayoutRSY,
                          exact_ceil)
 from .rs import rs_params
-from .spatial import (QueryRegion, SpatialSpace, SSYLayout, build_block_grid,
-                      compile_sp, query_block_set)
-from .workload import PREDICATE_BOUND, Relation, gen_query_region
+from .spatial import (_CURVES, QueryRegion, SpatialSpace, SSYLayout,
+                      build_block_grid, compile_sp, query_block_set)
+from .workload import _QUAL_MODES, PREDICATE_BOUND, Relation, gen_query_region
 
 # The paper's data: a relation of 16 attributes of 8 bytes each, whose
 # tuple count follows from the sweep's data size, and a 6400 x 6400 grid
@@ -134,16 +134,23 @@ def _check_unique(values: Iterable, name) -> None:
         seen.add(value)
 
 
-def _check_inputs(experiment: int, seeds: Sequence[int], given: Sequence[str],
-                  known: Sequence[str]) -> None:
-    """Every placement known, and no placement or seed repeated: a repeat
-    would only make duplicate rows."""
+def _check_option(option: str, value: str, known: Iterable[str]) -> None:
+    if value not in known:
+        raise ValueError(f"unknown {option} {value!r}; "
+                         f"expected one of {', '.join(known)}")
+
+
+def _check_inputs(params: DeviceParams, experiment: int, seeds: Sequence[int],
+                  given: Sequence[str], known: Sequence[str],
+                  seek_model: str) -> None:
+    """Every placement and the seek model known, and no placement or seed
+    repeated: a repeat would only make duplicate rows.  The seek model is
+    checked by the emulator, also when no chosen placement runs it."""
     for name in given:
-        if name not in known:
-            raise ValueError(f"unknown placement {name!r}; "
-                             f"expected one of {', '.join(known)}")
+        _check_option("placement", name, known)
     _check_unique(given, lambda name: f"placement {name!r}")
     _check_unique(seeds, lambda seed: f"experiment {experiment}: seed {seed}")
+    Emulator(params, seek_model)
 
 
 # -- relational sweeps --------------------------------------------------------
@@ -186,7 +193,9 @@ def _relational_rows(params: DeviceParams, experiment: int,
                      selectivity: float, seeds: Sequence[int],
                      placements: Sequence[str], qual_mode: str,
                      seek_model: str) -> List[Row]:
-    _check_inputs(experiment, seeds, placements, RELATIONAL_PLACEMENTS)
+    _check_inputs(params, experiment, seeds, placements, RELATIONAL_PLACEMENTS,
+                  seek_model)
+    _check_option("qualifying mode", qual_mode, _QUAL_MODES)
     _check_unique(points, lambda pt: f"{_relational_name(experiment, *pt)}: "
                                      f"sweep point")
     cache: dict = {}
@@ -291,7 +300,9 @@ def _spatial_rows(params: DeviceParams, experiment: int,
                   points: Sequence[Tuple[float, float]], *,
                   seeds: Sequence[int], placements: Sequence[str],
                   curve: str, seek_model: str) -> List[Row]:
-    _check_inputs(experiment, seeds, placements, SPATIAL_PLACEMENTS)
+    _check_inputs(params, experiment, seeds, placements, SPATIAL_PLACEMENTS,
+                  seek_model)
+    _check_option("curve", curve, _CURVES)
     _check_unique(points, lambda pt: f"{_spatial_name(experiment, *pt)}: "
                                      f"sweep point")
     data_mb = _SPACE.width * _SPACE.height * _SPACE.obj_bits / 8 / 2**20

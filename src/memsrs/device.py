@@ -35,7 +35,10 @@ class DeviceParams:
     def __post_init__(self) -> None:
         for name in ("regions_x", "regions_y", "sectors_x", "sectors_y",
                      "n_active_tips", "sector_bits"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
                 raise ValueError(f"{name} must be >= 1")
         for name in ("tip_rate_bits_s", "move_x_s", "move_y_s",
                      "settle_time_s", "turnaround_time_s"):

@@ -111,35 +111,38 @@ class SSYLayout:
 
 # -- block layout -----------------------------------------------------------
 
-def _hilbert_xy2d(side: int, x: int, y: int) -> int:
-    """Position of cell (x, y), 0-based, along the Hilbert curve on a
-    `side` x `side` grid, `side` a power of two."""
-    d = 0
-    s = side // 2
-    while s:
-        rx = 1 if x & s else 0
-        ry = 1 if y & s else 0
-        d += s * s * ((3 * rx) ^ ry)
-        if ry == 0:
-            if rx == 1:
-                x = s - 1 - x
-                y = s - 1 - y
-            x, y = y, x
-        s //= 2
-    return d
+_TILE = 8  # side of the squares the curve walk emits from a stored order
 
 
-def _zorder_xy2d(x: int, y: int) -> int:
-    """Z-order position of cell (x, y), 0-based: the bits of x and y
-    interleaved, x in the even bits."""
-    d = 0
-    i = 0
-    while x or y:
-        d |= (x & 1) << (2 * i) | (y & 1) << (2 * i + 1)
-        x >>= 1
-        y >>= 1
-        i += 1
-    return d
+def _turn(n: int, o: int, x: int, y: int) -> Tuple[int, int]:
+    """Cell (x, y) of an n-side square under orientation `o`: bit 1 swaps
+    the axes, then bit 0 reverses both."""
+    if o & 2:
+        x, y = y, x
+    return (n - 1 - x, n - 1 - y) if o & 1 else (x, y)
+
+
+def _curve_walk(quads):
+    """A curve's walk tables from its quadrants in visiting order, each
+    (x bit, y bit, orientation); orientations compose by xor.  Per
+    orientation, the quadrants last first; per (side up to _TILE,
+    orientation), the square's cells in curve order."""
+    kids = {o: [(*_turn(2, o, x, y), o ^ t) for x, y, t in reversed(quads)]
+            for o in range(4)}
+    tiles, order, n = {}, [(0, 0)], 1
+    while n <= _TILE:
+        for o in range(4):
+            tiles[n, o] = [_turn(n, o, *c) for c in order]
+        order = [(qx * n + x, qy * n + y) for qx, qy, t in quads
+                 for x, y in (_turn(n, t, *c) for c in order)]
+        n *= 2
+    return kids, tiles
+
+
+# Hilbert swaps its first quadrant's axes and swaps and reverses its last;
+# Z-order visits four quadrants as they are, x first
+_CURVES = {"hilbert": _curve_walk(((0, 0, 2), (0, 1, 0), (1, 1, 0), (1, 0, 3))),
+           "zorder": _curve_walk(((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)))}
 
 
 @dataclass(frozen=True)
@@ -194,7 +197,7 @@ def build_block_grid(params: DeviceParams, space: SpatialSpace, ratio: float,
     Candidate dimensions are the factor pairs of the region count whose own
     ratio is a power of two, so the curve runs on a power-of-two grid.
     """
-    if curve not in ("hilbert", "zorder"):
+    if curve not in _CURVES:
         raise ValueError(f"unknown curve: {curve!r}")
     if not 0 < ratio < math.inf:
         raise ValueError(f"aspect ratio must be positive and finite, got {ratio}")
@@ -213,18 +216,25 @@ def build_block_grid(params: DeviceParams, space: SpatialSpace, ratio: float,
     spo = -(-space.obj_bits // params.sector_bits)
     if g_x * g_y * spo > params.sectors_per_region:
         raise ValueError("space does not fit the device under this layout")
-    # blocks in curve order: the curve covers the smallest power-of-two
-    # square holding the grid, and cells outside the grid are skipped
-    order = [(x, y) for x in range(1, g_x + 1) for y in range(1, g_y + 1)]
-    if curve == "hilbert":
-        side = 1
-        while side < max(g_x, g_y):
-            side *= 2
-        order.sort(key=lambda c: _hilbert_xy2d(side, c[0] - 1, c[1] - 1))
-    else:
-        order.sort(key=lambda c: _zorder_xy2d(c[0] - 1, c[1] - 1))
+    # blocks in curve order: one walk over the smallest power-of-two square
+    # holding the grid skips sub-squares outside it and emits each tile
+    kids, tiles = _CURVES[curve]
+    side = 1
+    while side < max(g_x, g_y):
+        side *= 2
+    order: List[Tuple[int, int]] = []
+    stack = [(1, 1, side, 0)]
+    while stack:
+        x0, y0, n, o = stack.pop()
+        if n <= _TILE:
+            order += [(x0 + x, y0 + y) for x, y in tiles[n, o]
+                      if x0 + x <= g_x and y0 + y <= g_y]
+            continue
+        n //= 2
+        stack += [(x0 + x * n, y0 + y * n, n, t) for x, y, t in kids[o]
+                  if x0 + x * n <= g_x and y0 + y * n <= g_y]
     return BlockGrid(params=params, space=space, B_x=b_x, B_y=b_y, spo=spo,
-                     rank={cell: i + 1 for i, cell in enumerate(order)})
+                     rank={cell: i for i, cell in enumerate(order, 1)})
 
 
 def _spans(lo: int, hi: int, size: int) -> List[Tuple[int, int, int]]:

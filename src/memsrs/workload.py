@@ -13,6 +13,8 @@ from .spatial import QueryRegion, SpatialSpace
 
 # range predicates select tuples whose first attribute exceeds this
 PREDICATE_BOUND = 1_000_000
+# how `Relation.qualifying_set` places the qualifying tuples
+_QUAL_MODES = ("uniform", "clustered")
 
 
 @dataclass(frozen=True)
@@ -25,13 +27,13 @@ class Relation:
         """Tuple ids satisfying the predicate; exactly ceil(sigma*n) of them."""
         if not 0.0 <= sigma <= 1.0:
             raise ValueError("selectivity must be within [0, 1]")
+        if mode not in _QUAL_MODES:
+            raise ValueError(f"unknown qualifying mode {mode!r}")
         m = exact_ceil(sigma, self.n)
-        if mode == "uniform":
-            rng = random.Random(f"{self.seed}:qualifying")
-            return tuple(sorted(rng.sample(range(1, self.n + 1), m)))
         if mode == "clustered":
             return tuple(range(1, m + 1))
-        raise ValueError(f"unknown qualifying mode {mode!r}")
+        rng = random.Random(f"{self.seed}:qualifying")
+        return tuple(sorted(rng.sample(range(1, self.n + 1), m)))
 
 
 def gen_query_region(space: SpatialSpace, size_fraction: float, aspect: float,

@@ -2,9 +2,11 @@
 layouts, and of the row and column stores.  Each computes a value's tip,
 column and row without going through the Region-Sector address or the
 layout's own block walk, so tests use it as an oracle for
-`rs_to_mems(layout.map(...))` or for the cells a store's image holds."""
+`rs_to_mems(layout.map(...))` or for the cells a store's image holds.
+The curve keys order a block grid by sorting every cell on its position
+along the curve, an oracle for `build_block_grid`'s quadrant walk."""
 
-from typing import Tuple
+from typing import List, Tuple
 
 from memsrs.device import DeviceParams
 from memsrs.relational import RelationSchema, RelLayoutRSY, _check_vw
@@ -59,3 +61,49 @@ def dsm_cell(p: DeviceParams, schema: RelationSchema, v: int,
     per_block = p.n_active_tips // spv
     block, i = divmod(v - 1, per_block)
     return _block_cell(p, (w - 1) * -(-schema.n // per_block) + block, i * spv)
+
+
+def _hilbert_xy2d(side: int, x: int, y: int) -> int:
+    """Position of cell (x, y), 0-based, along the Hilbert curve on a
+    `side` x `side` grid, `side` a power of two."""
+    d = 0
+    s = side // 2
+    while s:
+        rx = 1 if x & s else 0
+        ry = 1 if y & s else 0
+        d += s * s * ((3 * rx) ^ ry)
+        if ry == 0:
+            if rx == 1:
+                x = s - 1 - x
+                y = s - 1 - y
+            x, y = y, x
+        s //= 2
+    return d
+
+
+def _zorder_xy2d(x: int, y: int) -> int:
+    """Z-order position of cell (x, y), 0-based: the bits of x and y
+    interleaved, x in the even bits."""
+    d = 0
+    i = 0
+    while x or y:
+        d |= (x & 1) << (2 * i) | (y & 1) << (2 * i + 1)
+        x >>= 1
+        y >>= 1
+        i += 1
+    return d
+
+
+def curve_key_order(curve: str, g_x: int, g_y: int) -> List[Tuple[int, int]]:
+    """The 1-based cells of a g_x x g_y block grid sorted by their curve
+    key; the Hilbert curve covers the smallest power-of-two square
+    holding the grid."""
+    order = [(x, y) for x in range(1, g_x + 1) for y in range(1, g_y + 1)]
+    if curve == "hilbert":
+        side = 1
+        while side < max(g_x, g_y):
+            side *= 2
+        order.sort(key=lambda c: _hilbert_xy2d(side, c[0] - 1, c[1] - 1))
+    else:
+        order.sort(key=lambda c: _zorder_xy2d(c[0] - 1, c[1] - 1))
+    return order

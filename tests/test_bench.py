@@ -278,6 +278,28 @@ def test_repeated_input_fails_before_any_row(run, kw, message, no_rows):
         run(**{"seeds": (0,), **kw})
 
 
+@pytest.mark.parametrize("run, kw, message", [
+    (run_experiment3, {"query_fracs": (0.0001,),
+                       "placements": ("spatial-sequential-yu",),
+                       "curve": "peano"},
+     r"unknown curve 'peano'; expected one of hilbert, zorder"),
+    (run_experiment1, {"sizes_mb": (5,),
+                       "placements": ("relational-lowerbound",),
+                       "seek_model": "bogus"},
+     r"unknown seek model: 'bogus'"),
+    (run_experiment4, {"placements": ("spatial-lowerbound",),
+                       "seek_model": "bogus"},
+     r"unknown seek model: 'bogus'"),
+    (run_experiment1, {"sizes_mb": (5,), "placements": ("nsm-griffin",),
+                       "qual_mode": "bogus"},
+     r"unknown qualifying mode 'bogus'; expected one of uniform, clustered"),
+], ids=["exp3-curve", "exp1-seek-model", "exp4-seek-model", "exp1-qual-mode"])
+def test_unknown_option_fails_before_any_row(run, kw, message, no_rows):
+    # checked even when no chosen placement uses the option
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run(**{"seeds": (0,), **kw})
+
+
 def test_infeasible_spatial_point_fails_before_any_row(no_rows):
     # aspect 1 is feasible and comes first; 1/16 of a 10% query is not
     with pytest.raises(ValueError, match=r"^experiment 4, query_frac=0\.1, "

@@ -69,6 +69,15 @@ def test_invalid_params_rejected():
         DeviceParams(regions_x=2, regions_y=2, n_active_tips=5)
 
 
+@pytest.mark.parametrize("field", ["regions_x", "regions_y", "sectors_x",
+                                   "sectors_y", "n_active_tips", "sector_bits"])
+@pytest.mark.parametrize("value", [80.5, 4.0, True])
+def test_non_integer_count_rejected(field, value):
+    with pytest.raises(ValueError,
+                       match=f"^{field} must be an integer, got {value!r}$"):
+        DeviceParams(**{field: value})
+
+
 @pytest.mark.parametrize("field", ["tip_rate_bits_s", "move_x_s", "move_y_s",
                                    "settle_time_s", "turnaround_time_s"])
 @pytest.mark.parametrize("value", [math.inf, math.nan])

@@ -1,6 +1,7 @@
 """Spatial placements: space mapping, block grid, curve orders, compilers."""
 
 import math
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -25,7 +26,7 @@ from memsrs.spatial import (
     write_image_ssy,
 )
 from memsrs.workload import gen_query_region
-from tests.oracles import ssy_map_phys
+from tests.oracles import curve_key_order, ssy_map_phys
 
 CMU = cmu_defaults()
 TINY = DeviceParams(regions_x=3, regions_y=3, sectors_x=4, sectors_y=3,
@@ -221,6 +222,54 @@ def test_block_order_matches_curve_walk(curve, g_x, g_y):
     assert grid_size(grid) == (g_x, g_y)
     assert curve_order(grid) == _walk_order(curve, g_x, g_y)
     assert sorted(grid.rank.values()) == list(range(1, g_x * g_y + 1))
+
+
+def assert_rank_is_key_order(grid, curve):
+    g_x, g_y = grid_size(grid)
+    assert list(grid.rank.items()) == [
+        (cell, i) for i, cell in enumerate(curve_key_order(curve, g_x, g_y), 1)]
+
+
+@pytest.mark.parametrize("curve", ["hilbert", "zorder"])
+@pytest.mark.parametrize("ratio, shape", [(1, (80, 80)), (1 / 16, (20, 320)),
+                                          (1 / 4, (40, 160)), (4, (160, 40)),
+                                          (16, (320, 20))])
+def test_block_rank_matches_curve_key_sort_at_cmu_shapes(curve, ratio, shape):
+    # the five block shapes of the exp3/exp4 aspects
+    grid = build_block_grid(CMU, SPACE, ratio=ratio, curve=curve)
+    assert (grid.B_x, grid.B_y) == shape
+    assert_rank_is_key_order(grid, curve)
+
+
+@settings(max_examples=60, deadline=None)
+@given(curve=st.sampled_from(["hilbert", "zorder"]), g_x=st.integers(1, 40),
+       g_y=st.integers(1, 40))
+def test_block_rank_matches_curve_key_sort(curve, g_x, g_y):
+    # one region, so blocks are single objects and the grid is the space
+    dev = DeviceParams(regions_x=1, regions_y=1, sectors_x=64, sectors_y=27,
+                       n_active_tips=1)
+    grid = build_block_grid(dev, SpatialSpace(width=g_x, height=g_y, obj_bits=64),
+                            ratio=1.0, curve=curve)
+    assert_rank_is_key_order(grid, curve)
+
+
+@pytest.mark.parametrize("ratio", [1.0, 1 / 16])
+def test_block_grid_order_is_not_built_per_cell(ratio):
+    # the 6400 blocks are ordered by a walk over quadrants and tiles; a
+    # per-cell curve key makes about two Python calls per block
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        build_block_grid(CMU, SPACE, ratio=ratio)
+    finally:
+        sys.setprofile(previous)
+    assert calls < 1300
 
 
 def test_block_grid_rejections():
