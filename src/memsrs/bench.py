@@ -37,7 +37,7 @@ from .linear import DsmLayout, NsmLayout, compile_dsm, compile_nsm
 from .relational import (RangeQuery, RelationSchema, RelLayoutRP, RelLayoutRSY,
                          exact_ceil)
 from .rs import rs_params
-from .spatial import (_CURVES, QueryRegion, SpatialSpace, SSYLayout,
+from .spatial import (CURVES, QueryRegion, SpatialSpace, SSYLayout,
                       build_block_grid, compile_sp, query_block_set)
 from .workload import _QUAL_MODES, PREDICATE_BOUND, Relation, gen_query_region
 
@@ -302,7 +302,7 @@ def _spatial_rows(params: DeviceParams, experiment: int,
                   curve: str, seek_model: str) -> List[Row]:
     _check_inputs(params, experiment, seeds, placements, SPATIAL_PLACEMENTS,
                   seek_model)
-    _check_option("curve", curve, _CURVES)
+    _check_option("curve", curve, CURVES)
     _check_unique(points, lambda pt: f"{_spatial_name(experiment, *pt)}: "
                                      f"sweep point")
     data_mb = _SPACE.width * _SPACE.height * _SPACE.obj_bits / 8 / 2**20

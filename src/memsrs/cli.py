@@ -15,7 +15,9 @@ from typing import List, Optional, Sequence
 
 from . import bench
 from .device import DeviceParams, cmu_defaults, load_config
+from .emulator import SEEK_MODELS
 from .rs import PhysAddr, RSAddr, mems_to_rs, rs_params, rs_to_mems
+from .spatial import CURVES
 
 
 def _ratio(token: str) -> float:
@@ -158,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = argparse.ArgumentParser(add_help=False)
     run.add_argument("--placement", action="append", metavar="NAME",
                      help="restrict to one placement (repeatable)")
-    run.add_argument("--seek-model", choices=("average", "distance"),
+    run.add_argument("--seek-model", choices=SEEK_MODELS,
                      default="average")
     run.add_argument("--seed", type=int, default=0, metavar="N",
                      help="first seed (default 0)")
@@ -208,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="LIST",
                      help="query aspect sweep; fractions like 1/16 are fine "
                           "(empty string skips it)")
-    spa.add_argument("--curve", choices=("hilbert", "zorder"),
+    spa.add_argument("--curve", choices=CURVES,
                      default="hilbert")
     spa.set_defaults(handler=cmd_bench_spatial)
 

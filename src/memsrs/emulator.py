@@ -14,15 +14,21 @@ the seek charges.  `read` walks the same passes and also reads each
 pass's cells, so it returns the same `Timing` as `execute`.
 
 A plan is validated once, in full, before the sled moves, so an invalid
-plan raises `ValueError` and leaves the sled state unchanged.
+plan raises `ValueError` and leaves the sled state unchanged.  `read`
+also checks once, before the sled moves, that the media image covers
+the emulator's geometry; it then fetches each pass row's cells in one
+batch, and unwritten cells read as zeros.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .device import DeviceParams
+
+SEEK_MODELS = ("average", "distance")
 
 
 def _col_of(s: int, sy: int) -> int:
@@ -97,24 +103,18 @@ class MediaImage:
             raise ValueError("sector_bits must be a whole number of bytes")
         self.params = params
         self.sector_bytes = params.sector_bits // 8
+        self.n_regions = params.n_regions
+        self.sectors_per_region = params.sectors_per_region
         self._cells: Dict[Tuple[int, int], bytes] = {}
 
-    def _check(self, region: int, s: int) -> None:
-        p = self.params
-        if not 1 <= region <= p.n_regions:
-            raise ValueError(f"region {region} out of range 1..{p.n_regions}")
-        if not 1 <= s <= p.sectors_per_region:
-            raise ValueError(f"row {s} out of range 1..{p.sectors_per_region}")
-
     def write_cell(self, region: int, s: int, data: bytes) -> None:
-        self._check(region, s)
+        if not 1 <= region <= self.n_regions:
+            raise ValueError(f"region {region} out of range 1..{self.n_regions}")
+        if not 1 <= s <= self.sectors_per_region:
+            raise ValueError(f"row {s} out of range 1..{self.sectors_per_region}")
         if len(data) != self.sector_bytes:
             raise ValueError(f"cell payload must be {self.sector_bytes} bytes")
         self._cells[(region, s)] = bytes(data)
-
-    def read_cell(self, region: int, s: int) -> bytes:
-        self._check(region, s)
-        return self._cells.get((region, s), bytes(self.sector_bytes))
 
 
 def _check_tips(tips: Sequence[int], n_tips: int) -> None:
@@ -156,7 +156,7 @@ class Emulator:
     """Executes access plans scan by scan, accumulating a timing trace."""
 
     def __init__(self, params: DeviceParams, seek_model: str = "average"):
-        if seek_model not in ("average", "distance"):
+        if seek_model not in SEEK_MODELS:
             raise ValueError(f"unknown seek model: {seek_model!r}")
         self.params = params
         self.seek_model = seek_model
@@ -205,6 +205,16 @@ class Emulator:
     def _run(self, plan: AccessPlan, media: Optional[MediaImage]):
         self._validate(plan)
         p = self.params
+        if media is not None:
+            # with the plan inside the emulator's geometry, one check here
+            # stands in for a bound check per cell
+            if (media.n_regions < p.n_tips
+                    or media.sectors_per_region < p.sectors_per_region):
+                raise ValueError(
+                    f"media image of {media.n_regions} regions x "
+                    f"{media.sectors_per_region} rows does not cover the "
+                    f"emulator's {p.n_tips} tips x {p.sectors_per_region} rows")
+            get, zero = media._cells.get, bytes(media.sector_bytes)
         napt = p.n_active_tips
         sy = p.sectors_y
         seek_s = 0.0
@@ -263,8 +273,8 @@ class Emulator:
                     rows = (range(lo_n, hi_n + 1) if dirn > 0
                             else range(hi_n, lo_n - 1, -1))
                     for s in rows:
-                        for tip in prt.get(s, tips)[base:base + napt]:
-                            out.append(media.read_cell(tip, s))
+                        row_tips = prt.get(s, tips)[base:base + napt]
+                        out += map(get, zip(row_tips, repeat(s)), repeat(zero))
                 last_dir = -last_dir if far == pos else dirn
                 pos = far
                 base += napt

@@ -143,6 +143,8 @@ def _curve_walk(quads):
 # Z-order visits four quadrants as they are, x first
 _CURVES = {"hilbert": _curve_walk(((0, 0, 2), (0, 1, 0), (1, 1, 0), (1, 0, 3))),
            "zorder": _curve_walk(((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)))}
+# the curve names `bench` and the CLI accept
+CURVES = tuple(_CURVES)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ is the same function behind a setuptools wrapper, and `python -m memsrs`
 and `python -m memsrs.cli` call it too.
 """
 
+import argparse
 import os
 import subprocess
 import sys
@@ -13,9 +14,11 @@ from pathlib import Path
 import pytest
 
 from memsrs import bench
-from memsrs.cli import main
+from memsrs.cli import build_parser, main
 from memsrs.device import DeviceParams, cmu_defaults, to_config_text
+from memsrs.emulator import SEEK_MODELS
 from memsrs.rs import rs_params
+from memsrs.spatial import CURVES
 
 
 def run_cli(argv, capsys):
@@ -268,3 +271,19 @@ def test_bench_selectivity_flag(capsys):
                             "--placement", "relational-lowerbound"], capsys)
     assert code == 0
     assert out.splitlines()[1].split(",")[4] == "0.5"
+
+
+def _choices(commands, dest):
+    """The `choices` of option `dest` under the sub-command path `commands`."""
+    parser = build_parser()
+    for name in commands:
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[name]
+    return next(a.choices for a in parser._actions if a.dest == dest)
+
+
+def test_option_choices_come_from_their_owners():
+    for sweep in ("relational", "spatial"):
+        assert _choices(["bench", sweep], "seek_model") == SEEK_MODELS
+    assert _choices(["bench", "spatial"], "curve") == CURVES

@@ -1,6 +1,9 @@
 """Timing semantics of the physical-access emulator."""
 
 import math
+import struct
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -324,6 +327,25 @@ def test_read_prices_exactly_like_execute(plan, col, row, y_dir, model):
     assert ex.state == rd.state
 
 
+@settings(max_examples=200, deadline=None)
+@given(plan=_plans(), col=st.integers(1, SMALL.sectors_x),
+       row=st.integers(1, SMALL.sectors_y), y_dir=st.sampled_from((1, -1)))
+@example(plan=_EXIT_ROW_ONLY, col=1, row=1, y_dir=1)
+def test_read_returns_each_wanted_cell_exactly_once(plan, col, row, y_dir):
+    im = MediaImage(SMALL)
+    for tip in range(1, SMALL.n_tips + 1):
+        for s in range(1, SMALL.sectors_per_region + 1):
+            im.write_cell(tip, s, struct.pack(">II", tip, s))
+    em = Emulator(SMALL)
+    em.state = SledState(col, row, y_dir)
+    _, data = em.read(plan, im)
+    got = Counter(data[i:i + 8] for i in range(0, len(data), 8))
+    want = Counter(struct.pack(">II", tip, s) for scan in plan.scans
+                   for s in range(scan.start, scan.start + scan.length)
+                   for tip in (scan.per_row_tips or {}).get(s, scan.tips))
+    assert got == want
+
+
 def test_exit_row_rescan_reverses_direction():
     em = Emulator(SMALL)
     t = em.execute(_EXIT_ROW_ONLY)
@@ -346,6 +368,23 @@ def test_media_bounds():
         im.write_cell(1, 13, bytes(8))
     with pytest.raises(ValueError):
         im.write_cell(1, 1, bytes(7))
+
+    # an image smaller than the emulator's geometry fails before the sled
+    # moves, though only the second scan reaches outside it
+    small = MediaImage(replace(TINY, regions_x=2, regions_y=2, sectors_x=3))
+    plan = AccessPlan([Scan(tips=(1,), start=5, length=3),
+                       Scan(tips=(7,), start=1, length=1)])
+    em = Emulator(TINY)
+    with pytest.raises(ValueError, match=r"^media image of 4 regions x 9 rows "
+                                         r"does not cover the emulator's "
+                                         r"9 tips x 12 rows$"):
+        em.read(plan, small)
+    assert em.state == SledState()
+    # the geometry is what must match, not the timing
+    slow = MediaImage(replace(TINY, move_x_s=1e-3, tip_rate_bits_s=1e5))
+    slow.write_cell(7, 1, _pattern(7, 1))
+    _, data = em.read(plan, slow)
+    assert data == bytes(24) + _pattern(7, 1)
 
 
 # -- plan serialization -------------------------------------------------
