@@ -163,11 +163,16 @@ def _relational_point(params: DeviceParams, experiment: int, size_mb: float,
                       nproj: int, placements: Sequence[str],
                       cache: dict) -> RelationSchema:
     """The relation of one sweep point, with each placement's layout of it
-    built into `cache` under (class, n).  A point the device cannot hold
-    fails naming the point."""
-    if nproj > _K:
-        raise ValueError(f"projection width {nproj} exceeds schema k={_K}")
+    built into `cache` under (class, n).  A point with a projection width
+    outside 1.._K, or that the device cannot hold, fails naming the point."""
     try:
+        if isinstance(nproj, bool) or not isinstance(nproj, int):
+            raise ValueError(f"projection width must be an integer, "
+                             f"got {nproj!r}")
+        if nproj < 1:
+            raise ValueError(f"projection width {nproj} is below 1")
+        if nproj > _K:
+            raise ValueError(f"projection width {nproj} exceeds schema k={_K}")
         n = int(size_mb * 2**20) // (_K * _ATTR_BYTES)
         if n < 1:
             raise ValueError(f"no {_K * _ATTR_BYTES}-byte tuple fits in "

@@ -32,10 +32,22 @@ def _ratio(token: str) -> float:
     return value
 
 
+def _integer(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{token!r} is not an integer") from None
+
+
 def _num_list(text: str, conv, option: str) -> List:
-    """The comma-separated values of `option`; a repeat would only make
-    duplicate rows."""
-    values = [conv(tok.strip()) for tok in text.split(",") if tok.strip()]
+    """The comma-separated values of `option`; a token `conv` rejects
+    fails naming the option, and a repeat would only make duplicate rows."""
+    values = []
+    for tok in filter(None, map(str.strip, text.split(","))):
+        try:
+            values.append(conv(tok))
+        except ValueError as exc:
+            raise ValueError(f"{option}: {exc}") from None
     for i, value in enumerate(values):
         if value in values[:i]:
             raise ValueError(f"{option} lists {value:g} twice")
@@ -113,7 +125,7 @@ def cmd_bench_relational(args: argparse.Namespace) -> int:
     placements = tuple(args.placement or bench.RELATIONAL_PLACEMENTS)
     # both lists are parsed before either sweep runs
     sizes = _num_list(args.sizes, _ratio, "--sizes")
-    nprojs = _num_list(args.nproj, int, "--nproj")
+    nprojs = _num_list(args.nproj, _integer, "--nproj")
     rows: List[bench.Row] = []
     if sizes:
         rows += bench.run_experiment1(p, sizes_mb=sizes,

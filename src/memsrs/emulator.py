@@ -14,7 +14,10 @@ the seek charges.  `read` walks the same passes and also reads each
 pass's cells, so it returns the same `Timing` as `execute`.
 
 A plan is validated once, in full, before the sled moves, so an invalid
-plan raises `ValueError` and leaves the sled state unchanged.  `read`
+plan raises `ValueError` and leaves the sled state unchanged.  A tip set
+is checked by its smallest and largest tip; a `range` and a `SortedTips`
+(a tuple whose tips were checked ascending when it was built) are
+checked at their two ends, any other set by a walk over its tips.  `read`
 also checks once, before the sled moves, that the media image covers
 the emulator's geometry; it then fetches each pass row's cells in one
 batch, and unwritten cells read as zeros.
@@ -23,7 +26,8 @@ batch, and unwritten cells read as zeros.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import islice, repeat
+from operator import lt
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .device import DeviceParams
@@ -117,9 +121,25 @@ class MediaImage:
         self._cells[(region, s)] = bytes(data)
 
 
+class SortedTips(tuple):
+    """A tip set whose tips are strictly ascending, checked once when it
+    is built, so its smallest and largest tips are its two ends."""
+
+    __slots__ = ()
+
+    def __new__(cls, tips: Iterable[int] = ()):
+        self = super().__new__(cls, tips)
+        if not all(map(lt, self, islice(self, 1, None))):
+            raise ValueError("tips must be strictly ascending")
+        return self
+
+
 def _check_tips(tips: Sequence[int], n_tips: int) -> None:
     if tips:
-        if isinstance(tips, range):
+        # the exact type: a subclass could be built without the check
+        if type(tips) is SortedTips:
+            low, high = tips[0], tips[-1]
+        elif isinstance(tips, range):
             # a range's extremes are its end points, whatever its step
             low, high = min(tips[0], tips[-1]), max(tips[0], tips[-1])
         else:

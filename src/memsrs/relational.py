@@ -15,11 +15,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import repeat
+from operator import sub
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .cost import CostInput
 from .device import DeviceParams
-from .emulator import AccessPlan, MediaImage, Scan
+from .emulator import AccessPlan, MediaImage, Scan, SortedTips
 from .rs import RSAddr, layer_scans, rs_scan, write_values
 
 
@@ -152,19 +154,29 @@ class RelLayoutRP:
             return self.params.n_tips
         return self.schema.n - (self.band_rows - 1) * self.params.n_tips
 
-    def qualifying_rows(self, qualifying: Iterable[int]) -> Dict[int, Tuple[int, ...]]:
-        """Bucket qualifying tuple ids by band row; shared by every band."""
+    def qualifying_rows(self, qualifying: Iterable[int]) -> Dict[int, SortedTips]:
+        """Bucket qualifying tuple ids by band row; shared by every band.
+
+        Each row's tips are a `SortedTips`, so the emulator checks them
+        at their two ends however many plans share them.
+        """
         ids = sorted(qualifying)
         for v in ids[:1] + ids[-1:]:
             if not 1 <= v <= self.schema.n:
                 raise ValueError(f"qualifying tuple id {v} out of range")
         n_pt = self.params.n_tips
-        rows: Dict[int, Tuple[int, ...]] = {}
+        rows: Dict[int, SortedTips] = {}
         i = 0
         while i < len(ids):
             row = (ids[i] - 1) // n_pt + 1
             j = bisect_right(ids, row * n_pt, i)
-            rows[row] = tuple(v - (row - 1) * n_pt for v in ids[i:j])
+            try:
+                rows[row] = SortedTips(map(sub, ids[i:j],
+                                           repeat((row - 1) * n_pt)))
+            except ValueError:
+                # sorted ids ascend strictly unless one is repeated
+                v = next(a for a, b in zip(ids[i:j], ids[i + 1:j]) if a == b)
+                raise ValueError(f"qualifying tuple id {v} listed twice") from None
             i = j
         return rows
 

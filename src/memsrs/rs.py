@@ -90,7 +90,9 @@ def layer_scans(start: int, unit_rows: int,
 
     Layer k holds tips [k*n_active_tips, (k+1)*n_active_tips) of each
     unit's set; per layer there is one `rs_scan` per maximal run of
-    units whose set reaches that layer.
+    units whose set reaches that layer.  A set that fits one layer is
+    passed through as the caller's object, not copied: shared objects
+    stay shared, and a `SortedTips` keeps its type.
     """
     napt = p.n_active_tips
     sizes = list(map(len, unit_tips))
@@ -101,7 +103,9 @@ def layer_scans(start: int, unit_rows: int,
             if reached:
                 run = list(run)
                 scans.append(rs_scan(start + run[0] * unit_rows, unit_rows,
-                                     [unit_tips[i][lo:lo + napt] for i in run]))
+                                     [unit_tips[i] if sizes[i] <= napt
+                                      else unit_tips[i][lo:lo + napt]
+                                      for i in run]))
     return scans
 
 

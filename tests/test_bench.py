@@ -7,6 +7,7 @@ be checked against direct module calls and hand-computed lower bounds.
 
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -251,6 +252,29 @@ def no_rows(monkeypatch):
 def test_infeasible_relational_point_fails_before_any_row(no_rows):
     with pytest.raises(ValueError, match=r"^experiment 1, data_mb=100000, "):
         run_experiment1(sizes_mb=(5, 100000), seeds=(0,))
+
+
+@pytest.mark.parametrize("run, kw, message", [
+    (run_experiment2, {"n_projections": (3, 0)},
+     "experiment 2, data_mb=320, n_projection=0: projection width 0 is "
+     "below 1"),
+    (run_experiment2, {"n_projections": (3, 17)},
+     "experiment 2, data_mb=320, n_projection=17: projection width 17 "
+     "exceeds schema k=16"),
+    (run_experiment2, {"n_projections": (3, 2.5)},
+     "experiment 2, data_mb=320, n_projection=2.5: projection width must "
+     "be an integer, got 2.5"),
+    (run_experiment2, {"n_projections": (3, True)},
+     "experiment 2, data_mb=320, n_projection=True: projection width must "
+     "be an integer, got True"),
+    (run_experiment1, {"n_projection": -1},
+     "experiment 1, data_mb=5, n_projection=-1: projection width -1 is "
+     "below 1"),
+], ids=["zero", "above-k", "float", "bool", "exp1-negative"])
+def test_bad_projection_width_fails_named_before_any_row(no_rows, run, kw,
+                                                          message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run(seeds=(0,), **kw)
 
 
 @pytest.mark.parametrize("run, kw, message", [

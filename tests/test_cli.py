@@ -174,7 +174,8 @@ def test_bench_projection_wider_than_schema_fails(placement, capsys):
                               "--placement", placement], capsys)
     assert code == 1
     assert out == ""
-    assert err == "error: projection width 17 exceeds schema k=16\n"
+    assert err == ("error: experiment 2, data_mb=320, n_projection=17: "
+                   "projection width 17 exceeds schema k=16\n")
 
 
 def test_bench_relation_larger_than_the_device_fails(capsys):
@@ -235,13 +236,16 @@ def test_bench_repeats_below_one_fails(command, repeats, capsys):
     ("spatial", "--query-sizes", "-1"),
     ("spatial", "--aspects", "0"),
     ("spatial", "--aspects", "nan"),
+    ("relational", "--nproj", "x"),
+    ("relational", "--nproj", "2.5"),
 ])
 def test_bench_bad_sweep_list_fails(command, flag, token, capsys):
-    code, out, err = run_cli(["bench", command, flag, token, "--repeats", "1"],
-                             capsys)
+    code, out, err = run_cli(["bench", command, flag, "1," + token,
+                              "--repeats", "1"], capsys)
+    kind = "an integer" if flag == "--nproj" else "a positive finite number"
     assert code == 1
     assert out == ""
-    assert err == f"error: {token!r} is not a positive finite number\n"
+    assert err == f"error: {flag}: {token!r} is not {kind}\n"
 
 
 def test_bench_spatial_zorder_curve(capsys):

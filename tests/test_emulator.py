@@ -16,6 +16,7 @@ from memsrs.emulator import (
     MediaImage,
     Scan,
     SledState,
+    SortedTips,
     _check_tips,
     _lin,
     plan_from_text,
@@ -216,6 +217,55 @@ def test_range_tips_checked_like_their_tuple(a, b, step, n_tips):
 
     r = range(a, b, step)
     assert outcome(r) == outcome(tuple(r))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tips=st.sets(st.integers(-20, 30)), n_tips=st.integers(1, 12))
+def test_sorted_tips_checked_like_their_tuple(tips, n_tips):
+    def outcome(tips):
+        try:
+            _check_tips(tips, n_tips)
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    t = tuple(sorted(tips))
+    assert outcome(SortedTips(t)) == outcome(t)
+
+
+@pytest.mark.parametrize("tips", [(2, 1), (1, 3, 2), (1, 1), (1, 2, 2, 3)])
+def test_sorted_tips_reject_unsorted_and_repeated_tips(tips):
+    with pytest.raises(ValueError, match=r"^tips must be strictly ascending$"):
+        SortedTips(tips)
+
+
+def test_sorted_tips_subclass_is_walked():
+    # a subclass can skip the ascending check, so its ends prove nothing
+    class Unchecked(SortedTips):
+        __slots__ = ()
+
+        def __new__(cls, tips):
+            return tuple.__new__(cls, tips)
+
+    with pytest.raises(ValueError, match=r"^tip 0 out of range 1\.\.6400$"):
+        _check_tips(Unchecked((9, 0)), 6400)
+
+
+@pytest.mark.parametrize("call", ["execute", "read"])
+@pytest.mark.parametrize("bad, tip", [((0, 5), 0), ((5, 6401), 6401)])
+def test_out_of_range_sorted_tips_rejected_before_the_sled_moves(call, bad, tip):
+    plan = AccessPlan([
+        Scan(tips=(1,), start=500, length=3),
+        Scan(tips=SortedTips((1, 2)), start=10, length=3,
+             per_row_tips={11: SortedTips(bad)}),
+    ])
+    em = Emulator(CMU)
+    with pytest.raises(ValueError, match=rf"^tip {tip} out of range 1\.\.6400$"):
+        if call == "execute":
+            em.execute(plan)
+        else:
+            em.read(plan, MediaImage(CMU))
+    assert em.state == SledState()
 
 
 def test_bad_tip_in_shared_override_tuple_rejected():

@@ -244,6 +244,29 @@ def test_compile_rp_reads_predicate_band_plus_qualifying():
     assert cells == expected
 
 
+def test_sorted_qualifying_rows_price_like_plain_tuples_at_every_width():
+    # reduced geometry: 64 tips, 16 of them active, so a band row with
+    # more than 16 qualifying tuples is read in two layers
+    dev = DeviceParams(regions_x=8, regions_y=8, sectors_x=20, sectors_y=5,
+                       n_active_tips=16)
+    lay = RelLayoutRP(dev, RelationSchema(k=16, n=384))
+    ids = random.Random(3).sample(range(1, 385), 96)
+    rows = lay.qualifying_rows(ids)
+    sizes = sorted(map(len, rows.values()))
+    assert sizes[0] <= dev.n_active_tips < sizes[-1]
+    # the same map as plain tuples, bucketed id by id
+    plain = {}
+    for v in sorted(ids):
+        plain.setdefault((v - 1) // 64 + 1, []).append((v - 1) % 64 + 1)
+    plain = {row: tuple(tips) for row, tips in plain.items()}
+    assert plain == rows
+    # one map shared by every width, as the projection sweep shares it
+    for nproj in range(1, 17):
+        query = q(range(1, nproj + 1), sel=0.25)
+        assert (Emulator(dev).execute(lay.compile(query, rows))
+                == Emulator(dev).execute(lay.compile(query, plain)))
+
+
 # -- analytic cost inputs -------------------------------------------------
 
 def test_qualifying_rows_matches_per_id_bucketing():
@@ -251,7 +274,8 @@ def test_qualifying_rows_matches_per_id_bucketing():
                        n_active_tips=4)
     lay = RelLayoutRP(dev, RelationSchema(k=2, n=50))
     rng = random.Random(5)
-    ids = rng.sample(range(1, 51), 20) + [1, 7, 7, 50, 50]
+    ids = rng.sample(range(1, 51), 20)
+    ids += [v for v in (1, 7, 50) if v not in ids]
     rng.shuffle(ids)
     want = {}
     for v in ids:
@@ -263,6 +287,16 @@ def test_qualifying_rows_matches_per_id_bucketing():
     for bad in (0, 51):
         with pytest.raises(ValueError, match=f"qualifying tuple id {bad} out of range"):
             lay.qualifying_rows([5, bad, 9])
+
+
+@pytest.mark.parametrize("ids, repeated", [
+    ([5, 5, 9], 5), ([9, 1, 7, 4, 7], 7), ([50, 3, 50], 50)])
+def test_qualifying_rows_rejects_a_repeated_id(ids, repeated):
+    # a repeat would read, and count, the tuple's sectors twice
+    lay = RelLayoutRP(CMU, RelationSchema(k=2, n=50))
+    with pytest.raises(ValueError,
+                       match=f"^qualifying tuple id {repeated} listed twice$"):
+        lay.qualifying_rows(ids)
 
 
 def test_k_values_rsy():

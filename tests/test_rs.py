@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from memsrs.device import DeviceParams, cmu_defaults
-from memsrs.emulator import Emulator, MediaImage, Scan
+from memsrs.emulator import Emulator, MediaImage, Scan, SortedTips
 from memsrs.linear import (DsmLayout, NsmLayout, compile_dsm, compile_nsm,
                            write_image_dsm, write_image_nsm)
 from memsrs.relational import (RangeQuery, RelationSchema, RelLayoutRP,
@@ -179,6 +179,21 @@ def test_layer_scans_unit_without_tips_in_a_layer_splits_its_run():
         Scan(tips=(3,), start=10, length=2),
         Scan(tips=(4,), start=14, length=2),
     ]
+
+
+def test_layer_scans_pass_a_set_that_fits_one_layer_through():
+    p = DeviceParams(regions_x=2, regions_y=2, n_active_tips=2)
+    fits, wide = SortedTips((1, 3)), SortedTips((1, 2, 4))
+    plain, span = (2, 4), range(1, 3)
+    scans = layer_scans(10, 2, [plain, fits, wide, fits, span], p)
+    # the caller's objects, not copies: sharing and type survive
+    assert scans[0].tips is plain
+    prt = scans[0].per_row_tips
+    assert all(prt[s] is fits for s in (12, 13, 16, 17))
+    assert prt[18] is span and prt[19] is span
+    # a wider set is still cut into layers, as plain tuples
+    assert prt[14] == (1, 2) and type(prt[14]) is tuple
+    assert scans[1] == Scan(tips=(4,), start=14, length=2)
 
 
 def test_layer_scans_no_units_give_no_scans():
