@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+import math
+from functools import partial
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from .cost import estimate, lower_bound, trace_k_values
 from .device import DeviceParams, cmu_defaults
@@ -37,7 +39,7 @@ from .linear import DsmLayout, NsmLayout, compile_dsm, compile_nsm
 from .relational import (RangeQuery, RelationSchema, RelLayoutRP, RelLayoutRSY,
                          exact_ceil)
 from .rs import rs_params
-from .spatial import (CURVES, QueryRegion, SpatialSpace, SSYLayout,
+from .spatial import (CURVES, BlockGrid, SpatialSpace, SSYLayout, _block_shape,
                       build_block_grid, compile_sp, query_block_set)
 from .workload import _QUAL_MODES, PREDICATE_BOUND, Relation, gen_query_region
 
@@ -47,29 +49,37 @@ from .workload import _QUAL_MODES, PREDICATE_BOUND, Relation, gen_query_region
 _K, _ATTR_BYTES = 16, 8
 _SPACE = SpatialSpace(width=6400, height=6400, obj_bits=64)
 
-# Each relational placement: its layout class, the sweep fields its plan
-# varies with (one compile and run serves every row that agrees on them)
-# and its plan for a query, where `rows()` gives the seed's qualifying
-# tuples by band row.  A plan calls its compile function through this
-# module's global name at call time, so rebinding that name (as
-# perfbench's tracer does) reaches every call.  The lower bound has no
-# layout: it is priced from the query's bit volume.
-_RELATIONAL_LAYOUTS = {
+# Each placement: its layout class (None for a lower bound, which is
+# priced from the query's bit volume), the sweep fields its plan varies
+# with (one compile and run serves every row that agrees on them), its
+# plan for a layout, a query and the seed's qualifying-row draw
+# `rows(layout)`, and for a spatial placement its `n_query_blocks` rule.
+# A plan calls its compile function through this module's global name at
+# call time, so rebinding that name (as perfbench's tracer does) reaches
+# every call.
+_PLACEMENTS = {
     "relational-parallel": (RelLayoutRP, ("data_mb", "n_projection", "seed"),
-                            lambda lay, q, rows: lay.compile(q, rows())),
+                            lambda lay, q, rows: lay.compile(q, rows(lay)),
+                            None),
     "relational-sequential-yu": (RelLayoutRSY, ("data_mb", "n_projection"),
-                                 lambda lay, q, rows: lay.compile(q)),
-    "relational-lowerbound": (None, (), None),
+                                 lambda lay, q, rows: lay.compile(q), None),
+    "relational-lowerbound": (None, (), None, None),
     "nsm-griffin": (NsmLayout, ("data_mb",),
-                    lambda lay, q, rows: compile_nsm(lay)),
+                    lambda lay, q, rows: compile_nsm(lay), None),
     "dsm-griffin": (DsmLayout, ("data_mb", "n_projection"),
-                    lambda lay, q, rows: compile_dsm(lay, q)),
+                    lambda lay, q, rows: compile_dsm(lay, q), None),
+    # a spatial query, and with it the plan, is drawn per seed
+    "spatial-parallel": (BlockGrid, ("query_frac", "aspect", "seed"),
+                         lambda grid, qr, rows: compile_sp(grid, qr),
+                         lambda grid, qr: len(query_block_set(grid, qr))),
+    # one stripe of stacked components per x position
+    "spatial-sequential-yu": (SSYLayout, ("query_frac", "aspect", "seed"),
+                              lambda lay, qr, rows: lay.compile(qr),
+                              lambda lay, qr: qr.qx),
+    "spatial-lowerbound": (None, (), None, lambda lay, qr: 0),
 }
-RELATIONAL_PLACEMENTS = tuple(_RELATIONAL_LAYOUTS)
-SPATIAL_PLACEMENTS = ("spatial-parallel", "spatial-sequential-yu",
-                      "spatial-lowerbound")
-# a spatial query, and with it the plan, is drawn per seed
-_SPATIAL_VARIES = ("query_frac", "aspect", "seed")
+RELATIONAL_PLACEMENTS = tuple(p for p, e in _PLACEMENTS.items() if not e[3])
+SPATIAL_PLACEMENTS = tuple(p for p, e in _PLACEMENTS.items() if e[3])
 
 RELATIONAL_FIELDS = ("experiment", "placement", "data_mb", "n_projection",
                      "selectivity", "meas_total_s", "est_total_s", "seek_s",
@@ -140,17 +150,57 @@ def _check_option(option: str, value: str, known: Iterable[str]) -> None:
                          f"expected one of {', '.join(known)}")
 
 
-def _check_inputs(params: DeviceParams, experiment: int, seeds: Sequence[int],
-                  given: Sequence[str], known: Sequence[str],
-                  seek_model: str) -> None:
-    """Every placement and the seek model known, and no placement or seed
-    repeated: a repeat would only make duplicate rows.  The seek model is
-    checked by the emulator, also when no chosen placement runs it."""
-    for name in given:
-        _check_option("placement", name, known)
-    _check_unique(given, lambda name: f"placement {name!r}")
+# -- the sweep driver ----------------------------------------------------------
+
+def _sweep(params: Optional[DeviceParams], experiment: int,
+           points: Sequence[tuple], family: tuple, option: str,
+           seeds: Sequence[int], placements: Sequence[str], seek_model: str,
+           **point_args) -> List[Row]:
+    """One row per placement, sweep point and seed, in `sort_rows` order.
+
+    `family` is (point name, point function, placements, option name,
+    option values).  Bad placements, seek model and `option`, and repeated
+    seeds or points, fail first: a repeat would only duplicate rows.
+    Every point is then checked before any row is made, by
+    `point(params, pt, name, seeds, classes, build, option, **point_args)`:
+    it fails naming the point, builds the layouts of `classes` through the
+    cache by `build(key, make)`, and returns them by class with each
+    seed's (sweep columns, query, lower-bound bits, qualifying-row draw).
+    """
+    name, point, known, option_name, option_values = family
+    params = params or cmu_defaults()
+    seeds = tuple(seeds)
+    for placement in placements:
+        _check_option("placement", placement, known)
+    _check_unique(placements, lambda placement: f"placement {placement!r}")
     _check_unique(seeds, lambda seed: f"experiment {experiment}: seed {seed}")
+    # the emulator checks the seek model, also when no placement runs it
     Emulator(params, seek_model)
+    _check_option(option_name, option, option_values)
+    _check_unique(points, lambda pt: f"{name(experiment, *pt)}: sweep point")
+    cache: dict = {}
+    classes = [_PLACEMENTS[placement][0] for placement in placements]
+    checked = [point(params, pt, name(experiment, *pt), seeds, classes,
+                     partial(_get, cache), option, **point_args)
+               for pt in points]
+    out: List[Row] = []
+    for layouts, draws in checked:
+        for placement in placements:
+            cls, varies, plan, blocks = _PLACEMENTS[placement]
+            lay = layouts.get(cls)
+            for seed, (columns, query, bits, rows) in zip(seeds, draws):
+                base: Row = {"experiment": experiment, "placement": placement,
+                             **columns, "seed": seed}
+                if cls is None:
+                    row = _lowerbound_row(base, bits, params)
+                else:
+                    row = _measured_row(base, varies,
+                                        lambda: plan(lay, query, rows),
+                                        cache, params, seek_model)
+                if blocks:
+                    row["n_query_blocks"] = blocks(lay, query)
+                out.append(row)
+    return sort_rows(out)
 
 
 # -- relational sweeps --------------------------------------------------------
@@ -159,12 +209,15 @@ def _relational_name(experiment: int, size_mb: float, nproj: int) -> str:
     return f"experiment {experiment}, data_mb={size_mb:g}, n_projection={nproj}"
 
 
-def _relational_point(params: DeviceParams, experiment: int, size_mb: float,
-                      nproj: int, placements: Sequence[str],
-                      cache: dict) -> RelationSchema:
-    """The relation of one sweep point, with each placement's layout of it
-    built into `cache` under (class, n).  A point with a projection width
-    outside 1.._K, or that the device cannot hold, fails naming the point."""
+def _relational_point(params: DeviceParams, pt: tuple, name: str,
+                      seeds: Sequence[int], classes: Sequence, build,
+                      qual_mode: str, selectivity: float) -> tuple:
+    """The relation of `pt` = (size_mb, nproj), with its layouts built
+    under (class, n).  A point with a projection width outside 1.._K, a
+    size that is not finite, or that the device cannot hold, fails naming
+    the point.  A seed's qualifying rows are drawn once per (size, seed)
+    and shared by every width."""
+    size_mb, nproj = pt
     try:
         if isinstance(nproj, bool) or not isinstance(nproj, int):
             raise ValueError(f"projection width must be an integer, "
@@ -173,6 +226,8 @@ def _relational_point(params: DeviceParams, experiment: int, size_mb: float,
             raise ValueError(f"projection width {nproj} is below 1")
         if nproj > _K:
             raise ValueError(f"projection width {nproj} exceeds schema k={_K}")
+        if not math.isfinite(size_mb):
+            raise ValueError(f"data size {size_mb:g} MB is not finite")
         n = int(size_mb * 2**20) // (_K * _ATTR_BYTES)
         if n < 1:
             raise ValueError(f"no {_K * _ATTR_BYTES}-byte tuple fits in "
@@ -183,56 +238,25 @@ def _relational_point(params: DeviceParams, experiment: int, size_mb: float,
         if sectors > capacity:
             raise ValueError(f"relation needs {sectors} sectors, the device "
                              f"holds {capacity}")
-        for placement in placements:
-            cls = _RELATIONAL_LAYOUTS[placement][0]
-            if cls is not None:
-                _get(cache, (cls, n), lambda: cls(params, sch))
+        layouts = {cls: build((cls, n), lambda: cls(params, sch))
+                   for cls in classes if cls}
     except ValueError as exc:
-        raise ValueError(f"{_relational_name(experiment, size_mb, nproj)}: "
-                         f"{exc}") from exc
-    return sch
+        raise ValueError(f"{name}: {exc}") from exc
+    query = RangeQuery(projected=tuple(range(1, nproj + 1)), predicate_attr=1,
+                       bound=PREDICATE_BOUND, selectivity=selectivity)
+    columns = {"data_mb": size_mb, "n_projection": nproj,
+               "selectivity": selectivity}
+    bits = exact_ceil(selectivity, n) * nproj * sch.attr_bits
+
+    def draw(seed: int, lay: RelLayoutRP):
+        return build(("rows", n, seed), lambda: lay.qualifying_rows(
+            Relation(n, seed).qualifying_set(selectivity, qual_mode)))
+    return layouts, [(columns, query, bits, partial(draw, seed))
+                     for seed in seeds]
 
 
-def _relational_rows(params: DeviceParams, experiment: int,
-                     points: Sequence[Tuple[float, int]], *,
-                     selectivity: float, seeds: Sequence[int],
-                     placements: Sequence[str], qual_mode: str,
-                     seek_model: str) -> List[Row]:
-    _check_inputs(params, experiment, seeds, placements, RELATIONAL_PLACEMENTS,
-                  seek_model)
-    _check_option("qualifying mode", qual_mode, _QUAL_MODES)
-    _check_unique(points, lambda pt: f"{_relational_name(experiment, *pt)}: "
-                                     f"sweep point")
-    cache: dict = {}
-    # every point is checked, and its layouts built, before any row is made
-    checked = [(size_mb, nproj, _relational_point(params, experiment, size_mb,
-                                                  nproj, placements, cache))
-               for size_mb, nproj in points]
-    out: List[Row] = []
-    for size_mb, nproj, sch in checked:
-        n = sch.n
-        query = RangeQuery(projected=tuple(range(1, nproj + 1)),
-                           predicate_attr=1, bound=PREDICATE_BOUND,
-                           selectivity=selectivity)
-        for placement in placements:
-            cls, varies, plan = _RELATIONAL_LAYOUTS[placement]
-            for seed in seeds:
-                base: Row = {"experiment": experiment, "placement": placement,
-                             "data_mb": size_mb, "n_projection": nproj,
-                             "selectivity": selectivity, "seed": seed}
-                if cls is None:
-                    bits = exact_ceil(selectivity, n) * nproj * sch.attr_bits
-                    out.append(_lowerbound_row(base, bits, params))
-                    continue
-                lay = cache[cls, n]
-                # drawn once per (size, seed) and shared by every width
-                rows = lambda: _get(cache, ("rows", n, seed), lambda: (
-                    lay.qualifying_rows(Relation(n, seed).qualifying_set(
-                        selectivity, qual_mode))))
-                out.append(_measured_row(base, varies,
-                                         lambda: plan(lay, query, rows),
-                                         cache, params, seek_model))
-    return sort_rows(out)
+_RELATIONAL = (_relational_name, _relational_point, RELATIONAL_PLACEMENTS,
+               "qualifying mode", _QUAL_MODES)
 
 
 def run_experiment1(params: Optional[DeviceParams] = None, *,
@@ -243,11 +267,9 @@ def run_experiment1(params: Optional[DeviceParams] = None, *,
                     qual_mode: str = "uniform",
                     seek_model: str = "average") -> List[Row]:
     """Relational data-size sweep at a fixed projection width."""
-    params = params or cmu_defaults()
-    return _relational_rows(params, 1, [(mb, n_projection) for mb in sizes_mb],
-                            selectivity=selectivity, seeds=tuple(seeds),
-                            placements=placements, qual_mode=qual_mode,
-                            seek_model=seek_model)
+    return _sweep(params, 1, [(mb, n_projection) for mb in sizes_mb],
+                  _RELATIONAL, qual_mode, seeds, placements, seek_model,
+                  selectivity=selectivity)
 
 
 def run_experiment2(params: Optional[DeviceParams] = None, *,
@@ -259,12 +281,9 @@ def run_experiment2(params: Optional[DeviceParams] = None, *,
                     qual_mode: str = "uniform",
                     seek_model: str = "average") -> List[Row]:
     """Relational projection-width sweep at a fixed data size."""
-    params = params or cmu_defaults()
-    return _relational_rows(params, 2,
-                            [(size_mb, np_) for np_ in n_projections],
-                            selectivity=selectivity, seeds=tuple(seeds),
-                            placements=placements, qual_mode=qual_mode,
-                            seek_model=seek_model)
+    return _sweep(params, 2, [(size_mb, np_) for np_ in n_projections],
+                  _RELATIONAL, qual_mode, seeds, placements, seek_model,
+                  selectivity=selectivity)
 
 
 # -- spatial sweeps ------------------------------------------------------------
@@ -273,77 +292,40 @@ def _spatial_name(experiment: int, frac: float, aspect: float) -> str:
     return f"experiment {experiment}, query_frac={frac:g}, aspect={aspect:g}"
 
 
-def _spatial_point(params: DeviceParams, experiment: int, frac: float,
-                   aspect: float, seeds: Sequence[int],
-                   placements: Sequence[str], curve: str,
-                   cache: dict) -> List[QueryRegion]:
-    """Each seed's query at one sweep point, with the point's block grid
-    and the stripe layout built into `cache` under ("grid", aspect) and
-    "ssy".  A point that cannot be run fails naming the point."""
-    name = _spatial_name(experiment, frac, aspect)
-    queries = []
+def _spatial_point(params: DeviceParams, pt: tuple, name: str,
+                   seeds: Sequence[int], classes: Sequence, build,
+                   curve: str) -> tuple:
+    """Each seed's query at `pt` = (frac, aspect), with the block grid
+    built under (BlockGrid, its block shape) and the stripe layout under
+    SSYLayout.  A point that cannot be run fails naming the point."""
+    frac, aspect = pt
+    data_mb = _SPACE.width * _SPACE.height * _SPACE.obj_bits / 8 / 2**20
+    draws = []
     for seed in seeds:
         try:
-            queries.append(gen_query_region(_SPACE, frac, aspect, seed=seed))
+            qr = gen_query_region(_SPACE, frac, aspect, seed=seed)
         except ValueError as exc:
             raise ValueError(f"{name}, seed={seed}: {exc}") from exc
+        draws.append(({"data_mb": data_mb, "n_projection": "",
+                       "selectivity": "", "query_frac": frac, "aspect": aspect,
+                       "qx": qr.qx, "qy": qr.qy},
+                      qr, qr.qx * qr.qy * _SPACE.obj_bits, None))
+    layouts = {}
     try:
-        if "spatial-parallel" in placements:
-            # the block shape is workload-tuned: each sweep point
-            # declares its aspect, so the grid is rebuilt per point
-            _get(cache, ("grid", aspect),
-                 lambda: build_block_grid(params, _SPACE, ratio=aspect,
-                                          curve=curve))
-        if "spatial-sequential-yu" in placements:
-            _get(cache, "ssy", lambda: SSYLayout(params, _SPACE))
+        if BlockGrid in classes:
+            # each point's aspect picks a block shape; one grid per shape
+            layouts[BlockGrid] = build(
+                (BlockGrid, _block_shape(params, aspect)),
+                lambda: build_block_grid(params, _SPACE, aspect, curve))
+        if SSYLayout in classes:
+            layouts[SSYLayout] = build(SSYLayout,
+                                       lambda: SSYLayout(params, _SPACE))
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from exc
-    return queries
+    return layouts, draws
 
 
-def _spatial_rows(params: DeviceParams, experiment: int,
-                  points: Sequence[Tuple[float, float]], *,
-                  seeds: Sequence[int], placements: Sequence[str],
-                  curve: str, seek_model: str) -> List[Row]:
-    _check_inputs(params, experiment, seeds, placements, SPATIAL_PLACEMENTS,
-                  seek_model)
-    _check_option("curve", curve, CURVES)
-    _check_unique(points, lambda pt: f"{_spatial_name(experiment, *pt)}: "
-                                     f"sweep point")
-    data_mb = _SPACE.width * _SPACE.height * _SPACE.obj_bits / 8 / 2**20
-    cache: dict = {}
-    # every point's queries, grid and layout are made before any row
-    checked = [(frac, aspect, _spatial_point(params, experiment, frac, aspect,
-                                             seeds, placements, curve, cache))
-               for frac, aspect in points]
-    out: List[Row] = []
-    for frac, aspect, queries in checked:
-        for seed, qr in zip(seeds, queries):
-            for placement in placements:
-                base: Row = {"experiment": experiment, "placement": placement,
-                             "data_mb": data_mb, "n_projection": "",
-                             "selectivity": "", "query_frac": frac,
-                             "aspect": aspect, "qx": qr.qx, "qy": qr.qy,
-                             "seed": seed}
-                if placement == "spatial-lowerbound":
-                    row = _lowerbound_row(base, qr.qx * qr.qy * _SPACE.obj_bits,
-                                          params)
-                    row["n_query_blocks"] = 0
-                elif placement == "spatial-parallel":
-                    grid = cache["grid", aspect]
-                    row = _measured_row(base, _SPATIAL_VARIES,
-                                        lambda: compile_sp(grid, qr),
-                                        cache, params, seek_model)
-                    row["n_query_blocks"] = len(query_block_set(grid, qr))
-                else:
-                    ssy = cache["ssy"]
-                    row = _measured_row(base, _SPATIAL_VARIES,
-                                        lambda: ssy.compile(qr),
-                                        cache, params, seek_model)
-                    # one stripe of stacked components per x position
-                    row["n_query_blocks"] = qr.qx
-                out.append(row)
-    return sort_rows(out)
+_SPATIAL = (_spatial_name, _spatial_point, SPATIAL_PLACEMENTS, "curve", CURVES)
 
 
 def run_experiment3(params: Optional[DeviceParams] = None, *,
@@ -354,10 +336,8 @@ def run_experiment3(params: Optional[DeviceParams] = None, *,
                     curve: str = "hilbert",
                     seek_model: str = "average") -> List[Row]:
     """Spatial query-size sweep at a fixed aspect ratio."""
-    params = params or cmu_defaults()
-    return _spatial_rows(params, 3, [(f, aspect) for f in query_fracs],
-                         seeds=tuple(seeds), placements=placements,
-                         curve=curve, seek_model=seek_model)
+    return _sweep(params, 3, [(f, aspect) for f in query_fracs], _SPATIAL,
+                  curve, seeds, placements, seek_model)
 
 
 def run_experiment4(params: Optional[DeviceParams] = None, *,
@@ -368,10 +348,8 @@ def run_experiment4(params: Optional[DeviceParams] = None, *,
                     curve: str = "hilbert",
                     seek_model: str = "average") -> List[Row]:
     """Spatial query-aspect sweep at a fixed query size."""
-    params = params or cmu_defaults()
-    return _spatial_rows(params, 4, [(query_frac, a) for a in aspects],
-                         seeds=tuple(seeds), placements=placements,
-                         curve=curve, seek_model=seek_model)
+    return _sweep(params, 4, [(query_frac, a) for a in aspects], _SPATIAL,
+                  curve, seeds, placements, seek_model)
 
 
 # -- ordering and CSV rendering ------------------------------------------------

@@ -161,6 +161,11 @@ class RelLayoutRP:
         at their two ends however many plans share them.
         """
         ids = sorted(qualifying)
+        # a sum of ints is an int: one C-speed pass, and a naming pass
+        # only on failure
+        if type(sum(ids)) is not int:
+            v = next(v for v in ids if not isinstance(v, int))
+            raise ValueError(f"qualifying tuple id {v!r} is not an integer")
         for v in ids[:1] + ids[-1:]:
             if not 1 <= v <= self.schema.n:
                 raise ValueError(f"qualifying tuple id {v} out of range")

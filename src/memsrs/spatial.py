@@ -192,15 +192,12 @@ def _power_of_two_pairs(n: int) -> List[Tuple[int, int]]:
     return pairs
 
 
-def build_block_grid(params: DeviceParams, space: SpatialSpace, ratio: float,
-                     curve: str = "hilbert") -> BlockGrid:
-    """Pick block dimensions closest to the aspect `ratio` and order them.
+def _block_shape(params: DeviceParams, ratio: float) -> Tuple[int, int]:
+    """The block dimensions (B_x, B_y) closest to the aspect `ratio`.
 
     Candidate dimensions are the factor pairs of the region count whose own
     ratio is a power of two, so the curve runs on a power-of-two grid.
     """
-    if curve not in _CURVES:
-        raise ValueError(f"unknown curve: {curve!r}")
     if not 0 < ratio < math.inf:
         raise ValueError(f"aspect ratio must be positive and finite, got {ratio}")
     n_r = params.n_regions
@@ -209,8 +206,17 @@ def build_block_grid(params: DeviceParams, space: SpatialSpace, ratio: float,
         raise ValueError(f"no block shape for {n_r} regions: no factor pair "
                          f"of {n_r} has a power-of-two ratio")
     target = math.log2(ratio)
-    b_x, b_y = min(pairs, key=lambda p: (abs(math.log2(p[0] / p[1]) - target),
-                                         -p[0]))
+    return min(pairs, key=lambda p: (abs(math.log2(p[0] / p[1]) - target),
+                                     -p[0]))
+
+
+def build_block_grid(params: DeviceParams, space: SpatialSpace, ratio: float,
+                     curve: str = "hilbert") -> BlockGrid:
+    """Tile the space in the `_block_shape` of `ratio` and order the blocks
+    along `curve`; aspects of one shape give the same grid."""
+    if curve not in _CURVES:
+        raise ValueError(f"unknown curve: {curve!r}")
+    b_x, b_y = _block_shape(params, ratio)
     if space.width % b_x or space.height % b_y:
         raise ValueError(f"{b_x}x{b_y} blocks do not tile the "
                          f"{space.width}x{space.height} space")

@@ -234,7 +234,13 @@ def test_relation_larger_than_the_device_is_named(placement):
                        "placements": ("relational-parallel",)},
      r"^experiment 2, data_mb=3295\.7, n_projection=1: relation does not "
      r"fit the device under this layout$"),
-], ids=["no-tuple", "layout"])
+    (run_experiment1, {"sizes_mb": (float("inf"),)},
+     r"^experiment 1, data_mb=inf, n_projection=8: data size inf MB is not "
+     r"finite$"),
+    (run_experiment1, {"sizes_mb": (float("nan"),)},
+     r"^experiment 1, data_mb=nan, n_projection=8: data size nan MB is not "
+     r"finite$"),
+], ids=["no-tuple", "layout", "inf", "nan"])
 def test_infeasible_relational_point_is_named(run, kw, message):
     with pytest.raises(ValueError, match=message) as info:
         run(seeds=(0,), **kw)
@@ -252,6 +258,11 @@ def no_rows(monkeypatch):
 def test_infeasible_relational_point_fails_before_any_row(no_rows):
     with pytest.raises(ValueError, match=r"^experiment 1, data_mb=100000, "):
         run_experiment1(sizes_mb=(5, 100000), seeds=(0,))
+
+
+def test_non_finite_size_fails_before_any_row(no_rows):
+    with pytest.raises(ValueError, match=r"^experiment 1, data_mb=inf, "):
+        run_experiment1(sizes_mb=(5, float("inf")), seeds=(0,))
 
 
 @pytest.mark.parametrize("run, kw, message", [
@@ -329,6 +340,21 @@ def test_infeasible_spatial_point_fails_before_any_row(no_rows):
     with pytest.raises(ValueError, match=r"^experiment 4, query_frac=0\.1, "
                        r"aspect=0\.0625, seed=0: query shape 506x8095"):
         run_experiment4(query_frac=0.1, aspects=(1, 1 / 16), seeds=(0,))
+
+
+def test_block_grid_built_once_per_block_shape(monkeypatch):
+    # the nine default aspects pick five block shapes: 320x20, 160x40,
+    # 80x80, 40x160 and 20x320, each ordered once
+    shapes = []
+    build = bench.build_block_grid
+
+    def counted(*args, **kwargs):
+        grid = build(*args, **kwargs)
+        shapes.append((grid.B_x, grid.B_y))
+        return grid
+    monkeypatch.setattr(bench, "build_block_grid", counted)
+    run_experiment4(seeds=(0,), placements=("spatial-parallel",))
+    assert len(shapes) == 5 and len(set(shapes)) == 5
 
 
 def test_spatial_grid_error_names_the_point():

@@ -2,6 +2,8 @@
 
 import math
 import random
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -296,6 +298,17 @@ def test_qualifying_rows_rejects_a_repeated_id(ids, repeated):
     lay = RelLayoutRP(CMU, RelationSchema(k=2, n=50))
     with pytest.raises(ValueError,
                        match=f"^qualifying tuple id {repeated} listed twice$"):
+        lay.qualifying_rows(ids)
+
+
+@pytest.mark.parametrize("ids, bad", [
+    ([2.5, 7], "2.5"), ([7, 3.0], "3.0"),
+    ([9, Fraction(7, 2), 4], "Fraction(7, 2)")])
+def test_qualifying_rows_rejects_a_non_integer_id(ids, bad):
+    # a float tip would pass the emulator's range check and read as zeros
+    lay = RelLayoutRP(CMU, RelationSchema(k=2, n=50))
+    with pytest.raises(ValueError, match=(
+            f"^qualifying tuple id {re.escape(bad)} is not an integer$")):
         lay.qualifying_rows(ids)
 
 
