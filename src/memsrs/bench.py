@@ -159,8 +159,9 @@ def _sweep(params: Optional[DeviceParams], experiment: int,
     """One row per placement, sweep point and seed, in `sort_rows` order.
 
     `family` is (point name, point function, placements, option name,
-    option values).  Bad placements, seek model and `option`, and repeated
-    seeds or points, fail first: a repeat would only duplicate rows.
+    option values).  Non-integer seeds, bad placements, seek model and
+    `option`, and repeated seeds or points, fail first: a repeat would
+    only duplicate rows.
     Every point is then checked before any row is made, by
     `point(params, pt, name, seeds, classes, build, option, **point_args)`:
     it fails naming the point, builds the layouts of `classes` through the
@@ -170,6 +171,10 @@ def _sweep(params: Optional[DeviceParams], experiment: int,
     name, point, known, option_name, option_values = family
     params = params or cmu_defaults()
     seeds = tuple(seeds)
+    for seed in seeds:
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ValueError(f"experiment {experiment}: seed must be an "
+                             f"integer, got {seed!r}")
     for placement in placements:
         _check_option("placement", placement, known)
     _check_unique(placements, lambda placement: f"placement {placement!r}")
@@ -207,6 +212,16 @@ def _sweep(params: Optional[DeviceParams], experiment: int,
 
 def _relational_name(experiment: int, size_mb: float, nproj: int) -> str:
     return f"experiment {experiment}, data_mb={size_mb:g}, n_projection={nproj}"
+
+
+def _check_selectivity(experiment: int, selectivity: float) -> None:
+    if isinstance(selectivity, bool) or not isinstance(selectivity,
+                                                       (int, float)):
+        raise ValueError(f"experiment {experiment}: selectivity must be a "
+                         f"real number, got {selectivity!r}")
+    if not 0 <= selectivity <= 1:
+        raise ValueError(f"experiment {experiment}: selectivity "
+                         f"{selectivity:g} is not within [0, 1]")
 
 
 def _relational_point(params: DeviceParams, pt: tuple, name: str,
@@ -267,6 +282,7 @@ def run_experiment1(params: Optional[DeviceParams] = None, *,
                     qual_mode: str = "uniform",
                     seek_model: str = "average") -> List[Row]:
     """Relational data-size sweep at a fixed projection width."""
+    _check_selectivity(1, selectivity)
     return _sweep(params, 1, [(mb, n_projection) for mb in sizes_mb],
                   _RELATIONAL, qual_mode, seeds, placements, seek_model,
                   selectivity=selectivity)
@@ -281,6 +297,7 @@ def run_experiment2(params: Optional[DeviceParams] = None, *,
                     qual_mode: str = "uniform",
                     seek_model: str = "average") -> List[Row]:
     """Relational projection-width sweep at a fixed data size."""
+    _check_selectivity(2, selectivity)
     return _sweep(params, 2, [(size_mb, np_) for np_ in n_projections],
                   _RELATIONAL, qual_mode, seeds, placements, seek_model,
                   selectivity=selectivity)

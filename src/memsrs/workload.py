@@ -6,6 +6,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import accumulate, compress, islice, repeat
+from operator import add
 from typing import Tuple
 
 from .relational import exact_ceil
@@ -23,8 +25,19 @@ class Relation:
     n: int
     seed: int
 
+    def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, int):
+            raise ValueError(f"relation tuple count must be an integer, "
+                             f"got {self.n!r}")
+        if self.n < 1:
+            raise ValueError(f"relation tuple count {self.n} is below 1")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ValueError(f"relation seed must be an integer, "
+                             f"got {self.seed!r}")
+
     def qualifying_set(self, sigma: float, mode: str = "uniform") -> Tuple[int, ...]:
-        """Tuple ids satisfying the predicate; exactly ceil(sigma*n) of them."""
+        """Tuple ids satisfying the predicate, ascending; exactly
+        ceil(sigma*n) of them, the first ones or a uniform subset."""
         if not 0.0 <= sigma <= 1.0:
             raise ValueError("selectivity must be within [0, 1]")
         if mode not in _QUAL_MODES:
@@ -32,8 +45,51 @@ class Relation:
         m = exact_ceil(sigma, self.n)
         if mode == "clustered":
             return tuple(range(1, m + 1))
-        rng = random.Random(f"{self.seed}:qualifying")
-        return tuple(sorted(rng.sample(range(1, self.n + 1), m)))
+        return _uniform_subset(random.Random(f"{self.seed}:qualifying"),
+                               self.n, m)
+
+
+def _uniform_subset(rng: random.Random, n: int, m: int) -> Tuple[int, ...]:
+    """A uniform m-subset of 1..n, ascending.
+
+    One random byte per id keeps it with probability c/256, c =
+    ceil(256*m/n), so about m ids or a few more are kept; then a uniform
+    sample of the surplus is dropped, or missing ids are drawn uniformly
+    by rejection.  Below one id in 256, c is 0 and rejection draws every
+    id, which is cheaper than a random byte per id.  A Bernoulli sample
+    of a given size is a uniform subset of that size, and trimming or
+    topping it up uniformly keeps it uniform."""
+    c = -(-256 * m // n) if 256 * m >= n else 0
+    if c >= 256:
+        picked = list(range(1, n + 1))
+    else:
+        mask = (rng.randbytes(n).translate(b"\1" * c + bytes(256 - c))
+                if c else bytes(n))
+        # each kept byte ends a run of zeros, so the kept ids are running
+        # sums of (run length + 1): work per kept id, not per id as with
+        # `compress`; splitting 64 KiB at a time keeps few runs alive
+        picked = []
+        for start in range(0, n, 1 << 16):
+            runs = mask[start:start + (1 << 16)].split(b"\1")
+            runs.pop()
+            picked += islice(accumulate(map(add, map(len, runs), repeat(1)),
+                                        initial=start), 1, None)
+    surplus = len(picked) - m
+    if surplus > 0:
+        keep = bytearray(b"\1") * len(picked)
+        for i in rng.sample(range(len(picked)), surplus):
+            keep[i] = 0
+        picked = compress(picked, keep)
+    elif surplus < 0:
+        taken = bytearray(mask)
+        for _ in range(-surplus):
+            i = rng.randrange(n)
+            while taken[i]:
+                i = rng.randrange(n)
+            taken[i] = 1
+            picked.append(i + 1)
+        picked.sort()
+    return tuple(picked)
 
 
 def gen_query_region(space: SpatialSpace, size_fraction: float, aspect: float,

@@ -179,6 +179,20 @@ def test_parallel_time_grows_with_projection_width():
     assert by_nproj[16] > by_nproj[1]
 
 
+@pytest.mark.parametrize("size_mb", [5, 320])
+def test_parallel_rows_seed_independent_at_default_selectivity(size_mb):
+    # at sigma = 0.1 every band row holds between 1 and n_active_tips
+    # qualifying tuples whatever the draw, so RP prices each seed's plan
+    # alike; this is why a new qualifying-set sampler keeps the CSV bytes
+    rows = run_experiment2(size_mb=size_mb, n_projections=(1, 8, 16),
+                           seeds=(0, 1, 2), placements=("relational-parallel",))
+    times = {}
+    for r in rows:
+        times.setdefault(r["n_projection"], set()).add(r["meas_total_s"])
+    assert sorted(times) == [1, 8, 16]
+    assert all(len(t) == 1 for t in times.values())
+
+
 # -- spatial sweeps ----------------------------------------------------------
 
 def test_exp3_rows_and_block_counts():
@@ -286,6 +300,39 @@ def test_bad_projection_width_fails_named_before_any_row(no_rows, run, kw,
                                                           message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run(seeds=(0,), **kw)
+
+
+@pytest.mark.parametrize("run, seeds, message", [
+    (run_experiment1, ("0",), "experiment 1: seed must be an integer, got '0'"),
+    (run_experiment1, (1.5,), "experiment 1: seed must be an integer, got 1.5"),
+    (run_experiment2, (0, "0"),
+     "experiment 2: seed must be an integer, got '0'"),
+    (run_experiment3, (True,),
+     "experiment 3: seed must be an integer, got True"),
+    (run_experiment4, (0, None),
+     "experiment 4: seed must be an integer, got None"),
+], ids=["exp1-str", "exp1-float", "exp2-mixed", "exp3-bool", "exp4-none"])
+def test_non_integer_seed_fails_named_before_any_row(no_rows, run, seeds,
+                                                      message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run(seeds=seeds)
+
+
+@pytest.mark.parametrize("run, selectivity, message", [
+    (run_experiment1, 1.5, "experiment 1: selectivity 1.5 is not within [0, 1]"),
+    (run_experiment1, -0.1,
+     "experiment 1: selectivity -0.1 is not within [0, 1]"),
+    (run_experiment2, float("nan"),
+     "experiment 2: selectivity nan is not within [0, 1]"),
+    (run_experiment1, "0.1",
+     "experiment 1: selectivity must be a real number, got '0.1'"),
+    (run_experiment2, True,
+     "experiment 2: selectivity must be a real number, got True"),
+], ids=["above-1", "negative", "nan", "str", "bool"])
+def test_bad_selectivity_fails_named_before_any_row(no_rows, run, selectivity,
+                                                     message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run(selectivity=selectivity, seeds=(0,))
 
 
 @pytest.mark.parametrize("run, kw, message", [

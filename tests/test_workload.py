@@ -1,12 +1,16 @@
 """Qualifying-set and query-region generators."""
 
 import math
+import random
 import re
+from collections import Counter
+from itertools import accumulate, combinations
 
 import pytest
 
+from memsrs.relational import exact_ceil
 from memsrs.spatial import SpatialSpace
-from memsrs.workload import Relation, gen_query_region
+from memsrs.workload import Relation, _uniform_subset, gen_query_region
 
 
 def test_relation_tuple_count_320mb():
@@ -44,6 +48,134 @@ def test_same_seed_same_content():
     assert qa == qb
     c = Relation(n=500, seed=43)
     assert c.qualifying_set(0.1) != qa
+
+
+# -- the uniform draw ----------------------------------------------------------
+
+# (n, sigma) reaching each path of the uniform draw, with the random calls
+# that path makes: "empty" (m = 0) draws nothing; "sparse" (m < n/256)
+# draws every id by rejection; "surplus" and "shortfall" keep ids by a
+# byte mask, then drop or add some (256*m/n = 128 exactly at "shortfall",
+# so half its masks come up short); "almost-all" (c >= 256) keeps every
+# id and drops a sample; "all" keeps every id.
+_PATHS = {
+    "empty": (1000, 0.0, {()}),
+    "sparse": (1000, 0.002, {("randrange",)}),
+    "surplus": (40, 0.1, {("randbytes", "sample")}),
+    "shortfall": (40, 0.5, {("randbytes", "randrange")}),
+    "almost-all": (1000, 0.999, {("sample",)}),
+    "all": (1000, 1.0, {()}),
+}
+
+
+class _Recording(random.Random):
+    """A generator that records which of the draw's random calls it served."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = set()
+
+    def randbytes(self, n):
+        self.calls.add("randbytes")
+        return super().randbytes(n)
+
+    def randrange(self, *args):
+        self.calls.add("randrange")
+        return super().randrange(*args)
+
+    def sample(self, *args, **kw):
+        self.calls.add("sample")
+        return super().sample(*args, **kw)
+
+
+@pytest.mark.parametrize("path", _PATHS)
+def test_uniform_draw_is_an_exact_ascending_subset(path):
+    n, sigma, calls = _PATHS[path]
+    m = exact_ceil(sigma, n)
+    seen = set()
+    for seed in range(60):
+        rng = _Recording(f"{seed}:qualifying")
+        q = _uniform_subset(rng, n, m)
+        assert q == Relation(n, seed).qualifying_set(sigma)
+        assert type(q) is tuple and len(q) == m
+        assert all(type(t) is int for t in q)
+        assert all(a < b for a, b in zip(q, q[1:]))
+        assert not q or 1 <= q[0] and q[-1] <= n
+        seen.add(tuple(sorted(rng.calls)))
+    # every path is reached by at least one of these seeds
+    assert calls <= seen
+
+
+def test_uniform_draw_keeps_the_ids_whose_byte_is_below_c():
+    # the mask keeps id i when its byte is below c = ceil(256*m/n); a
+    # surplus is only trimmed and a shortfall only topped up, so the draw
+    # lies inside the kept ids or holds them all.  n spans several 64 KiB
+    # stretches of the mask, each walked on its own.
+    n, sigma = 3 * 2**16 + 5, 0.1
+    m = exact_ceil(sigma, n)
+    c = -(-256 * m // n)
+    for seed in range(4):
+        raw = random.Random(f"{seed}:qualifying").randbytes(n)
+        kept = {i for i, b in enumerate(raw, 1) if b < c}
+        q = set(Relation(n, seed).qualifying_set(sigma))
+        assert q <= kept if len(kept) >= m else kept <= q
+
+
+# Over T seeds an id's inclusion count is Binomial(T, m/n).  Each check
+# allows the counts whose two tails each hold at most 1e-7 of that exact
+# distribution, so a uniform draw fails one of the ~2100 checks below with
+# probability under 5e-4.
+_T = 2000
+
+
+def _binomial_range(trials, p, tail=1e-7):
+    """(lo, hi) with P(count < lo) and P(count > hi) each at most `tail`
+    for count ~ Binomial(trials, p), 0 < p < 1."""
+    pmf = [math.exp(math.lgamma(trials + 1) - math.lgamma(k + 1)
+                    - math.lgamma(trials - k + 1) + k * math.log(p)
+                    + (trials - k) * math.log1p(-p))
+           for k in range(trials + 1)]
+    lo = next(k for k, s in enumerate(accumulate(pmf)) if s > tail)
+    hi = trials - next(k for k, s in enumerate(accumulate(reversed(pmf)))
+                       if s > tail)
+    return lo, hi
+
+
+@pytest.mark.parametrize("path", ["sparse", "surplus", "shortfall",
+                                  "almost-all"])
+def test_uniform_draw_includes_each_id_with_chance_m_over_n(path):
+    n, sigma, _ = _PATHS[path]
+    m = exact_ceil(sigma, n)
+    counts = Counter()
+    for seed in range(_T):
+        counts.update(Relation(n, seed).qualifying_set(sigma))
+    lo, hi = _binomial_range(_T, m / n)
+    assert [t for t in range(1, n + 1) if not lo <= counts[t] <= hi] == []
+
+
+def test_uniform_draw_picks_every_pair_of_five_equally_often():
+    # 2 of 5 ids: each of the 10 subsets has chance 1/10 per draw
+    trials = 5000
+    counts = Counter(Relation(5, seed).qualifying_set(0.4)
+                     for seed in range(trials))
+    assert set(counts) == set(combinations(range(1, 6), 2))
+    lo, hi = _binomial_range(trials, 0.1)
+    assert all(lo <= c <= hi for c in counts.values())
+
+
+@pytest.mark.parametrize("n, seed, message", [
+    (0, 1, "relation tuple count 0 is below 1"),
+    (-5, 1, "relation tuple count -5 is below 1"),
+    (2.5, 1, "relation tuple count must be an integer, got 2.5"),
+    (True, 1, "relation tuple count must be an integer, got True"),
+    ("10", 1, "relation tuple count must be an integer, got '10'"),
+    (10, "1", "relation seed must be an integer, got '1'"),
+    (10, 1.5, "relation seed must be an integer, got 1.5"),
+    (10, False, "relation seed must be an integer, got False"),
+])
+def test_relation_rejects_bad_fields_by_name(n, seed, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Relation(n, seed)
 
 
 def test_query_region_sizes():
