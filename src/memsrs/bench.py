@@ -37,7 +37,7 @@ from .device import DeviceParams, cmu_defaults
 from .emulator import Emulator
 from .linear import DsmLayout, NsmLayout, compile_dsm, compile_nsm
 from .relational import (RangeQuery, RelationSchema, RelLayoutRP, RelLayoutRSY,
-                         exact_ceil)
+                         check_selectivity, exact_ceil)
 from .rs import rs_params
 from .spatial import (CURVES, BlockGrid, SpatialSpace, SSYLayout, _block_shape,
                       build_block_grid, compile_sp, query_block_set)
@@ -215,13 +215,10 @@ def _relational_name(experiment: int, size_mb: float, nproj: int) -> str:
 
 
 def _check_selectivity(experiment: int, selectivity: float) -> None:
-    if isinstance(selectivity, bool) or not isinstance(selectivity,
-                                                       (int, float)):
-        raise ValueError(f"experiment {experiment}: selectivity must be a "
-                         f"real number, got {selectivity!r}")
-    if not 0 <= selectivity <= 1:
-        raise ValueError(f"experiment {experiment}: selectivity "
-                         f"{selectivity:g} is not within [0, 1]")
+    try:
+        check_selectivity(selectivity)
+    except ValueError as exc:
+        raise ValueError(f"experiment {experiment}: {exc}") from exc
 
 
 def _relational_point(params: DeviceParams, pt: tuple, name: str,

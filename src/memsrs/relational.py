@@ -31,6 +31,16 @@ def exact_ceil(fraction: float, n: int) -> int:
     return math.ceil(round(fraction * n, 9))
 
 
+def check_selectivity(selectivity: float) -> None:
+    """Reject a selectivity that is not a real number within [0, 1]."""
+    if isinstance(selectivity, bool) or not isinstance(selectivity,
+                                                       (int, float)):
+        raise ValueError(f"selectivity must be a real number, "
+                         f"got {selectivity!r}")
+    if not 0 <= selectivity <= 1:
+        raise ValueError(f"selectivity {selectivity!r} is not within [0, 1]")
+
+
 @dataclass(frozen=True)
 class RelationSchema:
     k: int
@@ -61,8 +71,7 @@ class RangeQuery:
             raise ValueError("projected attribute set must be non-empty, 1-based")
         if self.predicate_attr not in proj:
             raise ValueError("predicate attribute must be projected")
-        if not 0.0 <= self.selectivity <= 1.0:
-            raise ValueError("selectivity must be within [0, 1]")
+        check_selectivity(self.selectivity)
 
     @property
     def n_projection(self) -> int:

@@ -6,11 +6,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import accumulate, compress, islice, repeat
-from operator import add
+from itertools import compress
 from typing import Tuple
 
-from .relational import exact_ceil
+from .relational import check_selectivity, exact_ceil
 from .spatial import QueryRegion, SpatialSpace
 
 # range predicates select tuples whose first attribute exceeds this
@@ -38,8 +37,7 @@ class Relation:
     def qualifying_set(self, sigma: float, mode: str = "uniform") -> Tuple[int, ...]:
         """Tuple ids satisfying the predicate, ascending; exactly
         ceil(sigma*n) of them, the first ones or a uniform subset."""
-        if not 0.0 <= sigma <= 1.0:
-            raise ValueError("selectivity must be within [0, 1]")
+        check_selectivity(sigma)
         if mode not in _QUAL_MODES:
             raise ValueError(f"unknown qualifying mode {mode!r}")
         m = exact_ceil(sigma, self.n)
@@ -55,25 +53,12 @@ def _uniform_subset(rng: random.Random, n: int, m: int) -> Tuple[int, ...]:
     One random byte per id keeps it with probability c/256, c =
     ceil(256*m/n), so about m ids or a few more are kept; then a uniform
     sample of the surplus is dropped, or missing ids are drawn uniformly
-    by rejection.  Below one id in 256, c is 0 and rejection draws every
-    id, which is cheaper than a random byte per id.  A Bernoulli sample
-    of a given size is a uniform subset of that size, and trimming or
-    topping it up uniformly keeps it uniform."""
-    c = -(-256 * m // n) if 256 * m >= n else 0
-    if c >= 256:
-        picked = list(range(1, n + 1))
-    else:
-        mask = (rng.randbytes(n).translate(b"\1" * c + bytes(256 - c))
-                if c else bytes(n))
-        # each kept byte ends a run of zeros, so the kept ids are running
-        # sums of (run length + 1): work per kept id, not per id as with
-        # `compress`; splitting 64 KiB at a time keeps few runs alive
-        picked = []
-        for start in range(0, n, 1 << 16):
-            runs = mask[start:start + (1 << 16)].split(b"\1")
-            runs.pop()
-            picked += islice(accumulate(map(add, map(len, runs), repeat(1)),
-                                        initial=start), 1, None)
+    by rejection.  A Bernoulli sample of a given size is a uniform subset
+    of that size, and trimming or topping it up uniformly keeps it
+    uniform."""
+    c = -(-256 * m // n)
+    mask = rng.randbytes(n).translate(b"\1" * c + bytes(256 - c))
+    picked = list(compress(range(1, n + 1), mask))
     surplus = len(picked) - m
     if surplus > 0:
         keep = bytearray(b"\1") * len(picked)

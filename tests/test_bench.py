@@ -328,7 +328,9 @@ def test_non_integer_seed_fails_named_before_any_row(no_rows, run, seeds,
      "experiment 1: selectivity must be a real number, got '0.1'"),
     (run_experiment2, True,
      "experiment 2: selectivity must be a real number, got True"),
-], ids=["above-1", "negative", "nan", "str", "bool"])
+    (run_experiment1, 10**400,
+     f"experiment 1: selectivity {10**400} is not within [0, 1]"),
+], ids=["above-1", "negative", "nan", "str", "bool", "huge-int"])
 def test_bad_selectivity_fails_named_before_any_row(no_rows, run, selectivity,
                                                      message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

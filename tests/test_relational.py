@@ -348,3 +348,20 @@ def test_range_query_validation():
         RangeQuery(projected=(1,), predicate_attr=1, bound=0, selectivity=1.5)
     with pytest.raises(ValueError):
         RangeQuery(projected=(), predicate_attr=1, bound=0, selectivity=0.1)
+
+
+@pytest.mark.parametrize("selectivity, message", [
+    (1.5, "selectivity 1.5 is not within [0, 1]"),
+    (float("nan"), "selectivity nan is not within [0, 1]"),
+    (10**400, f"selectivity {10**400} is not within [0, 1]"),
+    ("0.1", "selectivity must be a real number, got '0.1'"),
+    (True, "selectivity must be a real number, got True"),
+], ids=["above-1", "nan", "huge-int", "str", "bool"])
+def test_query_and_draw_reject_a_bad_selectivity_by_name(selectivity,
+                                                          message):
+    # the range query and the qualifying-set draw share one check
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RangeQuery(projected=(1,), predicate_attr=1, bound=0,
+                   selectivity=selectivity)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Relation(n=10, seed=0).qualifying_set(selectivity)

@@ -53,18 +53,19 @@ def test_same_seed_same_content():
 # -- the uniform draw ----------------------------------------------------------
 
 # (n, sigma) reaching each path of the uniform draw, with the random calls
-# that path makes: "empty" (m = 0) draws nothing; "sparse" (m < n/256)
-# draws every id by rejection; "surplus" and "shortfall" keep ids by a
-# byte mask, then drop or add some (256*m/n = 128 exactly at "shortfall",
-# so half its masks come up short); "almost-all" (c >= 256) keeps every
-# id and drops a sample; "all" keeps every id.
+# that path makes.  Every draw keeps ids by a byte mask; then "empty"
+# (m = 0) and "all" keep the mask as it is; "sparse" (m < n/256, where
+# c = 1 keeps about n/256 ids) and "surplus" drop a sample of the kept
+# ids; "shortfall" adds ids (256*m/n = 128 exactly there, so half its
+# masks come up short); "almost-all" (c = 256) keeps every id and drops
+# a sample.
 _PATHS = {
-    "empty": (1000, 0.0, {()}),
-    "sparse": (1000, 0.002, {("randrange",)}),
+    "empty": (1000, 0.0, {("randbytes",)}),
+    "sparse": (1000, 0.002, {("randbytes", "sample")}),
     "surplus": (40, 0.1, {("randbytes", "sample")}),
     "shortfall": (40, 0.5, {("randbytes", "randrange")}),
-    "almost-all": (1000, 0.999, {("sample",)}),
-    "all": (1000, 1.0, {()}),
+    "almost-all": (1000, 0.999, {("randbytes", "sample")}),
+    "all": (1000, 1.0, {("randbytes",)}),
 }
 
 
@@ -109,8 +110,7 @@ def test_uniform_draw_is_an_exact_ascending_subset(path):
 def test_uniform_draw_keeps_the_ids_whose_byte_is_below_c():
     # the mask keeps id i when its byte is below c = ceil(256*m/n); a
     # surplus is only trimmed and a shortfall only topped up, so the draw
-    # lies inside the kept ids or holds them all.  n spans several 64 KiB
-    # stretches of the mask, each walked on its own.
+    # lies inside the kept ids or holds them all
     n, sigma = 3 * 2**16 + 5, 0.1
     m = exact_ceil(sigma, n)
     c = -(-256 * m // n)
