@@ -33,7 +33,7 @@ from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from .cost import estimate, lower_bound, trace_k_values
-from .device import DeviceParams, cmu_defaults
+from .device import DeviceParams, check_integer, check_real, cmu_defaults
 from .emulator import Emulator
 from .linear import DsmLayout, NsmLayout, compile_dsm, compile_nsm
 from .relational import (RangeQuery, RelationSchema, RelLayoutRP, RelLayoutRSY,
@@ -172,9 +172,10 @@ def _sweep(params: Optional[DeviceParams], experiment: int,
     params = params or cmu_defaults()
     seeds = tuple(seeds)
     for seed in seeds:
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ValueError(f"experiment {experiment}: seed must be an "
-                             f"integer, got {seed!r}")
+        try:
+            check_integer("seed", seed)
+        except ValueError as exc:
+            raise ValueError(f"experiment {experiment}: {exc}") from exc
     for placement in placements:
         _check_option("placement", placement, known)
     _check_unique(placements, lambda placement: f"placement {placement!r}")
@@ -210,8 +211,20 @@ def _sweep(params: Optional[DeviceParams], experiment: int,
 
 # -- relational sweeps --------------------------------------------------------
 
+def _point_value(value) -> str:
+    """A sweep point's value as its name shows it: `:g` for a float or an
+    int that fits one, repr for anything else, so any point can be named."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            return format(value, "g")
+        except OverflowError:
+            pass
+    return repr(value)
+
+
 def _relational_name(experiment: int, size_mb: float, nproj: int) -> str:
-    return f"experiment {experiment}, data_mb={size_mb:g}, n_projection={nproj}"
+    return (f"experiment {experiment}, data_mb={_point_value(size_mb)}, "
+            f"n_projection={nproj}")
 
 
 def _check_selectivity(experiment: int, selectivity: float) -> None:
@@ -225,25 +238,24 @@ def _relational_point(params: DeviceParams, pt: tuple, name: str,
                       seeds: Sequence[int], classes: Sequence, build,
                       qual_mode: str, selectivity: float) -> tuple:
     """The relation of `pt` = (size_mb, nproj), with its layouts built
-    under (class, n).  A point with a projection width outside 1.._K, a
-    size that is not finite, or that the device cannot hold, fails naming
-    the point.  A seed's qualifying rows are drawn once per (size, seed)
-    and shared by every width."""
+    under (class, n).  A point with a projection width that is not an
+    integer in 1.._K, or a size that is not a finite real number or that
+    the device cannot hold, fails naming the point.  A seed's qualifying
+    rows are drawn once per (size, seed) and shared by every width."""
     size_mb, nproj = pt
     try:
-        if isinstance(nproj, bool) or not isinstance(nproj, int):
-            raise ValueError(f"projection width must be an integer, "
-                             f"got {nproj!r}")
+        check_integer("projection width", nproj)
         if nproj < 1:
             raise ValueError(f"projection width {nproj} is below 1")
         if nproj > _K:
             raise ValueError(f"projection width {nproj} exceeds schema k={_K}")
-        if not math.isfinite(size_mb):
+        check_real("data size", size_mb)
+        if isinstance(size_mb, float) and not math.isfinite(size_mb):
             raise ValueError(f"data size {size_mb:g} MB is not finite")
         n = int(size_mb * 2**20) // (_K * _ATTR_BYTES)
         if n < 1:
             raise ValueError(f"no {_K * _ATTR_BYTES}-byte tuple fits in "
-                             f"{size_mb:g} MB")
+                             f"{_point_value(size_mb)} MB")
         sch = RelationSchema(k=_K, n=n, attr_bits=_ATTR_BYTES * 8)
         sectors = n * _K * sch.sectors_per_value(params.sector_bits)
         capacity = params.n_tips * params.sectors_per_region
@@ -303,7 +315,8 @@ def run_experiment2(params: Optional[DeviceParams] = None, *,
 # -- spatial sweeps ------------------------------------------------------------
 
 def _spatial_name(experiment: int, frac: float, aspect: float) -> str:
-    return f"experiment {experiment}, query_frac={frac:g}, aspect={aspect:g}"
+    return (f"experiment {experiment}, query_frac={_point_value(frac)}, "
+            f"aspect={_point_value(aspect)}")
 
 
 def _spatial_point(params: DeviceParams, pt: tuple, name: str,
@@ -311,8 +324,14 @@ def _spatial_point(params: DeviceParams, pt: tuple, name: str,
                    curve: str) -> tuple:
     """Each seed's query at `pt` = (frac, aspect), with the block grid
     built under (BlockGrid, its block shape) and the stripe layout under
-    SSYLayout.  A point that cannot be run fails naming the point."""
+    SSYLayout.  A point that cannot be run, or whose size fraction or
+    aspect is not a real number, fails naming the point."""
     frac, aspect = pt
+    try:
+        check_real("query size fraction", frac)
+        check_real("query aspect", aspect)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from exc
     data_mb = _SPACE.width * _SPACE.height * _SPACE.obj_bits / 8 / 2**20
     draws = []
     for seed in seeds:

@@ -18,6 +18,20 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 
+def check_integer(what: str, value) -> None:
+    """Reject a `value` that is not an int (a bool is not one), naming
+    it as `what`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def check_real(what: str, value) -> None:
+    """Reject a `value` that is not an int or a float (a bool is neither),
+    naming it as `what`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DeviceParams:
     regions_x: int = 80          # regions per sled row
@@ -36,8 +50,7 @@ class DeviceParams:
         for name in ("regions_x", "regions_y", "sectors_x", "sectors_y",
                      "n_active_tips", "sector_bits"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            check_integer(name, value)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1")
         for name in ("tip_rate_bits_s", "move_x_s", "move_y_s",

@@ -20,23 +20,22 @@ from operator import sub
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .cost import CostInput
-from .device import DeviceParams
+from .device import DeviceParams, check_integer, check_real
 from .emulator import AccessPlan, MediaImage, Scan, SortedTips
 from .rs import RSAddr, layer_scans, rs_scan, write_values
 
 
 def exact_ceil(fraction: float, n: int) -> int:
     """ceil(fraction * n), the number of tuples a selectivity qualifies."""
-    # 0.07 * 100 is 7.000000000000001 in floating point; shave such drift
-    return math.ceil(round(fraction * n, 9))
+    product = fraction * n
+    # 0.07 * 100 is 7.000000000000001 in floating point; shave such drift,
+    # but not down to 0: a positive product qualifies at least one tuple
+    return max(math.ceil(round(product, 9)), int(product > 0))
 
 
 def check_selectivity(selectivity: float) -> None:
     """Reject a selectivity that is not a real number within [0, 1]."""
-    if isinstance(selectivity, bool) or not isinstance(selectivity,
-                                                       (int, float)):
-        raise ValueError(f"selectivity must be a real number, "
-                         f"got {selectivity!r}")
+    check_real("selectivity", selectivity)
     if not 0 <= selectivity <= 1:
         raise ValueError(f"selectivity {selectivity!r} is not within [0, 1]")
 
@@ -48,6 +47,8 @@ class RelationSchema:
     attr_bits: int = 64
 
     def __post_init__(self):
+        for field in ("k", "n", "attr_bits"):
+            check_integer(f"relation schema {field}", getattr(self, field))
         if self.k < 1 or self.n < 1 or self.attr_bits < 1:
             raise ValueError("relation schema fields must be >= 1")
 
@@ -65,6 +66,9 @@ class RangeQuery:
     selectivity: float
 
     def __post_init__(self):
+        for w in self.projected:
+            check_integer("projected attribute", w)
+        check_integer("predicate attribute", self.predicate_attr)
         proj = tuple(sorted(set(self.projected)))
         object.__setattr__(self, "projected", proj)
         if not proj or any(w < 1 for w in proj):

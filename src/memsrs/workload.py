@@ -6,9 +6,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
+from operator import add
 from typing import Tuple
 
+from .device import check_integer
 from .relational import check_selectivity, exact_ceil
 from .spatial import QueryRegion, SpatialSpace
 
@@ -16,6 +18,9 @@ from .spatial import QueryRegion, SpatialSpace
 PREDICATE_BOUND = 1_000_000
 # how `Relation.qualifying_set` places the qualifying tuples
 _QUAL_MODES = ("uniform", "clustered")
+# the uniform draw lists its kept ids over blocks of this many ids
+_BLOCK = 2**12
+_BLOCK_IDS = tuple(range(1, _BLOCK + 1))
 
 
 @dataclass(frozen=True)
@@ -25,14 +30,10 @@ class Relation:
     seed: int
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int):
-            raise ValueError(f"relation tuple count must be an integer, "
-                             f"got {self.n!r}")
+        check_integer("relation tuple count", self.n)
         if self.n < 1:
             raise ValueError(f"relation tuple count {self.n} is below 1")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ValueError(f"relation seed must be an integer, "
-                             f"got {self.seed!r}")
+        check_integer("relation seed", self.seed)
 
     def qualifying_set(self, sigma: float, mode: str = "uniform") -> Tuple[int, ...]:
         """Tuple ids satisfying the predicate, ascending; exactly
@@ -55,10 +56,14 @@ def _uniform_subset(rng: random.Random, n: int, m: int) -> Tuple[int, ...]:
     sample of the surplus is dropped, or missing ids are drawn uniformly
     by rejection.  A Bernoulli sample of a given size is a uniform subset
     of that size, and trimming or topping it up uniformly keeps it
-    uniform."""
+    uniform.  The kept ids are listed block by block, offset from one
+    shared tuple of ids, so only kept ids become Python ints."""
     c = -(-256 * m // n)
     mask = rng.randbytes(n).translate(b"\1" * c + bytes(256 - c))
-    picked = list(compress(range(1, n + 1), mask))
+    picked: list = []
+    for off in range(0, n, _BLOCK):
+        picked += map(add, compress(_BLOCK_IDS, mask[off:off + _BLOCK]),
+                      repeat(off))
     surplus = len(picked) - m
     if surplus > 0:
         keep = bytearray(b"\1") * len(picked)

@@ -4,8 +4,12 @@ column and row without going through the Region-Sector address or the
 layout's own block walk, so tests use it as an oracle for
 `rs_to_mems(layout.map(...))` or for the cells a store's image holds.
 The curve keys order a block grid by sorting every cell on its position
-along the curve, an oracle for `build_block_grid`'s quadrant walk."""
+along the curve, an oracle for `build_block_grid`'s quadrant walk.
+The whole-range draw lists a uniform subset's kept ids in one pass over
+every id, an oracle for `_uniform_subset`'s block-wise listing."""
 
+import random
+from itertools import compress
 from typing import List, Tuple
 
 from memsrs.device import DeviceParams
@@ -107,3 +111,29 @@ def curve_key_order(curve: str, g_x: int, g_y: int) -> List[Tuple[int, int]]:
     else:
         order.sort(key=lambda c: _zorder_xy2d(c[0] - 1, c[1] - 1))
     return order
+
+
+def whole_range_uniform_subset(rng: random.Random, n: int,
+                               m: int) -> Tuple[int, ...]:
+    """`_uniform_subset` with its kept ids listed by one `compress` over
+    all of 1..n: the same random calls in the same order, so the same
+    draw."""
+    c = -(-256 * m // n)
+    mask = rng.randbytes(n).translate(b"\1" * c + bytes(256 - c))
+    picked = list(compress(range(1, n + 1), mask))
+    surplus = len(picked) - m
+    if surplus > 0:
+        keep = bytearray(b"\1") * len(picked)
+        for i in rng.sample(range(len(picked)), surplus):
+            keep[i] = 0
+        picked = compress(picked, keep)
+    elif surplus < 0:
+        taken = bytearray(mask)
+        for _ in range(-surplus):
+            i = rng.randrange(n)
+            while taken[i]:
+                i = rng.randrange(n)
+            taken[i] = 1
+            picked.append(i + 1)
+        picked.sort()
+    return tuple(picked)

@@ -318,6 +318,44 @@ def test_non_integer_seed_fails_named_before_any_row(no_rows, run, seeds,
         run(seeds=seeds)
 
 
+@pytest.mark.parametrize("run, kw, message", [
+    (run_experiment1, {"sizes_mb": (5, "5")},
+     "experiment 1, data_mb='5', n_projection=8: data size must be a real "
+     "number, got '5'"),
+    (run_experiment1, {"sizes_mb": (True,)},
+     "experiment 1, data_mb=True, n_projection=8: data size must be a real "
+     "number, got True"),
+    (run_experiment2, {"size_mb": "5"},
+     "experiment 2, data_mb='5', n_projection=1: data size must be a real "
+     "number, got '5'"),
+    (run_experiment3, {"query_fracs": (0.01, "0.01")},
+     "experiment 3, query_frac='0.01', aspect=1: query size fraction must "
+     "be a real number, got '0.01'"),
+    (run_experiment3, {"aspect": "1"},
+     "experiment 3, query_frac=0.0001, aspect='1': query aspect must be a "
+     "real number, got '1'"),
+    (run_experiment4, {"aspects": (1, None)},
+     "experiment 4, query_frac=0.01, aspect=None: query aspect must be a "
+     "real number, got None"),
+    (run_experiment4, {"query_frac": b"0.01"},
+     "experiment 4, query_frac=b'0.01', aspect=16: query size fraction must "
+     "be a real number, got b'0.01'"),
+], ids=["exp1-str", "exp1-bool", "exp2-str", "exp3-frac", "exp3-aspect",
+        "exp4-aspect", "exp4-bytes"])
+def test_non_number_sweep_point_fails_named_before_any_row(no_rows, run, kw,
+                                                           message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run(seeds=(0,), **kw)
+
+
+def test_huge_integer_size_is_named_not_overflowed(no_rows):
+    # a size too large for a float still names its point
+    with pytest.raises(ValueError, match=re.escape(
+            f"experiment 1, data_mb={10**400}, n_projection=8: relation "
+            f"needs ")):
+        run_experiment1(sizes_mb=(10**400,), seeds=(0,))
+
+
 @pytest.mark.parametrize("run, selectivity, message", [
     (run_experiment1, 1.5, "experiment 1: selectivity 1.5 is not within [0, 1]"),
     (run_experiment1, -0.1,

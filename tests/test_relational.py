@@ -350,6 +350,33 @@ def test_range_query_validation():
         RangeQuery(projected=(), predicate_attr=1, bound=0, selectivity=0.1)
 
 
+@pytest.mark.parametrize("kw, message", [
+    ({"k": 16, "n": 2.5}, "relation schema n must be an integer, got 2.5"),
+    ({"k": "16", "n": 5}, "relation schema k must be an integer, got '16'"),
+    ({"k": 16, "n": 5, "attr_bits": 64.0},
+     "relation schema attr_bits must be an integer, got 64.0"),
+    ({"k": True, "n": 5}, "relation schema k must be an integer, got True"),
+    ({"k": 0, "n": 5}, "relation schema fields must be >= 1"),
+], ids=["float-n", "str-k", "float-bits", "bool-k", "zero-k"])
+def test_relation_schema_rejects_bad_fields_by_name(kw, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RelationSchema(**kw)
+
+
+@pytest.mark.parametrize("projected, pred, message", [
+    ((1, 2.5), 1, "projected attribute must be an integer, got 2.5"),
+    ((1, "2"), 1, "projected attribute must be an integer, got '2'"),
+    ((True, 2), 2, "projected attribute must be an integer, got True"),
+    ((1, 2), 1.0, "predicate attribute must be an integer, got 1.0"),
+    ((1, 2), None, "predicate attribute must be an integer, got None"),
+], ids=["float-attr", "str-attr", "bool-attr", "float-pred", "none-pred"])
+def test_range_query_rejects_non_integer_attributes_by_name(projected, pred,
+                                                            message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RangeQuery(projected=projected, predicate_attr=pred, bound=0,
+                   selectivity=0.1)
+
+
 @pytest.mark.parametrize("selectivity, message", [
     (1.5, "selectivity 1.5 is not within [0, 1]"),
     (float("nan"), "selectivity nan is not within [0, 1]"),

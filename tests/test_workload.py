@@ -1,5 +1,6 @@
 """Qualifying-set and query-region generators."""
 
+import hashlib
 import math
 import random
 import re
@@ -10,7 +11,9 @@ import pytest
 
 from memsrs.relational import exact_ceil
 from memsrs.spatial import SpatialSpace
-from memsrs.workload import Relation, _uniform_subset, gen_query_region
+from memsrs.workload import (_BLOCK, Relation, _uniform_subset,
+                             gen_query_region)
+from tests.oracles import whole_range_uniform_subset
 
 
 def test_relation_tuple_count_320mb():
@@ -27,6 +30,12 @@ def test_qualifying_cardinality_is_exact():
         assert len(q) == want
         assert len(set(q)) == len(q)
         assert all(1 <= t <= 1000 for t in q)
+    # 0.07 * 100 drifts above 7 and is shaved back; a product far below
+    # the shave's 1e-9 still qualifies one tuple, not none
+    for n, sigma, want in ((100, 0.07, 7), (2_621_440, 1e-16, 1),
+                           (1000, 5e-324, 1)):
+        assert exact_ceil(sigma, n) == want
+        assert len(Relation(n, 0).qualifying_set(sigma)) == want
 
 
 def test_qualifying_modes():
@@ -105,6 +114,57 @@ def test_uniform_draw_is_an_exact_ascending_subset(path):
         seen.add(tuple(sorted(rng.calls)))
     # every path is reached by at least one of these seeds
     assert calls <= seen
+
+
+@pytest.mark.parametrize("path", _PATHS)
+def test_uniform_draw_matches_the_whole_range_draw_on_every_path(path):
+    n, sigma, _ = _PATHS[path]
+    m = exact_ceil(sigma, n)
+    for seed in range(60):
+        assert (_uniform_subset(random.Random(seed), n, m)
+                == whole_range_uniform_subset(random.Random(seed), n, m))
+
+
+@pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1,
+                               3 * 2**16 + 5])
+def test_uniform_draw_matches_the_whole_range_draw_across_blocks(n):
+    # sizes just inside, at and just past one listing block, and many
+    # blocks with a ragged last one
+    for sigma in (0.0005, 0.1, 0.5, 0.999, 1.0):
+        m = exact_ceil(sigma, n)
+        for seed in range(3):
+            assert (_uniform_subset(random.Random(seed), n, m)
+                    == whole_range_uniform_subset(random.Random(seed), n, m))
+
+
+def test_uniform_draw_matches_the_whole_range_draw_at_320mb():
+    n, m = 2_621_440, exact_ceil(0.1, 2_621_440)
+    assert (_uniform_subset(random.Random("0:qualifying"), n, m)
+            == whole_range_uniform_subset(random.Random("0:qualifying"), n, m))
+
+
+# sha256 of repr(Relation(n, seed).qualifying_set(sigma)), as drawn when
+# the kept ids were listed over the whole range at once: no default CSV
+# row depends on which ids are drawn, so these pin the draws themselves
+_DRAW_DIGESTS = {
+    (2_621_440, 0, 0.1):
+        "2fe35ba1ccf08855ad76a133fea9cebe1e71003d56cefbce7081689f19b78199",
+    (40_960, 3, 0.1):
+        "cf66682e016741e969529579468a200af6f9f8c91644ad6eb4b931b8da1064c1",
+    (1000, 7, 0.5):
+        "4bff03f88f5e6c3faa0e82e138a4b6dd44b15448bf93e884d2b28cf80e4bd148",
+    (3 * 2**16 + 5, 1, 0.002):
+        "0cf5856dde56b555f717f2c2b9c68791f6d0e32f22bb9eb09401444f23860241",
+    (4097, 2, 0.999):
+        "5f2e3288d6589460973e70a2230475f1b640ee0b6c0745ba55897ba9de450d3f",
+}
+
+
+@pytest.mark.parametrize("n, seed, sigma", _DRAW_DIGESTS)
+def test_qualifying_set_draws_are_pinned(n, seed, sigma):
+    q = Relation(n, seed).qualifying_set(sigma)
+    assert (hashlib.sha256(repr(q).encode()).hexdigest()
+            == _DRAW_DIGESTS[n, seed, sigma])
 
 
 def test_uniform_draw_keeps_the_ids_whose_byte_is_below_c():
