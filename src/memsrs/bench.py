@@ -38,10 +38,9 @@ from .emulator import Emulator
 from .linear import DsmLayout, NsmLayout, compile_dsm, compile_nsm
 from .relational import (RangeQuery, RelationSchema, RelLayoutRP, RelLayoutRSY,
                          check_selectivity, exact_ceil)
-from .rs import rs_params
 from .spatial import (CURVES, BlockGrid, SpatialSpace, SSYLayout, _block_shape,
                       build_block_grid, compile_sp, query_block_set)
-from .workload import _QUAL_MODES, PREDICATE_BOUND, Relation, gen_query_region
+from .workload import Relation, gen_query_region
 
 # The paper's data: a relation of 16 attributes of 8 bytes each, whose
 # tuple count follows from the sweep's data size, and a 6400 x 6400 grid
@@ -98,26 +97,23 @@ Row = Dict[str, object]
 
 def _measured_row(base: Row, varies: Sequence[str], make_plan, cache: dict,
                   params: DeviceParams, seek_model: str) -> Row:
-    """`base` completed by an emulated run of `make_plan()`.  The plan is
-    compiled and executed once per placement and values of the `varies`
-    fields of `base`; later rows that agree on them reuse that run."""
+    """`base` completed by the priced columns of an emulated run of
+    `make_plan()`.  The plan is compiled, executed and priced once per
+    placement and values of the `varies` fields of `base`; later rows
+    that agree on them reuse those columns."""
     key = (base["placement"],) + tuple(base[f] for f in varies)
     if key not in cache:
         plan = make_plan()
-        cache[key] = (Emulator(params, seek_model).execute(plan),
-                      len(plan.scans))
-    t, n_scans = cache[key]
-    rs = rs_params(params)
-    ci = trace_k_values(t, rs, params)
-    est = estimate(ci, rs)
-    row = dict(base)
-    row.update(meas_total_s=t.total_s, est_total_s=est.total_s,
-               seek_s=t.seek_s + t.turnaround_s,
-               transfer_s=t.transfer_s + t.settle_s,
-               scans=n_scans, k_parallel=ci.k_parallel, k_random=ci.k_random,
-               _bits=ci.bits,
-               _lb=lower_bound(ci.bits, params).total_s)
-    return row
+        t = Emulator(params, seek_model).execute(plan)
+        ci = trace_k_values(t, params)
+        cache[key] = dict(meas_total_s=t.total_s,
+                          est_total_s=estimate(ci, params).total_s,
+                          seek_s=t.seek_s + t.turnaround_s,
+                          transfer_s=t.transfer_s + t.settle_s,
+                          scans=len(plan.scans), k_parallel=ci.k_parallel,
+                          k_random=ci.k_random, _bits=ci.bits,
+                          _lb=lower_bound(ci.bits, params).total_s)
+    return {**base, **cache[key]}
 
 
 def _lowerbound_row(base: Row, bits: float, p: DeviceParams) -> Row:
@@ -136,12 +132,14 @@ def _get(cache: dict, key, make):
 
 
 def _check_unique(values: Iterable, name) -> None:
-    """Fail on the first value listed twice, named by `name(value)`."""
-    seen = set()
+    """Fail on the first value listed twice, named by `name(value)`.
+    Values are compared, not hashed, so a point holding a list reaches
+    its own check, which names it."""
+    seen: list = []
     for value in values:
         if value in seen:
             raise ValueError(f"{name(value)} listed twice")
-        seen.add(value)
+        seen.append(value)
 
 
 def _check_option(option: str, value: str, known: Iterable[str]) -> None:
@@ -241,7 +239,8 @@ def _relational_point(params: DeviceParams, pt: tuple, name: str,
     under (class, n).  A point with a projection width that is not an
     integer in 1.._K, or a size that is not a finite real number or that
     the device cannot hold, fails naming the point.  A seed's qualifying
-    rows are drawn once per (size, seed) and shared by every width."""
+    rows are drawn once per (size, seed) and shared by every width;
+    `qual_mode` is the checked "uniform", the one draw there is."""
     size_mb, nproj = pt
     try:
         check_integer("projection width", nproj)
@@ -267,20 +266,20 @@ def _relational_point(params: DeviceParams, pt: tuple, name: str,
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from exc
     query = RangeQuery(projected=tuple(range(1, nproj + 1)), predicate_attr=1,
-                       bound=PREDICATE_BOUND, selectivity=selectivity)
+                       bound=0, selectivity=selectivity)
     columns = {"data_mb": size_mb, "n_projection": nproj,
                "selectivity": selectivity}
     bits = exact_ceil(selectivity, n) * nproj * sch.attr_bits
 
     def draw(seed: int, lay: RelLayoutRP):
         return build(("rows", n, seed), lambda: lay.qualifying_rows(
-            Relation(n, seed).qualifying_set(selectivity, qual_mode)))
+            Relation(n, seed).qualifying_set(selectivity)))
     return layouts, [(columns, query, bits, partial(draw, seed))
                      for seed in seeds]
 
 
 _RELATIONAL = (_relational_name, _relational_point, RELATIONAL_PLACEMENTS,
-               "qualifying mode", _QUAL_MODES)
+               "qualifying mode", ("uniform",))
 
 
 def run_experiment1(params: Optional[DeviceParams] = None, *,

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 from . import bench
 from .device import DeviceParams, cmu_defaults, load_config
 from .emulator import SEEK_MODELS
-from .rs import PhysAddr, RSAddr, mems_to_rs, rs_params, rs_to_mems
+from .rs import PhysAddr, RSAddr, mems_to_rs, rs_to_mems
 from .spatial import CURVES
 
 
@@ -78,7 +78,6 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def cmd_info(args: argparse.Namespace) -> int:
     p = _device(args)
-    rs = rs_params(p)
     settle_total = (p.sectors_x - 1) * p.settle_time_s
     pairs = [
         ("regions_x", p.regions_x), ("regions_y", p.regions_y),
@@ -94,8 +93,8 @@ def cmd_info(args: argparse.Namespace) -> int:
         ("region_bits", p.region_bits),
         ("sector_time_s", p.sector_time_s),
         ("region_read_time_s", p.region_read_time_s),
-        ("transfer_rate_rs_bits_s", rs.transfer_rate_rs_bits_s),
-        ("seek_time_rs_s", rs.seek_time_rs_s),
+        ("transfer_rate_rs_bits_s", p.transfer_rate_rs_bits_s),
+        ("seek_time_rs_s", p.seek_time_rs_s),
         # share of a full-region read spent settling between columns
         ("seek_fraction", settle_total / p.region_read_time_s),
     ]

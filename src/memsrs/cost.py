@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 from .device import DeviceParams
 from .emulator import Timing
-from .rs import RSParams
 
 
 @dataclass(frozen=True)
@@ -39,11 +38,11 @@ class CostEstimate:
     seek_s: float
 
 
-def estimate(c: CostInput, rs: RSParams) -> CostEstimate:
+def estimate(c: CostInput, p: DeviceParams) -> CostEstimate:
     if c.k_parallel <= 0:
         raise ValueError("k_parallel must be positive")
-    transfer = c.bits / (rs.transfer_rate_rs_bits_s * c.k_parallel)
-    seek = rs.seek_time_rs_s * c.k_random
+    transfer = c.bits / (p.transfer_rate_rs_bits_s * c.k_parallel)
+    seek = p.seek_time_rs_s * c.k_random
     return CostEstimate(total_s=transfer + seek, transfer_s=transfer, seek_s=seek)
 
 
@@ -54,7 +53,7 @@ def lower_bound(bits: float, p: DeviceParams) -> CostEstimate:
     return CostEstimate(total_s=transfer, transfer_s=transfer, seek_s=0.0)
 
 
-def trace_k_values(t: Timing, rs: RSParams, p: DeviceParams) -> CostInput:
+def trace_k_values(t: Timing, p: DeviceParams) -> CostInput:
     """K values realized by an emulated run, from its trace counters.
 
     Repositioning time of any kind, seeks and direction reversals
@@ -64,5 +63,5 @@ def trace_k_values(t: Timing, rs: RSParams, p: DeviceParams) -> CostInput:
     k_parallel = (t.n_sectors / t.n_row_steps) if t.n_row_steps else float(p.n_active_tips)
     if k_parallel <= 0:
         k_parallel = 1.0
-    k_random = (t.seek_s + t.turnaround_s) / rs.seek_time_rs_s
+    k_random = (t.seek_s + t.turnaround_s) / p.seek_time_rs_s
     return CostInput(bits=bits, k_parallel=k_parallel, k_random=k_random)

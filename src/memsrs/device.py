@@ -90,6 +90,19 @@ class DeviceParams:
         return (self.region_bits / self.tip_rate_bits_s
                 + (self.sectors_x - 1) * self.settle_time_s)
 
+    @property
+    def transfer_rate_rs_bits_s(self) -> float:
+        """Averaged per-tip rate over a linearized region of the
+        Region-Sector model, with one settle per sector column folded in."""
+        return self.region_bits / (self.region_bits / self.tip_rate_bits_s
+                                   + self.sectors_x * self.settle_time_s)
+
+    @property
+    def seek_time_rs_s(self) -> float:
+        """Averaged random-position seek of the Region-Sector model."""
+        return max(self.move_x_s + self.settle_time_s,
+                   self.move_y_s + self.turnaround_time_s)
+
 
 def cmu_defaults() -> DeviceParams:
     """The published reference device this artifact is calibrated to."""

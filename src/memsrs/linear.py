@@ -24,11 +24,10 @@ class LinearMap:
     """Logical-block addressing of the whole device."""
 
     def __init__(self, params: DeviceParams):
-        n_tips = params.regions_x * params.regions_y
-        if n_tips % params.n_active_tips != 0:
+        if params.n_tips % params.n_active_tips != 0:
             raise ValueError("tip count must be a multiple of the active-tip limit")
         self.params = params
-        self.tip_groups = n_tips // params.n_active_tips
+        self.tip_groups = params.n_tips // params.n_active_tips
         self.lba_count = self.tip_groups * params.sectors_x * params.sectors_y
 
     def locate(self, lba: int) -> Tuple[int, int, int]:

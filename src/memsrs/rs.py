@@ -4,8 +4,8 @@ A linearized region lays its tip sectors along the Sector axis in
 column-prime (serpentine) order: down the first column, up the second,
 and so on. That makes consecutive sector indices physically adjacent,
 so a whole linearized region streams at an averaged rate that folds the
-per-column settle into the transfer rate. Addresses are 1-based on both
-axes.
+per-column settle into the transfer rate; that rate and the averaged seek
+are `DeviceParams` properties. Addresses are 1-based on both axes.
 
 The model's two facilities build every placement's scans: any tip set
 can be used for each sector row (`rs_scan`), and at most
@@ -16,7 +16,6 @@ address stores it down that region's sector axis (`write_values`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
 from typing import Callable, Dict, List, NamedTuple, Sequence
 
@@ -36,12 +35,6 @@ class PhysAddr(NamedTuple):
     row: int   # tip-sector position inside the column
 
 
-@dataclass(frozen=True)
-class RSParams:
-    transfer_rate_rs_bits_s: float  # averaged per-tip rate over a linearized region
-    seek_time_rs_s: float           # averaged random-position seek
-
-
 def rs_to_mems(a: RSAddr, p: DeviceParams) -> PhysAddr:
     r, s = a
     if not (1 <= r <= p.n_regions and 1 <= s <= p.sectors_per_region):
@@ -57,14 +50,6 @@ def mems_to_rs(a: PhysAddr, p: DeviceParams) -> RSAddr:
         raise ValueError(f"physical address out of bounds: {a}")
     return RSAddr((region_y - 1) * p.regions_x + region_x,
                   _lin(col, row, p.sectors_y))
-
-
-def rs_params(p: DeviceParams) -> RSParams:
-    # one settle per sector column, folded into the streaming rate
-    denominator = p.region_bits / p.tip_rate_bits_s + p.sectors_x * p.settle_time_s
-    rate = p.region_bits / denominator
-    seek = max(p.move_x_s + p.settle_time_s, p.move_y_s + p.turnaround_time_s)
-    return RSParams(transfer_rate_rs_bits_s=rate, seek_time_rs_s=seek)
 
 
 def rs_scan(start: int, unit_rows: int,

@@ -17,9 +17,9 @@ from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cost import CostInput
-from .device import DeviceParams
+from .device import DeviceParams, check_integer
 from .emulator import AccessPlan, MediaImage, Scan
-from .rs import RSAddr, layer_scans, rs_params, rs_scan, write_values
+from .rs import RSAddr, layer_scans, rs_scan, write_values
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,8 @@ class SpatialSpace:
     obj_bits: int = 64
 
     def __post_init__(self):
+        for field in ("width", "height", "obj_bits"):
+            check_integer(f"spatial space {field}", getattr(self, field))
         if self.width < 1 or self.height < 1 or self.obj_bits < 1:
             raise ValueError("space dimensions and object size must be >= 1")
 
@@ -47,6 +49,8 @@ class QueryRegion:
     qy: int
 
     def __post_init__(self):
+        for field in ("x0", "y0", "qx", "qy"):
+            check_integer(f"query region {field}", getattr(self, field))
         if self.x0 < 1 or self.y0 < 1:
             raise ValueError("query origin must be 1-based")
         if self.qx < 0 or self.qy < 0:
@@ -284,7 +288,7 @@ def compile_sp(grid: BlockGrid, qr: QueryRegion) -> AccessPlan:
     p = grid.params
     spo = grid.spo
     sector_time = p.sector_time_s
-    seek_rs = rs_params(p).seek_time_rs_s
+    seek_rs = p.seek_time_rs_s
     max_gap = int(seek_rs / (spo * sector_time))
     if max_gap * spo * sector_time >= seek_rs:
         max_gap -= 1

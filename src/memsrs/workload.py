@@ -14,10 +14,6 @@ from .device import check_integer
 from .relational import check_selectivity, exact_ceil
 from .spatial import QueryRegion, SpatialSpace
 
-# range predicates select tuples whose first attribute exceeds this
-PREDICATE_BOUND = 1_000_000
-# how `Relation.qualifying_set` places the qualifying tuples
-_QUAL_MODES = ("uniform", "clustered")
 # the uniform draw lists its kept ids over blocks of this many ids
 _BLOCK = 2**12
 _BLOCK_IDS = tuple(range(1, _BLOCK + 1))
@@ -35,17 +31,12 @@ class Relation:
             raise ValueError(f"relation tuple count {self.n} is below 1")
         check_integer("relation seed", self.seed)
 
-    def qualifying_set(self, sigma: float, mode: str = "uniform") -> Tuple[int, ...]:
-        """Tuple ids satisfying the predicate, ascending; exactly
-        ceil(sigma*n) of them, the first ones or a uniform subset."""
+    def qualifying_set(self, sigma: float) -> Tuple[int, ...]:
+        """Tuple ids satisfying the predicate, ascending: a uniform subset
+        of exactly ceil(sigma*n) of them."""
         check_selectivity(sigma)
-        if mode not in _QUAL_MODES:
-            raise ValueError(f"unknown qualifying mode {mode!r}")
-        m = exact_ceil(sigma, self.n)
-        if mode == "clustered":
-            return tuple(range(1, m + 1))
         return _uniform_subset(random.Random(f"{self.seed}:qualifying"),
-                               self.n, m)
+                               self.n, exact_ceil(sigma, self.n))
 
 
 def _uniform_subset(rng: random.Random, n: int, m: int) -> Tuple[int, ...]:
@@ -90,10 +81,11 @@ def gen_query_region(space: SpatialSpace, size_fraction: float, aspect: float,
         if not 0 < value < math.inf:
             raise ValueError(f"query {name} must be positive and finite, got {value}")
     area = size_fraction * space.width * space.height
-    if area * aspect == math.inf:
+    try:
+        qx = round(math.sqrt(area * aspect))
+    except OverflowError:  # the product, or a factor, exceeds every float
         raise ValueError(f"query of size fraction {size_fraction} and aspect "
-                         f"{aspect} does not fit the space")
-    qx = round(math.sqrt(area * aspect))
+                         f"{aspect} does not fit the space") from None
     if qx < 1:
         raise ValueError("query region smaller than one object")
     qy = round(area / qx)

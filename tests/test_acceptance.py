@@ -23,7 +23,7 @@ from memsrs.linear import (DsmLayout, NsmLayout, compile_dsm, compile_nsm,
 from memsrs.relational import (RangeQuery, RelationSchema, RelLayoutRP,
                                RelLayoutRSY, compile_rp, compile_rsy,
                                write_image_rp, write_image_rsy)
-from memsrs.rs import PhysAddr, RSAddr, mems_to_rs, rs_params, rs_to_mems
+from memsrs.rs import PhysAddr, RSAddr, mems_to_rs, rs_to_mems
 from memsrs.spatial import (QueryRegion, SpatialSpace, SSYLayout,
                             build_block_grid, compile_sp, compile_ssy,
                             write_image_sp, write_image_ssy)
@@ -361,14 +361,13 @@ def test_criterion_09_data_correctness_reduced_geometry():
 
 def test_criterion_10_transfer_rate_identity():
     p = cmu_defaults()
-    rs = rs_params(p)
     t = Emulator(p).execute(AccessPlan([
         Scan(tips=(1,), start=1, length=p.sectors_per_region)]))
     measured = p.sectors_per_region * p.sector_bits / t.total_s
-    rel = abs(measured - rs.transfer_rate_rs_bits_s) / rs.transfer_rate_rs_bits_s
+    rel = abs(measured - p.transfer_rate_rs_bits_s) / p.transfer_rate_rs_bits_s
     assert rel <= 0.01, (
         f"single-tip region stream at {measured:.0f} b/s vs abstract rate "
-        f"{rs.transfer_rate_rs_bits_s:.0f} b/s, off by {rel:.2%}")
+        f"{p.transfer_rate_rs_bits_s:.0f} b/s, off by {rel:.2%}")
     # the abstract constants themselves stay pinned to the catalog figures
-    assert rs.transfer_rate_rs_bits_s == pytest.approx(0.644e6, abs=0.001e6)
-    assert rs.seek_time_rs_s == pytest.approx(0.735e-3, rel=1e-9)
+    assert p.transfer_rate_rs_bits_s == pytest.approx(0.644e6, abs=0.001e6)
+    assert p.seek_time_rs_s == pytest.approx(0.735e-3, rel=1e-9)

@@ -340,8 +340,15 @@ def test_non_integer_seed_fails_named_before_any_row(no_rows, run, seeds,
     (run_experiment4, {"query_frac": b"0.01"},
      "experiment 4, query_frac=b'0.01', aspect=16: query size fraction must "
      "be a real number, got b'0.01'"),
+    # a point that cannot be hashed is still checked for repeats first
+    (run_experiment4, {"query_frac": [0.01]},
+     "experiment 4, query_frac=[0.01], aspect=16: query size fraction must "
+     "be a real number, got [0.01]"),
+    (run_experiment1, {"sizes_mb": ([5],)},
+     "experiment 1, data_mb=[5], n_projection=8: data size must be a real "
+     "number, got [5]"),
 ], ids=["exp1-str", "exp1-bool", "exp2-str", "exp3-frac", "exp3-aspect",
-        "exp4-aspect", "exp4-bytes"])
+        "exp4-aspect", "exp4-bytes", "exp4-list", "exp1-list"])
 def test_non_number_sweep_point_fails_named_before_any_row(no_rows, run, kw,
                                                            message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -354,6 +361,20 @@ def test_huge_integer_size_is_named_not_overflowed(no_rows):
             f"experiment 1, data_mb={10**400}, n_projection=8: relation "
             f"needs ")):
         run_experiment1(sizes_mb=(10**400,), seeds=(0,))
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"aspect": 10**400},
+     f"experiment 3, query_frac=0.0001, aspect={10**400}, seed=0: query of "
+     f"size fraction 0.0001 and aspect {10**400} does not fit the space"),
+    ({"query_fracs": (10**400,)},
+     f"experiment 3, query_frac={10**400}, aspect=1, seed=0: query of size "
+     f"fraction {10**400} and aspect 1.0 does not fit the space"),
+], ids=["aspect", "frac"])
+def test_huge_integer_query_shape_is_named_not_overflowed(no_rows, kw, message):
+    # an integer shape too large for a float is rejected by value
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_experiment3(seeds=(0,), **kw)
 
 
 @pytest.mark.parametrize("run, selectivity, message", [
@@ -414,7 +435,7 @@ def test_repeated_input_fails_before_any_row(run, kw, message, no_rows):
      r"unknown seek model: 'bogus'"),
     (run_experiment1, {"sizes_mb": (5,), "placements": ("nsm-griffin",),
                        "qual_mode": "bogus"},
-     r"unknown qualifying mode 'bogus'; expected one of uniform, clustered"),
+     r"unknown qualifying mode 'bogus'; expected one of uniform"),
 ], ids=["exp3-curve", "exp1-seek-model", "exp4-seek-model", "exp1-qual-mode"])
 def test_unknown_option_fails_before_any_row(run, kw, message, no_rows):
     # checked even when no chosen placement uses the option
@@ -427,6 +448,32 @@ def test_infeasible_spatial_point_fails_before_any_row(no_rows):
     with pytest.raises(ValueError, match=r"^experiment 4, query_frac=0\.1, "
                        r"aspect=0\.0625, seed=0: query shape 506x8095"):
         run_experiment4(query_frac=0.1, aspects=(1, 1 / 16), seeds=(0,))
+
+
+@pytest.mark.parametrize("run, kw", [
+    (run_experiment1, {"sizes_mb": (5, 10)}),
+    (run_experiment2, {"size_mb": 5, "n_projections": (1, 8)}),
+], ids=["exp1", "exp2"])
+def test_each_run_is_priced_once(monkeypatch, run, kw):
+    # these placements' plans do not vary with the seed, so the three
+    # seeds' rows share one run, and so one pricing of its trace
+    executed, priced = [], []
+    execute, trace_k_values = Emulator.execute, bench.trace_k_values
+
+    def counted_execute(self, plan):
+        executed.append(plan)
+        return execute(self, plan)
+
+    def counted_trace(*args):
+        priced.append(args)
+        return trace_k_values(*args)
+    monkeypatch.setattr(Emulator, "execute", counted_execute)
+    monkeypatch.setattr(bench, "trace_k_values", counted_trace)
+    rows = run(seeds=(0, 1, 2), placements=("relational-sequential-yu",
+                                            "nsm-griffin", "dsm-griffin"),
+               **kw)
+    assert len(rows) == 3 * 2 * 3
+    assert executed and len(priced) == len(executed)
 
 
 def test_block_grid_built_once_per_block_shape(monkeypatch):

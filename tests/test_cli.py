@@ -17,7 +17,6 @@ from memsrs import bench
 from memsrs.cli import build_parser, main
 from memsrs.device import DeviceParams, cmu_defaults, to_config_text
 from memsrs.emulator import SEEK_MODELS
-from memsrs.rs import rs_params
 from memsrs.spatial import CURVES
 
 
@@ -75,11 +74,10 @@ def test_info_reports_derived_and_averaged_values(capsys):
     code, out, _ = run_cli(["info"], capsys)
     assert code == 0
     d = _info_dict(out)
-    rs = rs_params(cmu_defaults())
     assert d["n_regions"] == "6400"
     assert d["n_active_tips"] == "1280"
     assert float(d["transfer_rate_rs_bits_s"]) == pytest.approx(
-        rs.transfer_rate_rs_bits_s, rel=1e-12)
+        cmu_defaults().transfer_rate_rs_bits_s, rel=1e-12)
     assert float(d["seek_time_rs_s"]) == pytest.approx(0.000735, rel=1e-12)
     assert float(d["seek_fraction"]) == pytest.approx(0.0801, abs=5e-4)
 
@@ -94,7 +92,7 @@ def test_info_honours_device_config(tmp_path, capsys):
     d = _info_dict(out)
     assert d["regions_x"] == "8"
     assert float(d["transfer_rate_rs_bits_s"]) == pytest.approx(
-        rs_params(small).transfer_rate_rs_bits_s, rel=1e-12)
+        small.transfer_rate_rs_bits_s, rel=1e-12)
 
 
 def test_bad_config_value_fails(tmp_path, capsys):

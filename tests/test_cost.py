@@ -9,35 +9,33 @@ from hypothesis import strategies as st
 from memsrs.cost import CostInput, estimate, lower_bound, trace_k_values
 from memsrs.device import DeviceParams, cmu_defaults
 from memsrs.emulator import AccessPlan, Emulator, Scan
-from memsrs.rs import rs_params
 
 CMU = cmu_defaults()
-RS = rs_params(CMU)
 
 
 def test_estimate_decomposition():
     ci = CostInput(bits=1.0e9, k_parallel=640.0, k_random=3.0)
-    est = estimate(ci, RS)
-    assert est.transfer_s == 1.0e9 / (RS.transfer_rate_rs_bits_s * 640.0)
-    assert est.seek_s == RS.seek_time_rs_s * 3.0
+    est = estimate(ci, CMU)
+    assert est.transfer_s == 1.0e9 / (CMU.transfer_rate_rs_bits_s * 640.0)
+    assert est.seek_s == CMU.seek_time_rs_s * 3.0
     assert est.total_s == est.transfer_s + est.seek_s
 
 
 def test_zero_bits_is_pure_seek():
-    est = estimate(CostInput(bits=0, k_parallel=1.0, k_random=2.0), RS)
+    est = estimate(CostInput(bits=0, k_parallel=1.0, k_random=2.0), CMU)
     assert est.transfer_s == 0.0
-    assert est.total_s == RS.seek_time_rs_s * 2.0
+    assert est.total_s == CMU.seek_time_rs_s * 2.0
 
 
 def test_doubling_parallelism_halves_transfer():
-    a = estimate(CostInput(bits=1e8, k_parallel=100.0, k_random=0.0), RS)
-    b = estimate(CostInput(bits=1e8, k_parallel=200.0, k_random=0.0), RS)
+    a = estimate(CostInput(bits=1e8, k_parallel=100.0, k_random=0.0), CMU)
+    b = estimate(CostInput(bits=1e8, k_parallel=200.0, k_random=0.0), CMU)
     assert math.isclose(a.transfer_s, 2 * b.transfer_s, rel_tol=1e-12)
 
 
 def test_nonpositive_parallelism_rejected():
     with pytest.raises(ValueError):
-        estimate(CostInput(bits=1, k_parallel=0.0, k_random=0.0), RS)
+        estimate(CostInput(bits=1, k_parallel=0.0, k_random=0.0), CMU)
 
 
 def test_lower_bound_definition():
@@ -50,7 +48,7 @@ def test_lower_bound_definition():
     assert lb.total_s == lb.transfer_s
     # the settle-folded averaged rate would price the same bits higher
     folded = estimate(CostInput(bits=bits, k_parallel=CMU.n_active_tips,
-                                k_random=0.0), RS)
+                                k_random=0.0), CMU)
     assert lb.total_s < folded.total_s
 
 
@@ -106,10 +104,10 @@ def test_no_plan_beats_lower_bound(scans, model):
     scale=st.floats(1.1, 4.0),
 )
 def test_estimate_monotonicity(bits, kp, kr, scale):
-    base = estimate(CostInput(bits, kp, kr), RS)
-    more_parallel = estimate(CostInput(bits, kp * scale, kr), RS)
-    more_seeks = estimate(CostInput(bits, kp, kr * scale + 1.0), RS)
-    more_bits = estimate(CostInput(bits * scale + 1.0, kp, kr), RS)
+    base = estimate(CostInput(bits, kp, kr), CMU)
+    more_parallel = estimate(CostInput(bits, kp * scale, kr), CMU)
+    more_seeks = estimate(CostInput(bits, kp, kr * scale + 1.0), CMU)
+    more_bits = estimate(CostInput(bits * scale + 1.0, kp, kr), CMU)
     assert more_parallel.total_s <= base.total_s
     assert more_seeks.total_s > base.total_s
     assert more_bits.total_s > base.total_s
@@ -119,7 +117,7 @@ def test_trace_k_streaming_scan():
     # full-width scan from the home position: no seek, no reversal
     tips = tuple(range(1, CMU.n_active_tips + 1))
     t = Emulator(CMU).execute(AccessPlan([Scan(tips=tips, start=1, length=54)]))
-    k = trace_k_values(t, RS, CMU)
+    k = trace_k_values(t, CMU)
     assert k.k_parallel == CMU.n_active_tips
     assert k.k_random == 0.0
     assert k.bits == 54 * CMU.n_active_tips * CMU.sector_bits
@@ -128,8 +126,8 @@ def test_trace_k_streaming_scan():
 def test_trace_k_full_seek_counts_one():
     tips = (1,)
     t = Emulator(CMU).execute(AccessPlan([Scan(tips=tips, start=193, length=1)]))
-    assert t.seek_s == pytest.approx(RS.seek_time_rs_s)
-    k = trace_k_values(t, RS, CMU)
+    assert t.seek_s == pytest.approx(CMU.seek_time_rs_s)
+    k = trace_k_values(t, CMU)
     assert k.k_random == pytest.approx(1.0)
 
 
@@ -138,8 +136,8 @@ def test_trace_k_prices_reversal_time_fractionally():
     scans = [Scan(tips=tips, start=1, length=54), Scan(tips=tips, start=1, length=54)]
     t = Emulator(CMU).execute(AccessPlan(scans))
     assert t.n_turnarounds == 1
-    k = trace_k_values(t, RS, CMU)
-    expected = CMU.turnaround_time_s / RS.seek_time_rs_s
+    k = trace_k_values(t, CMU)
+    expected = CMU.turnaround_time_s / CMU.seek_time_rs_s
     assert k.k_random == pytest.approx(expected)
 
 
@@ -147,7 +145,7 @@ def test_trace_k_multipass_reversals():
     # 6400 tips on one row need 5 activation passes, so 4 reversals
     t = Emulator(CMU).execute(AccessPlan([Scan(tips=range(1, 6401), start=1, length=1)]))
     assert t.n_turnarounds == 4
-    k = trace_k_values(t, RS, CMU)
+    k = trace_k_values(t, CMU)
     assert k.k_parallel == pytest.approx(1280.0)
-    expected = 4 * CMU.turnaround_time_s / RS.seek_time_rs_s
+    expected = 4 * CMU.turnaround_time_s / CMU.seek_time_rs_s
     assert k.k_random == pytest.approx(expected)

@@ -19,7 +19,6 @@ from memsrs.rs import (
     RSAddr,
     layer_scans,
     mems_to_rs,
-    rs_params,
     rs_scan,
     rs_to_mems,
 )
@@ -108,18 +107,16 @@ def test_quasi_contiguity_exhaustive_small(rx, ry, sx, sy):
 
 
 def test_rs_params_cmu_values():
-    rs = rs_params(CMU)
     denominator = CMU.region_bits / CMU.tip_rate_bits_s + CMU.sectors_x * CMU.settle_time_s
-    assert math.isclose(rs.transfer_rate_rs_bits_s, CMU.region_bits / denominator, rel_tol=1e-12)
-    assert abs(rs.transfer_rate_rs_bits_s - 0.644e6) < 0.001e6
-    assert rs.seek_time_rs_s == max(0.52e-3 + 0.215e-3, 0.35e-3 + 0.06e-3)
-    assert rs.seek_time_rs_s == 0.735e-3
+    assert math.isclose(CMU.transfer_rate_rs_bits_s, CMU.region_bits / denominator, rel_tol=1e-12)
+    assert abs(CMU.transfer_rate_rs_bits_s - 0.644e6) < 0.001e6
+    assert CMU.seek_time_rs_s == max(0.52e-3 + 0.215e-3, 0.35e-3 + 0.06e-3)
+    assert CMU.seek_time_rs_s == 0.735e-3
 
 
 def test_rs_params_no_settle_overhead():
     p = DeviceParams(settle_time_s=1e-300)  # effectively zero; zero is rejected
-    rs = rs_params(p)
-    assert math.isclose(rs.transfer_rate_rs_bits_s, p.tip_rate_bits_s, rel_tol=1e-9)
+    assert math.isclose(p.transfer_rate_rs_bits_s, p.tip_rate_bits_s, rel_tol=1e-9)
 
 
 # reading one sector-row range of a set of regions: `layer_scans` with

@@ -1,6 +1,7 @@
 """Spatial placements: space mapping, block grid, curve orders, compilers."""
 
 import math
+import re
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from memsrs.cost import CostInput
 from memsrs.device import DeviceParams, cmu_defaults
 from memsrs.emulator import AccessPlan, Emulator, MediaImage, plan_to_text
-from memsrs.rs import PhysAddr, rs_params, rs_scan, rs_to_mems
+from memsrs.rs import PhysAddr, rs_scan, rs_to_mems
 from memsrs.spatial import (
     BlockGrid,
     QueryRegion,
@@ -297,6 +298,30 @@ def test_block_grid_without_power_of_two_shape_names_region_count(rx, ry):
         build_block_grid(dev, space, ratio=1.0)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: SpatialSpace(True, 64), "spatial space width must be an integer, "
+                                     "got True"),
+    (lambda: SpatialSpace(64.5, 64), "spatial space width must be an integer, "
+                                     "got 64.5"),
+    (lambda: SpatialSpace(64, 64.0), "spatial space height must be an "
+                                     "integer, got 64.0"),
+    (lambda: SpatialSpace(64, 64, "64"), "spatial space obj_bits must be an "
+                                         "integer, got '64'"),
+    (lambda: QueryRegion(1.5, 1, 3, 3), "query region x0 must be an integer, "
+                                        "got 1.5"),
+    (lambda: QueryRegion(1, False, 3, 3), "query region y0 must be an "
+                                          "integer, got False"),
+    (lambda: QueryRegion(1, 1, 3.0, 3), "query region qx must be an integer, "
+                                        "got 3.0"),
+    (lambda: QueryRegion(1, 1, 3, None), "query region qy must be an "
+                                         "integer, got None"),
+], ids=["width-bool", "width-float", "height-float", "obj-bits-str",
+        "x0-float", "y0-bool", "qx-float", "qy-none"])
+def test_space_and_query_fields_must_be_integers(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
 def test_map_sp_row_major_within_block():
     grid = build_block_grid(CMU, SPACE, ratio=1.0)
     first = grid.map(1, 1)
@@ -474,7 +499,7 @@ def _reference_compile_sp(grid, qr):
                     and (cell[1] - 1) * grid.B_y < y1 and cell[1] * grid.B_y >= y0)
     p, spo = grid.params, grid.spo
     sector_time = p.sector_bits / p.tip_rate_bits_s
-    seek_rs = rs_params(p).seek_time_rs_s
+    seek_rs = p.seek_time_rs_s
     max_gap = int(seek_rs / (spo * sector_time))
     if max_gap * spo * sector_time >= seek_rs:
         max_gap -= 1

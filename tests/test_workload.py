@@ -38,18 +38,6 @@ def test_qualifying_cardinality_is_exact():
         assert len(Relation(n, 0).qualifying_set(sigma)) == want
 
 
-def test_qualifying_modes():
-    rel = Relation(n=100, seed=9)
-    clustered = rel.qualifying_set(0.25, mode="clustered")
-    assert clustered == tuple(range(1, 26))
-    uniform = rel.qualifying_set(0.25, mode="uniform")
-    assert len(uniform) == 25
-    assert uniform != clustered
-    assert list(uniform) == sorted(uniform)
-    with pytest.raises(ValueError):
-        rel.qualifying_set(0.5, mode="banded")
-
-
 def test_same_seed_same_content():
     a = Relation(n=500, seed=42)
     b = Relation(n=500, seed=42)
@@ -285,6 +273,18 @@ def test_query_region_rejects_bad_shape_by_value(frac, aspect, name, value):
 @pytest.mark.parametrize("frac, aspect", [(0.01, 1e308), (1e300, 1e300)])
 def test_query_region_rejects_overflowing_shape_by_value(frac, aspect):
     # finite inputs whose width:height product overflows to inf
+    space = SpatialSpace(6400, 6400, 64)
+    with pytest.raises(ValueError, match=re.escape(
+            f"query of size fraction {frac} and aspect {aspect} "
+            f"does not fit the space") + "$"):
+        gen_query_region(space, frac, aspect, seed=1)
+
+
+@pytest.mark.parametrize("frac, aspect", [(0.01, 10**400), (10**400, 1.0),
+                                          (10**400, 10**400)],
+                         ids=["aspect", "frac", "both"])
+def test_query_region_rejects_huge_integer_shape_by_value(frac, aspect):
+    # integers too large for a float, where the float check above stops
     space = SpatialSpace(6400, 6400, 64)
     with pytest.raises(ValueError, match=re.escape(
             f"query of size fraction {frac} and aspect {aspect} "
