@@ -33,7 +33,8 @@ from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from .cost import estimate, lower_bound, trace_k_values
-from .device import DeviceParams, check_integer, check_real, cmu_defaults
+from .device import (DeviceParams, check_integer, check_real, cmu_defaults,
+                     named)
 from .emulator import Emulator
 from .linear import DsmLayout, NsmLayout, compile_dsm, compile_nsm
 from .relational import (RangeQuery, RelationSchema, RelLayoutRP, RelLayoutRSY,
@@ -169,11 +170,9 @@ def _sweep(params: Optional[DeviceParams], experiment: int,
     name, point, known, option_name, option_values = family
     params = params or cmu_defaults()
     seeds = tuple(seeds)
-    for seed in seeds:
-        try:
+    with named(f"experiment {experiment}"):
+        for seed in seeds:
             check_integer("seed", seed)
-        except ValueError as exc:
-            raise ValueError(f"experiment {experiment}: {exc}") from exc
     for placement in placements:
         _check_option("placement", placement, known)
     _check_unique(placements, lambda placement: f"placement {placement!r}")
@@ -225,13 +224,6 @@ def _relational_name(experiment: int, size_mb: float, nproj: int) -> str:
             f"n_projection={nproj}")
 
 
-def _check_selectivity(experiment: int, selectivity: float) -> None:
-    try:
-        check_selectivity(selectivity)
-    except ValueError as exc:
-        raise ValueError(f"experiment {experiment}: {exc}") from exc
-
-
 def _relational_point(params: DeviceParams, pt: tuple, name: str,
                       seeds: Sequence[int], classes: Sequence, build,
                       qual_mode: str, selectivity: float) -> tuple:
@@ -242,7 +234,7 @@ def _relational_point(params: DeviceParams, pt: tuple, name: str,
     rows are drawn once per (size, seed) and shared by every width;
     `qual_mode` is the checked "uniform", the one draw there is."""
     size_mb, nproj = pt
-    try:
+    with named(name):
         check_integer("projection width", nproj)
         if nproj < 1:
             raise ValueError(f"projection width {nproj} is below 1")
@@ -263,8 +255,6 @@ def _relational_point(params: DeviceParams, pt: tuple, name: str,
                              f"holds {capacity}")
         layouts = {cls: build((cls, n), lambda: cls(params, sch))
                    for cls in classes if cls}
-    except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from exc
     query = RangeQuery(projected=tuple(range(1, nproj + 1)), predicate_attr=1,
                        bound=0, selectivity=selectivity)
     columns = {"data_mb": size_mb, "n_projection": nproj,
@@ -290,7 +280,8 @@ def run_experiment1(params: Optional[DeviceParams] = None, *,
                     qual_mode: str = "uniform",
                     seek_model: str = "average") -> List[Row]:
     """Relational data-size sweep at a fixed projection width."""
-    _check_selectivity(1, selectivity)
+    with named("experiment 1"):
+        check_selectivity(selectivity)
     return _sweep(params, 1, [(mb, n_projection) for mb in sizes_mb],
                   _RELATIONAL, qual_mode, seeds, placements, seek_model,
                   selectivity=selectivity)
@@ -305,7 +296,8 @@ def run_experiment2(params: Optional[DeviceParams] = None, *,
                     qual_mode: str = "uniform",
                     seek_model: str = "average") -> List[Row]:
     """Relational projection-width sweep at a fixed data size."""
-    _check_selectivity(2, selectivity)
+    with named("experiment 2"):
+        check_selectivity(selectivity)
     return _sweep(params, 2, [(size_mb, np_) for np_ in n_projections],
                   _RELATIONAL, qual_mode, seeds, placements, seek_model,
                   selectivity=selectivity)
@@ -326,24 +318,20 @@ def _spatial_point(params: DeviceParams, pt: tuple, name: str,
     SSYLayout.  A point that cannot be run, or whose size fraction or
     aspect is not a real number, fails naming the point."""
     frac, aspect = pt
-    try:
+    with named(name):
         check_real("query size fraction", frac)
         check_real("query aspect", aspect)
-    except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from exc
     data_mb = _SPACE.width * _SPACE.height * _SPACE.obj_bits / 8 / 2**20
     draws = []
     for seed in seeds:
-        try:
+        with named(f"{name}, seed={seed}"):
             qr = gen_query_region(_SPACE, frac, aspect, seed=seed)
-        except ValueError as exc:
-            raise ValueError(f"{name}, seed={seed}: {exc}") from exc
         draws.append(({"data_mb": data_mb, "n_projection": "",
                        "selectivity": "", "query_frac": frac, "aspect": aspect,
                        "qx": qr.qx, "qy": qr.qy},
                       qr, qr.qx * qr.qy * _SPACE.obj_bits, None))
     layouts = {}
-    try:
+    with named(name):
         if BlockGrid in classes:
             # each point's aspect picks a block shape; one grid per shape
             layouts[BlockGrid] = build(
@@ -352,8 +340,6 @@ def _spatial_point(params: DeviceParams, pt: tuple, name: str,
         if SSYLayout in classes:
             layouts[SSYLayout] = build(SSYLayout,
                                        lambda: SSYLayout(params, _SPACE))
-    except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from exc
     return layouts, draws
 
 

@@ -14,7 +14,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from . import bench
-from .device import DeviceParams, cmu_defaults, load_config
+from .device import DeviceParams, cmu_defaults, load_config, named
 from .emulator import SEEK_MODELS
 from .rs import PhysAddr, RSAddr, mems_to_rs, rs_to_mems
 from .spatial import CURVES
@@ -42,12 +42,9 @@ def _integer(token: str) -> int:
 def _num_list(text: str, conv, option: str) -> List:
     """The comma-separated values of `option`; a token `conv` rejects
     fails naming the option, and a repeat would only make duplicate rows."""
-    values = []
-    for tok in filter(None, map(str.strip, text.split(","))):
-        try:
-            values.append(conv(tok))
-        except ValueError as exc:
-            raise ValueError(f"{option}: {exc}") from None
+    tokens = filter(None, map(str.strip, text.split(",")))
+    with named(option):
+        values = [conv(tok) for tok in tokens]
     for i, value in enumerate(values):
         if value in values[:i]:
             raise ValueError(f"{option} lists {value:g} twice")

@@ -14,6 +14,7 @@ I/O boundary.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -30,6 +31,16 @@ def check_real(what: str, value) -> None:
     naming it as `what`."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{what} must be a real number, got {value!r}")
+
+
+@contextmanager
+def named(prefix: str):
+    """Re-raise a `ValueError` from the block as one whose message starts
+    with `prefix`, chained from the original."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{prefix}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from itertools import islice, repeat
 from operator import lt
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .device import DeviceParams
+from .device import DeviceParams, named
 
 SEEK_MODELS = ("average", "distance")
 
@@ -395,10 +395,8 @@ def plan_from_text(text: str) -> AccessPlan:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        try:
+        with named(f"line {lineno}"):
             _parse_record(line.split(), scans, row_lines, lineno)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
     return AccessPlan(scans)
 
 
