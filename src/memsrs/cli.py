@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import partial
 from typing import List, Optional, Sequence
 
 from . import bench
@@ -122,17 +123,20 @@ def cmd_bench_relational(args: argparse.Namespace) -> int:
     # both lists are parsed before either sweep runs
     sizes = _num_list(args.sizes, _ratio, "--sizes")
     nprojs = _num_list(args.nproj, _integer, "--nproj")
-    rows: List[bench.Row] = []
+    common = dict(selectivity=args.selectivity, placements=placements,
+                  seek_model=args.seek_model)
+    sweeps = []
     if sizes:
-        rows += bench.run_experiment1(p, sizes_mb=sizes,
-                                      selectivity=args.selectivity,
-                                      seeds=seeds, placements=placements,
-                                      seek_model=args.seek_model)
+        sweeps.append(partial(bench.run_experiment1, p, sizes_mb=sizes,
+                              **common))
     if nprojs:
-        rows += bench.run_experiment2(p, n_projections=nprojs,
-                                      selectivity=args.selectivity,
-                                      seeds=seeds, placements=placements,
-                                      seek_model=args.seek_model)
+        sweeps.append(partial(bench.run_experiment2, p, n_projections=nprojs,
+                              **common))
+    # with no seeds a sweep runs all its checks and makes no row, so both
+    # sweeps are checked before either runs
+    for sweep in sweeps:
+        sweep(seeds=())
+    rows = [row for sweep in sweeps for row in sweep(seeds=seeds)]
     _emit(bench.csv_text(rows, bench.RELATIONAL_FIELDS), args.out)
     return 0
 

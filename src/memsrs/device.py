@@ -33,6 +33,15 @@ def check_real(what: str, value) -> None:
         raise ValueError(f"{what} must be a real number, got {value!r}")
 
 
+def check_integers(what: str, values) -> None:
+    """Reject `values` unless each one is an int, in one C-speed pass: a
+    sum of ints is an int.  Only a failure walks them, to name the first
+    value that is not one as a `what`."""
+    if type(sum(values)) is not int:
+        value = next(v for v in values if not isinstance(v, int))
+        raise ValueError(f"{what} {value!r} is not an integer")
+
+
 @contextmanager
 def named(prefix: str):
     """Re-raise a `ValueError` from the block as one whose message starts
@@ -142,7 +151,12 @@ _SCALED_KEYS = {
     "T_S": ("settle_time_s", -3),
     "T_T": ("turnaround_time_s", -3),
 }
-_DERIVED_KEYS = ("N_R", "N_S", "N_PT")
+# key -> the property a redundant line is checked against
+_DERIVED_KEYS = {
+    "N_R": "n_regions",
+    "N_S": "sectors_per_region",
+    "N_PT": "n_tips",
+}
 
 
 def _shift(value: float, k: int) -> str:
@@ -152,11 +166,8 @@ def _shift(value: float, k: int) -> str:
 
 def to_config_text(p: DeviceParams) -> str:
     lines = ["# device geometry and timing"]
-    for key, field in _INT_KEYS.items():
+    for key, field in {**_INT_KEYS, **_DERIVED_KEYS}.items():
         lines.append(f"{key} {getattr(p, field)}")
-    lines.append(f"N_R {p.n_regions}")
-    lines.append(f"N_S {p.sectors_per_region}")
-    lines.append(f"N_PT {p.n_tips}")
     for key, (field, power) in _SCALED_KEYS.items():
         lines.append(f"{key} {_shift(getattr(p, field), -power)}")
     return "\n".join(lines) + "\n"
@@ -195,10 +206,10 @@ def from_config_text(text: str) -> DeviceParams:
             raise ValueError(f"config key {key}: bad value {value!r}") from None
 
     p = DeviceParams(**kwargs)
-    checks = {"N_R": p.n_regions, "N_S": p.sectors_per_region, "N_PT": p.n_tips}
     for key, claimed in derived_claims.items():
-        if claimed != checks[key]:
-            raise ValueError(f"{key} {claimed} inconsistent with geometry ({checks[key]})")
+        actual = getattr(p, _DERIVED_KEYS[key])
+        if claimed != actual:
+            raise ValueError(f"{key} {claimed} inconsistent with geometry ({actual})")
     return p
 
 

@@ -14,10 +14,12 @@ the seek charges.  `read` walks the same passes and also reads each
 pass's cells, so it returns the same `Timing` as `execute`.
 
 A plan is validated once, in full, before the sled moves, so an invalid
-plan raises `ValueError` and leaves the sled state unchanged.  A tip set
-is checked by its smallest and largest tip; a `range` and a `SortedTips`
-(a tuple whose tips were checked ascending when it was built) are
-checked at their two ends, any other set by a walk over its tips.  `read`
+plan raises `ValueError` and leaves the sled state unchanged.  A scan's
+start, length and override rows must be ints (a bool is not one), and
+its tips ints.  A tip set is checked by its smallest and largest tip; a
+`range` and a `SortedTips` (a tuple whose tips were checked to be ints
+that ascend when it was built) are checked at their two ends, any other
+set by a walk over its tips.  `read`
 also checks once, before the sled moves, that the media image covers
 the emulator's geometry; it then fetches each pass row's cells in one
 batch, and unwritten cells read as zeros.
@@ -30,7 +32,7 @@ from itertools import islice, repeat
 from operator import lt
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .device import DeviceParams, named
+from .device import DeviceParams, check_integer, check_integers, named
 
 SEEK_MODELS = ("average", "distance")
 
@@ -122,13 +124,14 @@ class MediaImage:
 
 
 class SortedTips(tuple):
-    """A tip set whose tips are strictly ascending, checked once when it
-    is built, so its smallest and largest tips are its two ends."""
+    """A tip set of ints that strictly ascend, checked once when it is
+    built, so its smallest and largest tips are its two ends."""
 
     __slots__ = ()
 
     def __new__(cls, tips: Iterable[int] = ()):
         self = super().__new__(cls, tips)
+        check_integers("tip", self)
         if not all(map(lt, self, islice(self, 1, None))):
             raise ValueError("tips must be strictly ascending")
         return self
@@ -143,6 +146,7 @@ def _check_tips(tips: Sequence[int], n_tips: int) -> None:
             # a range's extremes are its end points, whatever its step
             low, high = min(tips[0], tips[-1]), max(tips[0], tips[-1])
         else:
+            check_integers("tip", tips)
             low, high = min(tips), max(tips)
         if low < 1 or high > n_tips:
             raise ValueError(f"tip {low if low < 1 else high} out of range 1..{n_tips}")
@@ -209,13 +213,19 @@ class Emulator:
                 checked.add(id(tips))
 
         for scan in plan.scans:
+            check_integer("scan length", scan.length)
             if scan.length < 1:
                 raise ValueError("scan length must be >= 1")
+            check_integer("scan start", scan.start)
             lo, hi = scan.start, scan.start + scan.length - 1
             if lo < 1 or hi > p.sectors_per_region:
                 raise ValueError(f"scan rows {lo}..{hi} exceed 1..{p.sectors_per_region}")
             check(scan.tips)
             if scan.per_row_tips:
+                # rows that are all exact ints pass at C speed
+                if {*map(type, scan.per_row_tips)} != {int}:
+                    for s in scan.per_row_tips:
+                        check_integer("override row", s)
                 for s in (min(scan.per_row_tips), max(scan.per_row_tips)):
                     if not lo <= s <= hi:
                         raise ValueError(f"override row {s} outside scan {lo}..{hi}")

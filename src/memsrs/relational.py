@@ -20,7 +20,7 @@ from operator import sub
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .cost import CostInput
-from .device import DeviceParams, check_integer, check_real
+from .device import DeviceParams, check_integer, check_integers, check_real
 from .emulator import AccessPlan, MediaImage, Scan, SortedTips
 from .rs import RSAddr, layer_scans, rs_scan, write_values
 
@@ -174,11 +174,7 @@ class RelLayoutRP:
         at their two ends however many plans share them.
         """
         ids = sorted(qualifying)
-        # a sum of ints is an int: one C-speed pass, and a naming pass
-        # only on failure
-        if type(sum(ids)) is not int:
-            v = next(v for v in ids if not isinstance(v, int))
-            raise ValueError(f"qualifying tuple id {v!r} is not an integer")
+        check_integers("qualifying tuple id", ids)
         for v in ids[:1] + ids[-1:]:
             if not 1 <= v <= self.schema.n:
                 raise ValueError(f"qualifying tuple id {v} out of range")

@@ -206,6 +206,44 @@ def test_bench_repeated_input_fails(argv, message, capsys):
     assert err == f"error: {message}\n"
 
 
+def test_bench_relational_checks_both_sweeps_before_either_runs(monkeypatch,
+                                                               capsys):
+    # the size sweep used to run in full before the width sweep's points
+    # were checked
+    def no_row(*args, **kwargs):
+        raise AssertionError("a row was made")
+
+    monkeypatch.setattr(bench, "_measured_row", no_row)
+    monkeypatch.setattr(bench, "_lowerbound_row", no_row)
+    code, out, err = run_cli(["bench", "relational", "--nproj", "0"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == ("error: experiment 2, data_mb=320, n_projection=0: "
+                   "projection width 0 is below 1\n")
+
+
+def test_bench_list_error_chains_the_token_error():
+    args = build_parser().parse_args(["bench", "relational", "--nproj", "1,x"])
+    with pytest.raises(ValueError) as err:
+        args.handler(args)
+    assert str(err.value) == "--nproj: 'x' is not an integer"
+    assert str(err.value.__cause__) == "'x' is not an integer"
+
+
+@pytest.mark.parametrize("command", [[], ["info"], ["map"],
+                                     ["bench", "relational"],
+                                     ["bench", "spatial"]],
+                         ids=["memsrs", "info", "map", "bench-relational",
+                              "bench-spatial"])
+def test_help_renders(command, capsys):
+    with pytest.raises(SystemExit) as done:
+        main(command + ["--help"])
+    assert done.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: {' '.join(['memsrs', *command])} ")
+    assert "-h, --help" in out
+
+
 @pytest.mark.parametrize("module", ["memsrs", "memsrs.cli"])
 def test_python_m_runs_the_cli(module):
     src = Path(__file__).resolve().parent.parent / "src"

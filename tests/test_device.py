@@ -10,6 +10,7 @@ from memsrs.device import (
     DeviceParams,
     cmu_defaults,
     from_config_text,
+    named,
     to_config_text,
 )
 
@@ -127,6 +128,42 @@ def test_config_derived_keys_validated():
     bad = text.replace("N_PT 6400", "N_PT 6401")
     with pytest.raises(ValueError):
         from_config_text(bad)
+
+
+def test_config_text_of_a_reduced_device_is_pinned():
+    p = DeviceParams(regions_x=3, regions_y=2, sectors_x=4, sectors_y=5,
+                     n_active_tips=3)
+    assert to_config_text(p) == (
+        "# device geometry and timing\n"
+        "R_x 3\nR_y 2\nS_x 4\nS_y 5\nN_APT 3\nSectorSize 64\n"
+        "N_R 6\nN_S 20\nN_PT 6\n"
+        "TransferRate 0.7\nT_X 0.52\nT_Y 0.35\nT_S 0.215\nT_T 0.06\n")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("N_R 7", "N_R 7 inconsistent with geometry (6)"),
+    ("N_S 21", "N_S 21 inconsistent with geometry (20)"),
+    ("N_PT 5", "N_PT 5 inconsistent with geometry (6)"),
+])
+def test_config_derived_key_mismatch_names_key_and_value(line, message):
+    text = "R_x 3\nR_y 2\nS_x 4\nS_y 5\nN_APT 3\n" + line + "\n"
+    with pytest.raises(ValueError) as err:
+        from_config_text(text)
+    assert str(err.value) == message
+
+
+def test_named_prefixes_a_value_error_and_chains_it():
+    with pytest.raises(ValueError) as err:
+        with named("experiment 1"):
+            raise ValueError("seed must be an integer, got 1.5")
+    assert str(err.value) == "experiment 1: seed must be an integer, got 1.5"
+    assert str(err.value.__cause__) == "seed must be an integer, got 1.5"
+    # only a ValueError is named; anything else passes through unchanged
+    with pytest.raises(TypeError, match=r"^bare$"):
+        with named("experiment 1"):
+            raise TypeError("bare")
+    with named("experiment 1"):
+        pass
 
 
 def test_config_unknown_key_rejected():

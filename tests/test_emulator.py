@@ -1,9 +1,11 @@
 """Timing semantics of the physical-access emulator."""
 
 import math
+import re
 import struct
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -202,6 +204,57 @@ def test_scan_checks_run_in_order():
                        Scan(tips=(1,), start=0, length=1)])
     with pytest.raises(ValueError, match=r"^tip 0 out of range 1\.\.6400$"):
         Emulator(CMU).execute(plan)
+
+
+# 3x3 regions, 4 columns of 3 rows, 3 active tips
+TINY3 = replace(TINY, n_active_tips=3)
+
+
+@pytest.mark.parametrize("call", ["execute", "read"])
+@pytest.mark.parametrize("scan, message", [
+    # each used to be priced (2.5 row steps, 2.0 from a 1.5 start, tip
+    # 1.5 as a sector) or to fail inside `read` with a bare TypeError
+    (Scan((1,), 1, 2.5), r"^scan length must be an integer, got 2\.5$"),
+    (Scan((1,), 1, True), r"^scan length must be an integer, got True$"),
+    (Scan((1,), 1.5, 2), r"^scan start must be an integer, got 1\.5$"),
+    (Scan((1,), 1.0, 1), r"^scan start must be an integer, got 1\.0$"),
+    (Scan((1,), True, 1), r"^scan start must be an integer, got True$"),
+    (Scan((1,), 1, 3, {1: (2,), 2.0: (1,), 3: ()}),
+     r"^override row must be an integer, got 2\.0$"),
+    (Scan((1,), 1, 3, {True: (1,)}),
+     r"^override row must be an integer, got True$"),
+    (Scan((1.5,), 1, 1), r"^tip 1\.5 is not an integer$"),
+    (Scan((1,), 1, 3, {2: (1, 2.5, 3)}), r"^tip 2\.5 is not an integer$"),
+], ids=["length-float", "length-bool", "start-float", "start-integral-float",
+        "start-bool", "row-float", "row-bool", "tip-float", "override-tip-float"])
+def test_non_integer_plan_field_rejected_before_the_sled_moves(call, scan,
+                                                               message):
+    plan = AccessPlan([Scan(tips=(2,), start=5, length=3), scan])
+    em = Emulator(TINY3)
+    with pytest.raises(ValueError, match=message):
+        if call == "execute":
+            em.execute(plan)
+        else:
+            em.read(plan, MediaImage(TINY3))
+    assert em.state == SledState()
+
+
+def test_integer_checks_keep_the_old_check_order():
+    # a length below 1 is still named before a start that is not an int,
+    # and the scan's rows before its tips
+    with pytest.raises(ValueError, match=r"^scan length must be >= 1$"):
+        Emulator(TINY3).execute(AccessPlan([Scan((1.5,), 1.5, 0)]))
+    with pytest.raises(ValueError, match=r"^scan rows 12\.\.13 exceed 1\.\.12$"):
+        Emulator(TINY3).execute(AccessPlan([Scan((1.5,), 12, 2)]))
+
+
+@pytest.mark.parametrize("tips, bad", [((1, 2.5), 2.5), ((1.0, 2), 1.0),
+                                       ((Fraction(3, 2),), Fraction(3, 2))],
+                         ids=["float", "integral-float", "fraction"])
+def test_sorted_tips_reject_non_integer_tips(tips, bad):
+    with pytest.raises(ValueError, match=rf"^tip {re.escape(repr(bad))} "
+                                         r"is not an integer$"):
+        SortedTips(tips)
 
 
 @settings(max_examples=300, deadline=None)
@@ -471,6 +524,13 @@ def test_plan_text_empty_tips_marker():
 def test_plan_text_bad_field_names_its_line(text, message):
     with pytest.raises(ValueError, match=message):
         plan_from_text("# header\n" + text + "\n")
+
+
+def test_plan_text_error_chains_the_field_error():
+    with pytest.raises(ValueError) as err:
+        plan_from_text("scan 1 x 1-3\n")
+    assert str(err.value) == "line 1: length 'x' is not an integer"
+    assert str(err.value.__cause__) == "length 'x' is not an integer"
 
 
 def test_plan_text_repeated_row_override_names_both_lines():
