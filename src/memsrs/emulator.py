@@ -19,10 +19,10 @@ start, length and override rows must be ints (a bool is not one), and
 its tips ints.  A tip set is checked by its smallest and largest tip; a
 `range` and a `SortedTips` (a tuple whose tips were checked to be ints
 that ascend when it was built) are checked at their two ends, any other
-set by a walk over its tips.  `read`
-also checks once, before the sled moves, that the media image covers
-the emulator's geometry; it then fetches each pass row's cells in one
-batch, and unwritten cells read as zeros.
+set by a walk over its tips.  `read` also checks once, before the sled
+moves, that the media image covers the emulator's geometry; it then
+fetches each pass row's cells in one batch, and unwritten cells read as
+zeros.
 """
 
 from __future__ import annotations
