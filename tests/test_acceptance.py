@@ -7,6 +7,7 @@ agreement, and byte-exact retrieval on a reduced geometry.  A failing
 check states which sub-check missed and by how much.
 """
 
+import hashlib
 import math
 import random
 import statistics
@@ -371,3 +372,22 @@ def test_criterion_10_transfer_rate_identity():
     # the abstract constants themselves stay pinned to the catalog figures
     assert p.transfer_rate_rs_bits_s == pytest.approx(0.644e6, abs=0.001e6)
     assert p.seek_time_rs_s == pytest.approx(0.735e-3, rel=1e-9)
+
+
+# -- the default sweeps' output stays byte-identical -------------------------
+
+# sha256 of csv_text of each default sweep (seeds 0-19): a speed-up or
+# refactor must leave every cell of the paper's four sweeps in place
+_DEFAULT_CSV_DIGESTS = {
+    1: "d07db7f2c011a72dda96552bcb1a1cecd9d0938463dcef55f0ed724d8a6f1042",
+    2: "87540f412dab7153f28df35449157f77f5e3d81239d014e929f61fc76f4d5e82",
+    3: "dd3c9b758f72b1b22646ce4da223418777081d3e6ace026a2793458648b0e702",
+    4: "4d9ce6349b7a88798a59cb07702c99d6231637de1dcca6f37f2ecc5c4d885786",
+}
+
+
+def test_default_sweep_csvs_pinned(exp1, exp2, exp3, exp4):
+    digests = {i: hashlib.sha256(bench.csv_text(rows).encode()).hexdigest()
+               for i, rows in enumerate((exp1, exp2, exp3, exp4), 1)}
+    moved = [i for i in digests if digests[i] != _DEFAULT_CSV_DIGESTS[i]]
+    assert not moved, f"default sweeps whose CSV moved: experiments {moved}"

@@ -556,7 +556,10 @@ def test_spatial_csv_header_and_cells():
      "029fc51e9e77567e1f1b49dc53983b4cd8001bcb840c01924d10c5cea5539f71"),
     (run_experiment4, dict(aspects=(16, 1, 1 / 16), seeds=(0, 1)),
      "60824a7a83eba17e2c48d23fe46c8a74c5839eaf1e485b55e1ba302a634241f5"),
-], ids=["exp1", "exp2", "exp3", "exp4"])
+    # half the tuples qualify, so each band row is read in several layers
+    (run_experiment1, dict(sizes_mb=(5, 320), seeds=(0, 1), selectivity=0.5),
+     "6c044f30ad15297559e073df148bf551e51674775090be2055432973fd2dbacf"),
+], ids=["exp1", "exp2", "exp3", "exp4", "exp1-half"])
 def test_sweep_csv_bytes_pinned(run, kw, digest):
     # any cell that moves changes the hash; a refactor must keep them all
     assert hashlib.sha256(csv_text(run(**kw)).encode()).hexdigest() == digest
