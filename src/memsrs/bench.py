@@ -143,6 +143,15 @@ def _check_unique(values: Iterable, name) -> None:
         seen.append(value)
 
 
+def _sequence(what: str, value) -> tuple:
+    """`value` as a tuple; a string or a value that is not iterable
+    fails naming it as `what`, rather than being split into characters
+    or raising a bare `TypeError`."""
+    if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
+        raise ValueError(f"{what} must be a sequence, got {value!r}")
+    return tuple(value)
+
+
 def _check_option(option: str, value: str, known: Iterable[str]) -> None:
     if value not in known:
         raise ValueError(f"unknown {option} {value!r}; "
@@ -158,9 +167,10 @@ def _sweep(params: Optional[DeviceParams], experiment: int,
     """One row per placement, sweep point and seed, in `sort_rows` order.
 
     `family` is (point name, point function, placements, option name,
-    option values).  Non-integer seeds, bad placements, seek model and
-    `option`, and repeated seeds or points, fail first: a repeat would
-    only duplicate rows.
+    option values).  Params that are not a `DeviceParams`, seeds or
+    placements that are not a sequence, non-integer seeds, bad
+    placements, seek model and `option`, and repeated seeds or points,
+    fail first: a repeat would only duplicate rows.
     Every point is then checked before any row is made, by
     `point(params, pt, name, seeds, classes, build, option, **point_args)`:
     it fails naming the point, builds the layouts of `classes` through the
@@ -168,9 +178,13 @@ def _sweep(params: Optional[DeviceParams], experiment: int,
     seed's (sweep columns, query, lower-bound bits, qualifying-row draw).
     """
     name, point, known, option_name, option_values = family
-    params = params or cmu_defaults()
-    seeds = tuple(seeds)
     with named(f"experiment {experiment}"):
+        if params is None:
+            params = cmu_defaults()
+        elif not isinstance(params, DeviceParams):
+            raise ValueError(f"params must be a DeviceParams, got {params!r}")
+        seeds = _sequence("seeds", seeds)
+        placements = _sequence("placements", placements)
         for seed in seeds:
             check_integer("seed", seed)
     for placement in placements:
@@ -231,7 +245,8 @@ def _relational_point(params: DeviceParams, pt: tuple, name: str,
     under (class, n).  A point with a projection width that is not an
     integer in 1.._K, or a size that is not a finite real number or that
     the device cannot hold, fails naming the point.  A seed's qualifying
-    rows are drawn once per (size, seed) and shared by every width;
+    rows are drawn once per (size, seed), as counts per band row, and
+    shared by every width;
     `qual_mode` is the checked "uniform", the one draw there is."""
     size_mb, nproj = pt
     with named(name):
@@ -262,8 +277,10 @@ def _relational_point(params: DeviceParams, pt: tuple, name: str,
     bits = exact_ceil(selectivity, n) * nproj * sch.attr_bits
 
     def draw(seed: int, lay: RelLayoutRP):
-        return build(("rows", n, seed), lambda: lay.qualifying_rows(
-            Relation(n, seed).qualifying_set(selectivity)))
+        # a run only times its plan, so counted rows price it as the
+        # qualifying ids' rows would
+        return build(("rows", n, seed), lambda: lay.counted_rows(
+            Relation(n, seed).qualifying_counts(selectivity, params.n_tips)))
     return layouts, [(columns, query, bits, partial(draw, seed))
                      for seed in seeds]
 
@@ -282,6 +299,7 @@ def run_experiment1(params: Optional[DeviceParams] = None, *,
     """Relational data-size sweep at a fixed projection width."""
     with named("experiment 1"):
         check_selectivity(selectivity)
+        sizes_mb = _sequence("sizes_mb", sizes_mb)
     return _sweep(params, 1, [(mb, n_projection) for mb in sizes_mb],
                   _RELATIONAL, qual_mode, seeds, placements, seek_model,
                   selectivity=selectivity)
@@ -298,6 +316,7 @@ def run_experiment2(params: Optional[DeviceParams] = None, *,
     """Relational projection-width sweep at a fixed data size."""
     with named("experiment 2"):
         check_selectivity(selectivity)
+        n_projections = _sequence("n_projections", n_projections)
     return _sweep(params, 2, [(size_mb, np_) for np_ in n_projections],
                   _RELATIONAL, qual_mode, seeds, placements, seek_model,
                   selectivity=selectivity)
@@ -354,6 +373,8 @@ def run_experiment3(params: Optional[DeviceParams] = None, *,
                     curve: str = "hilbert",
                     seek_model: str = "average") -> List[Row]:
     """Spatial query-size sweep at a fixed aspect ratio."""
+    with named("experiment 3"):
+        query_fracs = _sequence("query_fracs", query_fracs)
     return _sweep(params, 3, [(f, aspect) for f in query_fracs], _SPATIAL,
                   curve, seeds, placements, seek_model)
 
@@ -366,6 +387,8 @@ def run_experiment4(params: Optional[DeviceParams] = None, *,
                     curve: str = "hilbert",
                     seek_model: str = "average") -> List[Row]:
     """Spatial query-aspect sweep at a fixed query size."""
+    with named("experiment 4"):
+        aspects = _sequence("aspects", aspects)
     return _sweep(params, 4, [(query_frac, a) for a in aspects], _SPATIAL,
                   curve, seeds, placements, seek_model)
 

@@ -13,16 +13,23 @@ and `Timing` seconds are computed from those integer event counts plus
 the seek charges.  `read` walks the same passes and also reads each
 pass's cells, so it returns the same `Timing` as `execute`.
 
+Tips are symmetric: `execute`'s `Timing` (and the sled's end state)
+depends only on how many tips each row's set holds, never on which
+ones.  Replacing any default or override set by another valid set of
+the same size prices the plan alike, so a caller that only times a plan
+may pass `range(1, count + 1)` for a row of `count` tips.  `read` is
+exempt, since it returns the tips' bytes.
+
 A plan is validated once, in full, before the sled moves, so an invalid
 plan raises `ValueError` and leaves the sled state unchanged.  A scan's
 start, length and override rows must be ints (a bool is not one), and
 its tips ints.  A tip set is checked by its smallest and largest tip; a
 `range` and a `SortedTips` (a tuple whose tips were checked to be ints
-that ascend when it was built) are checked at their two ends, any other
-set by a walk over its tips.  `read` also checks once, before the sled
-moves, that the media image covers the emulator's geometry; it then
-fetches each pass row's cells in one batch, and unwritten cells read as
-zeros.
+that ascend, when it was built or by the caller of `prechecked`) are
+checked at their two ends, any other set by a walk over its tips.
+`read` also checks once, before the sled moves, that the media image
+covers the emulator's geometry; it then fetches each pass row's cells
+in one batch, and unwritten cells read as zeros.
 """
 
 from __future__ import annotations
@@ -135,6 +142,12 @@ class SortedTips(tuple):
         if not all(map(lt, self, islice(self, 1, None))):
             raise ValueError("tips must be strictly ascending")
         return self
+
+    @classmethod
+    def prechecked(cls, tips: Iterable[int]) -> "SortedTips":
+        """A `SortedTips` of tips the caller has already checked to be
+        ints that strictly ascend, built without walking them again."""
+        return tuple.__new__(cls, tips)
 
 
 def _check_tips(tips: Sequence[int], n_tips: int) -> None:

@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import repeat
-from operator import sub
+from itertools import islice, repeat
+from operator import lt, sub
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .cost import CostInput
@@ -171,27 +171,50 @@ class RelLayoutRP:
         """Bucket qualifying tuple ids by band row; shared by every band.
 
         Each row's tips are a `SortedTips`, so the emulator checks them
-        at their two ends however many plans share them.
+        at their two ends however many plans share them.  The ids are
+        sorted and checked once, as one list, so no row is walked again.
         """
         ids = sorted(qualifying)
         check_integers("qualifying tuple id", ids)
         for v in ids[:1] + ids[-1:]:
             if not 1 <= v <= self.schema.n:
                 raise ValueError(f"qualifying tuple id {v} out of range")
+        if not all(map(lt, ids, islice(ids, 1, None))):
+            # sorted ids ascend strictly unless one is repeated
+            v = next(a for a, b in zip(ids, islice(ids, 1, None)) if a == b)
+            raise ValueError(f"qualifying tuple id {v} listed twice")
         n_pt = self.params.n_tips
         rows: Dict[int, SortedTips] = {}
         i = 0
         while i < len(ids):
             row = (ids[i] - 1) // n_pt + 1
             j = bisect_right(ids, row * n_pt, i)
-            try:
-                rows[row] = SortedTips(map(sub, ids[i:j],
-                                           repeat((row - 1) * n_pt)))
-            except ValueError:
-                # sorted ids ascend strictly unless one is repeated
-                v = next(a for a, b in zip(ids[i:j], ids[i + 1:j]) if a == b)
-                raise ValueError(f"qualifying tuple id {v} listed twice") from None
+            rows[row] = SortedTips.prechecked(map(sub, ids[i:j],
+                                                  repeat((row - 1) * n_pt)))
             i = j
+        return rows
+
+    def counted_rows(self, counts: Sequence[int]) -> Dict[int, range]:
+        """Band rows from how many qualifying tuples each holds: row j
+        with `counts[j-1]` > 0 gets the tips 1..counts[j-1].
+
+        An execute's `Timing` depends only on each row's tip-set size, so
+        these rows price a plan as the `qualifying_rows` of any ids with
+        those counts do.  Only `Emulator.read`, which returns the tips'
+        bytes, needs the real ids.
+        """
+        check_integers("qualifying count", counts)
+        if len(counts) > self.band_rows:
+            raise ValueError(f"{len(counts)} qualifying counts for "
+                             f"{self.band_rows} band rows")
+        rows: Dict[int, range] = {}
+        for row, count in enumerate(counts, 1):
+            if count:
+                if not 0 < count <= self._row_count(row):
+                    raise ValueError(f"qualifying count {count} of band row "
+                                     f"{row} out of range "
+                                     f"0..{self._row_count(row)}")
+                rows[row] = range(1, count + 1)
         return rows
 
     def compile(self, query: RangeQuery,

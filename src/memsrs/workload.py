@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import accumulate, compress, repeat
 from operator import add
 from typing import Tuple
 
@@ -14,7 +15,7 @@ from .device import check_integer
 from .relational import check_selectivity, exact_ceil
 from .spatial import QueryRegion, SpatialSpace
 
-# the uniform draw lists its kept ids over blocks of this many ids
+# the uniform draw's id listing lists kept ids over blocks of this many ids
 _BLOCK = 2**12
 _BLOCK_IDS = tuple(range(1, _BLOCK + 1))
 
@@ -35,42 +36,91 @@ class Relation:
         """Tuple ids satisfying the predicate, ascending: a uniform subset
         of exactly ceil(sigma*n) of them."""
         check_selectivity(sigma)
-        return _uniform_subset(random.Random(f"{self.seed}:qualifying"),
-                               self.n, exact_ceil(sigma, self.n))
+        return _uniform_subset(self._rng(), self.n, exact_ceil(sigma, self.n))
+
+    def qualifying_counts(self, sigma: float, width: int) -> Tuple[int, ...]:
+        """How many of `qualifying_set(sigma)`'s ids each row of `width`
+        consecutive ids holds: entry r counts ids r*width+1..(r+1)*width.
+        The same draw, counted instead of listed."""
+        check_selectivity(sigma)
+        check_integer("row width", width)
+        if width < 1:
+            raise ValueError(f"row width {width} is below 1")
+        return _uniform_counts(self._rng(), self.n, exact_ceil(sigma, self.n),
+                               width)
+
+    def _rng(self) -> random.Random:
+        return random.Random(f"{self.seed}:qualifying")
 
 
-def _uniform_subset(rng: random.Random, n: int, m: int) -> Tuple[int, ...]:
-    """A uniform m-subset of 1..n, ascending.
+def _uniform_draw(rng: random.Random, n: int, m: int, width: int):
+    """The random calls of a uniform m-subset of 1..n: (mask, counts,
+    dropped, added).
 
     One random byte per id keeps it with probability c/256, c =
-    ceil(256*m/n), so about m ids or a few more are kept; then a uniform
-    sample of the surplus is dropped, or missing ids are drawn uniformly
-    by rejection.  A Bernoulli sample of a given size is a uniform subset
-    of that size, and trimming or topping it up uniformly keeps it
-    uniform.  The kept ids are listed block by block, offset from one
-    shared tuple of ids, so only kept ids become Python ints."""
+    ceil(256*m/n), so about m ids or a few more are kept: `mask` holds 1
+    at each kept id's offset and `counts` how many ids it keeps in each
+    row of `width` consecutive ids.  Then a uniform sample of the surplus
+    is dropped (`dropped`, ranks among the kept ids), or missing ids are
+    drawn uniformly by rejection (`added`, offsets).  A Bernoulli sample
+    of a given size is a uniform subset of that size, and trimming or
+    topping it up uniformly keeps it uniform."""
     c = -(-256 * m // n)
     mask = rng.randbytes(n).translate(b"\1" * c + bytes(256 - c))
-    picked: list = []
-    for off in range(0, n, _BLOCK):
-        picked += map(add, compress(_BLOCK_IDS, mask[off:off + _BLOCK]),
-                      repeat(off))
-    surplus = len(picked) - m
-    if surplus > 0:
-        keep = bytearray(b"\1") * len(picked)
-        for i in rng.sample(range(len(picked)), surplus):
-            keep[i] = 0
-        picked = compress(picked, keep)
-    elif surplus < 0:
+    # a row's 0 and 1 bytes are the bits of one int, counted in C faster
+    # than `bytes.count` counts them
+    view = memoryview(mask)
+    counts = [int.from_bytes(view[off:off + width], "little").bit_count()
+              for off in range(0, n, width)]
+    kept = sum(counts)
+    dropped: list = []
+    added: list = []
+    if kept > m:
+        dropped = rng.sample(range(kept), kept - m)
+    elif kept < m:
         taken = bytearray(mask)
-        for _ in range(-surplus):
+        for _ in range(m - kept):
             i = rng.randrange(n)
             while taken[i]:
                 i = rng.randrange(n)
             taken[i] = 1
-            picked.append(i + 1)
+            added.append(i)
+    return mask, counts, dropped, added
+
+
+def _uniform_subset(rng: random.Random, n: int, m: int) -> Tuple[int, ...]:
+    """The ids of the uniform draw, ascending, its mask counted as one
+    row.  The kept ids are listed block by block, offset from one shared
+    tuple of ids, so only kept ids become Python ints."""
+    mask, _, dropped, added = _uniform_draw(rng, n, m, n)
+    picked: list = []
+    for off in range(0, n, _BLOCK):
+        picked += map(add, compress(_BLOCK_IDS, mask[off:off + _BLOCK]),
+                      repeat(off))
+    if dropped:
+        keep = bytearray(b"\1") * len(picked)
+        for i in dropped:
+            keep[i] = 0
+        picked = compress(picked, keep)
+    elif added:
+        picked += (i + 1 for i in added)
         picked.sort()
     return tuple(picked)
+
+
+def _uniform_counts(rng: random.Random, n: int, m: int,
+                    width: int) -> Tuple[int, ...]:
+    """How many ids of the uniform draw each row of `width` consecutive
+    ids holds, without listing them: each dropped rank and added id is
+    charged to its row of the mask's counts."""
+    _, counts, dropped, added = _uniform_draw(rng, n, m, width)
+    if dropped:
+        ends = list(accumulate(counts))
+        for rank in dropped:
+            counts[bisect_right(ends, rank)] -= 1
+    for i in added:
+        counts[i // width] += 1
+    return tuple(counts)
 
 
 def gen_query_region(space: SpatialSpace, size_fraction: float, aspect: float,

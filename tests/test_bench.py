@@ -443,6 +443,32 @@ def test_unknown_option_fails_before_any_row(run, kw, message, no_rows):
         run(**{"seeds": (0,), **kw})
 
 
+_SWEEP_POINTS = {run_experiment1: "sizes_mb", run_experiment2: "n_projections",
+                 run_experiment3: "query_fracs", run_experiment4: "aspects"}
+
+
+@pytest.mark.parametrize("run", _SWEEP_POINTS, ids=["exp1", "exp2", "exp3",
+                                                    "exp4"])
+@pytest.mark.parametrize("arg, value, message", [
+    ("placements", "relational-parallel",
+     "placements must be a sequence, got 'relational-parallel'"),
+    ("seeds", 3, "seeds must be a sequence, got 3"),
+    ("points", 5.0, "{points} must be a sequence, got 5.0"),
+    ("points", "5", "{points} must be a sequence, got '5'"),
+    ("params", "cmu", "params must be a DeviceParams, got 'cmu'"),
+], ids=["placements-str", "seeds-int", "points-float", "points-str",
+        "params-str"])
+def test_bad_sweep_argument_fails_named_before_any_row(no_rows, run, arg,
+                                                       value, message):
+    # a string is not split into characters, nor a scalar left to raise
+    # a bare TypeError or AttributeError
+    points = _SWEEP_POINTS[run]
+    experiment = re.search(r"\d$", run.__name__).group()
+    want = f"experiment {experiment}: {message.format(points=points)}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        run(**{points if arg == "points" else arg: value})
+
+
 def test_infeasible_spatial_point_fails_before_any_row(no_rows):
     # aspect 1 is feasible and comes first; 1/16 of a 10% query is not
     with pytest.raises(ValueError, match=r"^experiment 4, query_frac=0\.1, "

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from memsrs.device import DeviceParams, cmu_defaults
 from memsrs.emulator import (
+    SEEK_MODELS,
     AccessPlan,
     Emulator,
     MediaImage,
@@ -428,6 +429,32 @@ def test_read_prices_exactly_like_execute(plan, col, row, y_dir, model):
     t_read, _ = rd.read(plan, MediaImage(SMALL))
     assert t == t_read
     assert ex.state == rd.state
+
+
+@settings(max_examples=200, deadline=None)
+@given(plan=_plans(), data=st.data(), col=st.integers(1, SMALL.sectors_x),
+       row=st.integers(1, SMALL.sectors_y), y_dir=st.sampled_from((1, -1)))
+@example(plan=_EXIT_ROW_ONLY, data=None, col=1, row=1, y_dir=1)
+def test_timing_depends_only_on_each_rows_tip_set_size(plan, data, col, row,
+                                                       y_dir):
+    # the emulator's tip symmetry: any other valid set of the same size,
+    # default or override, prices the plan alike
+    def same_size(tips):
+        if data is None:  # the explicit example: tips counted from 1
+            return tuple(range(1, len(tips) + 1))
+        order = data.draw(st.permutations(range(1, SMALL.n_tips + 1)))
+        return tuple(order[:len(tips)])
+
+    swapped = AccessPlan([
+        Scan(tips=same_size(s.tips), start=s.start, length=s.length,
+             per_row_tips=s.per_row_tips and {
+                 r: same_size(t) for r, t in s.per_row_tips.items()})
+        for s in plan.scans])
+    for model in SEEK_MODELS:
+        a, b = Emulator(SMALL, model), Emulator(SMALL, model)
+        a.state, b.state = SledState(col, row, y_dir), SledState(col, row, y_dir)
+        assert a.execute(plan) == b.execute(swapped)
+        assert a.state == b.state
 
 
 @settings(max_examples=200, deadline=None)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memsrs.device import DeviceParams, cmu_defaults
-from memsrs.emulator import Emulator, MediaImage
+from memsrs.emulator import SEEK_MODELS, Emulator, MediaImage, SortedTips
 from memsrs.relational import (
     RangeQuery,
     RelLayoutRP,
@@ -267,6 +267,54 @@ def test_sorted_qualifying_rows_price_like_plain_tuples_at_every_width():
         query = q(range(1, nproj + 1), sel=0.25)
         assert (Emulator(dev).execute(lay.compile(query, rows))
                 == Emulator(dev).execute(lay.compile(query, plain)))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.02, 0.25, 0.5, 1.0])
+def test_counted_rows_price_like_the_qualifying_ids_rows(sigma):
+    # reduced geometry: 64 tips, 16 of them active, and a ragged last band
+    # row; the sweeps plan from counted rows, readback from the real ids
+    dev = DeviceParams(regions_x=8, regions_y=8, sectors_x=20, sectors_y=5,
+                       n_active_tips=16)
+    lay = RelLayoutRP(dev, RelationSchema(k=16, n=350))
+    for seed in range(3):
+        rel = Relation(350, seed)
+        real = lay.qualifying_rows(rel.qualifying_set(sigma))
+        counted = lay.counted_rows(rel.qualifying_counts(sigma, dev.n_tips))
+        assert all(type(tips) is SortedTips for tips in real.values())
+        assert {r: len(t) for r, t in real.items()} == {
+            r: len(t) for r, t in counted.items()}
+        for nproj in (1, 2, 9, 16):
+            query = q(range(1, nproj + 1), sel=sigma)
+            plans = [lay.compile(query, rows) for rows in (real, counted)]
+            assert len(plans[0].scans) == len(plans[1].scans)
+            for model in SEEK_MODELS:
+                assert (Emulator(dev, model).execute(plans[0])
+                        == Emulator(dev, model).execute(plans[1]))
+
+
+def test_counted_rows_are_ranges_of_the_counts():
+    dev = DeviceParams(regions_x=2, regions_y=2, sectors_x=10, sectors_y=3,
+                       n_active_tips=4)
+    lay = RelLayoutRP(dev, RelationSchema(k=2, n=50))  # 13 rows, last of 2
+    counts = [0, 4, 1] + [0] * 9 + [2]
+    assert lay.counted_rows(counts) == {2: range(1, 5), 3: range(1, 2),
+                                        13: range(1, 3)}
+    assert lay.counted_rows(()) == {}
+
+
+@pytest.mark.parametrize("counts, message", [
+    ([0, 5], "qualifying count 5 of band row 2 out of range 0..4"),
+    ([0] * 12 + [3], "qualifying count 3 of band row 13 out of range 0..2"),
+    ([1, -1], "qualifying count -1 of band row 2 out of range 0..4"),
+    ([0] * 14, "14 qualifying counts for 13 band rows"),
+    ([1, 2.0], "qualifying count 2.0 is not an integer"),
+], ids=["above-row", "above-last-row", "negative", "too-many-rows", "float"])
+def test_counted_rows_reject_a_count_the_row_cannot_hold(counts, message):
+    dev = DeviceParams(regions_x=2, regions_y=2, sectors_x=10, sectors_y=3,
+                       n_active_tips=4)
+    lay = RelLayoutRP(dev, RelationSchema(k=2, n=50))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        lay.counted_rows(counts)
 
 
 # -- analytic cost inputs -------------------------------------------------

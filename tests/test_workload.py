@@ -11,8 +11,8 @@ import pytest
 
 from memsrs.relational import exact_ceil
 from memsrs.spatial import SpatialSpace
-from memsrs.workload import (_BLOCK, Relation, _uniform_subset,
-                             gen_query_region)
+from memsrs.workload import (_BLOCK, Relation, _uniform_counts,
+                             _uniform_subset, gen_query_region)
 from tests.oracles import whole_range_uniform_subset
 
 
@@ -122,6 +122,57 @@ def test_uniform_draw_matches_the_whole_range_draw_at_320mb():
     n, m = 2_621_440, exact_ceil(0.1, 2_621_440)
     assert (_uniform_subset(random.Random("0:qualifying"), n, m)
             == whole_range_uniform_subset(random.Random("0:qualifying"), n, m))
+
+
+def _bucketed(ids, n, width):
+    """How many of `ids` each row of `width` consecutive ids of 1..n holds."""
+    counts = [0] * -(-n // width)
+    for v in ids:
+        counts[(v - 1) // width] += 1
+    return tuple(counts)
+
+
+def test_counts_equal_the_bucketed_ids_on_every_path():
+    # every path of the draw, the exact fit (a mask that keeps m ids, no
+    # trim and no top-up) among them, counted over width 1, a width that
+    # divides neither n, and a width above n
+    seen = set()
+    for n, sigma, _ in _PATHS.values():
+        m = exact_ceil(sigma, n)
+        for seed in range(60):
+            rel = Relation(n, seed)
+            ids = rel.qualifying_set(sigma)
+            for width in (1, 7, n + 3):
+                assert (rel.qualifying_counts(sigma, width)
+                        == _bucketed(ids, n, width))
+            rng = _Recording(f"{seed}:qualifying")
+            _uniform_counts(rng, n, m, 7)
+            seen.add((0 < m < n, tuple(sorted(rng.calls))))
+    assert {(True, ("randbytes", "sample")), (True, ("randbytes", "randrange")),
+            (True, ("randbytes",))} <= seen
+
+
+@pytest.mark.parametrize("sigma", [1e-5, 1e-3, 0.1, 0.5, 0.999])
+def test_counts_equal_the_bucketed_ids_across_selectivities(sigma):
+    # many rows of a device's 6400 tips, which does not divide n
+    n = 3 * 2**16 + 5
+    for seed in range(3):
+        rel = Relation(n, seed)
+        ids = rel.qualifying_set(sigma)
+        for width in (6400, _BLOCK, n + 1):
+            assert (rel.qualifying_counts(sigma, width)
+                    == _bucketed(ids, n, width))
+    assert rel.qualifying_counts(sigma, 1) == _bucketed(ids, n, 1)
+
+
+@pytest.mark.parametrize("width, message", [
+    (0, "row width 0 is below 1"),
+    (2.0, "row width must be an integer, got 2.0"),
+    (True, "row width must be an integer, got True"),
+])
+def test_counts_reject_a_bad_row_width_by_name(width, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Relation(10, 0).qualifying_counts(0.5, width)
 
 
 # sha256 of repr(Relation(n, seed).qualifying_set(sigma)), as drawn when
