@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cost import CostInput
 from .device import DeviceParams, check_integer
-from .emulator import AccessPlan, MediaImage, Scan
+from .emulator import AccessPlan, MediaImage, Scan, SortedTips
 from .rs import RSAddr, layer_scans, rs_scan, write_values
 
 
@@ -185,15 +185,14 @@ class BlockGrid:
 
 
 def _power_of_two_pairs(n: int) -> List[Tuple[int, int]]:
+    """The factor pairs (bx, by) of `n`, bx ascending, whose ratio is a
+    power of two; each divisor up to sqrt(n) gives a pair and its mirror."""
     pairs = []
-    for bx in range(1, n + 1):
-        if n % bx:
-            continue
-        by = n // bx
-        hi, lo = max(bx, by), min(bx, by)
-        if hi % lo == 0 and (hi // lo) & (hi // lo - 1) == 0:
-            pairs.append((bx, by))
-    return pairs
+    for lo in range(1, math.isqrt(n) + 1):
+        hi, rem = divmod(n, lo)
+        if rem == 0 and hi % lo == 0 and (hi // lo) & (hi // lo - 1) == 0:
+            pairs += {(lo, hi), (hi, lo)}
+    return sorted(pairs)
 
 
 def _block_shape(params: DeviceParams, ratio: float) -> Tuple[int, int]:
@@ -272,14 +271,33 @@ def query_block_set(grid: BlockGrid, qr: QueryRegion
 
 
 def _clip_tips(grid: BlockGrid, clip: Tuple[int, int, int, int]) -> Sequence[int]:
-    """Tips of a block clip, row-major: a `range` for the whole block, a
-    tuple built one local row at a time otherwise."""
+    """Tips of a block clip, row-major.  A clip whose tips run on without
+    a break (one local row, or whole block rows such as the full block)
+    is a `range`; any other clip is a `SortedTips` of its rows' ranges,
+    not walked again, since 1 <= la <= lb <= B_x makes its ints ascend."""
     la, lb, ya, yb = clip
     b_x = grid.B_x
-    if clip == (1, b_x, 1, grid.B_y):
-        return range(1, b_x * grid.B_y + 1)
-    return tuple(chain.from_iterable(range(base + la, base + lb + 1)
-                                     for base in range((ya - 1) * b_x, yb * b_x, b_x)))
+    if ya == yb or (la == 1 and lb == b_x):
+        return range((ya - 1) * b_x + la, (yb - 1) * b_x + lb + 1)
+    return SortedTips.prechecked(chain.from_iterable(
+        range(base + la, base + lb + 1)
+        for base in range((ya - 1) * b_x, yb * b_x, b_x)))
+
+
+def _layer_tips(tips: Sequence[int], lo: int, napt: int) -> Sequence[int]:
+    """Tips lo..lo + napt - 1 (0-based) of a `_clip_tips` set, in the same
+    form: () when the set has none there, the set itself when it fits one
+    layer, a `range` when they run on without a break, else a
+    `SortedTips`.  Equal tips then compare equal whatever clip they come
+    from, as `rs_scan` needs to leave them out of the overrides."""
+    if len(tips) <= lo:
+        return ()
+    if len(tips) <= napt:
+        return tips
+    part = tips[lo:lo + napt]
+    if isinstance(part, range) or part[-1] - part[0] == len(part) - 1:
+        return range(part[0], part[-1] + 1)
+    return SortedTips.prechecked(part)
 
 
 def compile_sp(grid: BlockGrid, qr: QueryRegion) -> AccessPlan:
@@ -310,6 +328,10 @@ def compile_sp(grid: BlockGrid, qr: QueryRegion) -> AccessPlan:
             runs.append((rank, [tips]))
         prev_rank = rank
     napt = p.n_active_tips
+    # each set's layers are cut once per call and shared like the sets,
+    # so the emulator checks each distinct layer once; `clip_tips` keeps
+    # every set alive, so their ids stay unique
+    layers: Dict[Tuple[int, int], Sequence[int]] = {}
     scans: List[Scan] = []
     for first_rank, units in runs:
         deepest = max(map(len, units))
@@ -321,9 +343,13 @@ def compile_sp(grid: BlockGrid, qr: QueryRegion) -> AccessPlan:
             continue
         for lo in range(0, deepest, napt):
             want = [i for i, tips in enumerate(units) if len(tips) > lo]
-            scans.append(rs_scan((first_rank + want[0] - 1) * spo + 1, spo,
-                                 [tips[lo:lo + napt]
-                                  for tips in units[want[0]:want[-1] + 1]]))
+            cut = []
+            for tips in units[want[0]:want[-1] + 1]:
+                part = layers.get((id(tips), lo))
+                if part is None:
+                    part = layers[id(tips), lo] = _layer_tips(tips, lo, napt)
+                cut.append(part)
+            scans.append(rs_scan((first_rank + want[0] - 1) * spo + 1, spo, cut))
     return AccessPlan(scans)
 
 

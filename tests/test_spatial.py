@@ -10,15 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memsrs import bench, spatial
 from memsrs.cost import CostInput
 from memsrs.device import DeviceParams, cmu_defaults
-from memsrs.emulator import AccessPlan, Emulator, MediaImage, plan_to_text
+from memsrs.emulator import AccessPlan, Emulator, MediaImage, SortedTips, plan_to_text
 from memsrs.rs import PhysAddr, rs_scan, rs_to_mems
 from memsrs.spatial import (
     BlockGrid,
     QueryRegion,
     SpatialSpace,
     SSYLayout,
+    _block_shape,
+    _power_of_two_pairs,
     build_block_grid,
     compile_sp,
     compile_ssy,
@@ -118,6 +121,36 @@ def test_block_grid_tie_breaks_wider():
     # ratio 2 sits exactly between the 1 and 4 ratio pairs
     grid = build_block_grid(CMU, SPACE, ratio=2.0)
     assert (grid.B_x, grid.B_y) == (160, 40)
+
+
+def _pairs_by_walk(limit):
+    """Each n up to `limit` mapped to its factor pairs (bx, by), bx
+    ascending, whose ratio is a power of two: every bx is stepped through
+    all its multiples."""
+    pairs = {n: [] for n in range(1, limit + 1)}
+    for bx in range(1, limit + 1):
+        for n in range(bx, limit + 1, bx):
+            hi, lo = max(bx, n // bx), min(bx, n // bx)
+            if hi % lo == 0 and bin(hi // lo).count("1") == 1:
+                pairs[n].append((bx, n // bx))
+    return pairs
+
+
+def test_power_of_two_pairs_match_a_walk_over_every_divisor():
+    for n, pairs in _pairs_by_walk(5000).items():
+        assert sorted(_power_of_two_pairs(n)) == pairs
+
+
+@pytest.mark.parametrize("dev", [
+    CMU,
+    DeviceParams(regions_x=8, regions_y=2, sectors_x=4, sectors_y=3, n_active_tips=4),
+    DeviceParams(regions_x=6, regions_y=3, sectors_x=4, sectors_y=3, n_active_tips=4),
+])
+def test_block_shape_matches_a_walk_over_every_divisor(dev, monkeypatch):
+    shapes = [_block_shape(dev, aspect) for aspect in bench.ASPECTS]
+    walked = _pairs_by_walk(dev.n_regions)
+    monkeypatch.setattr(spatial, "_power_of_two_pairs", walked.__getitem__)
+    assert shapes == [_block_shape(dev, aspect) for aspect in bench.ASPECTS]
 
 
 def test_hilbert_order_small_oracle():
@@ -598,14 +631,16 @@ def test_query_block_set_clips_cover_the_box_once(geo, data):
 @given(geo=_reduced_grids(), data=st.data())
 def test_compile_sp_matches_per_cell_reference(geo, data):
     p, grid = geo
-    full = grid.B_x * grid.B_y
     for _ in range(4):
         qr = data.draw(_regions(grid.space))
         plan, want = compile_sp(grid, qr), _reference_compile_sp(grid, qr)
         assert plan_to_text(plan) == plan_to_text(want)
         assert Emulator(p).execute(plan) == Emulator(p).execute(want)
         for tips in _tip_sets(plan):
-            assert type(tips) is (range if len(tips) == full else tuple)
+            # a gap is (); any other set is a range or a SortedTips that
+            # the constructor's own walk accepts, as `prechecked` assumed
+            assert (not tips or type(tips) is range
+                    or type(tips) is SortedTips and SortedTips(tuple(tips)) == tips)
 
 
 @settings(max_examples=60, deadline=None)
@@ -639,6 +674,36 @@ def test_compile_sp_builds_each_clip_tip_set_once():
     plan = compile_sp(grid, qr)
     assert len(plan.scans) == 24
     assert len({id(tips) for tips in _tip_sets(plan)}) <= len(plan.scans) + 10
+
+
+def test_compile_sp_cuts_each_clip_layer_once_at_a_default_point():
+    # exp4's aspect-8 point: on 320x20 blocks its edge clips hold up to
+    # 6140 tips, five layers of 1280, so most of its scans read layers cut
+    # from partial clips; each distinct (clip, layer) is one shared object
+    grid = build_block_grid(CMU, SPACE, ratio=8)
+    qr = gen_query_region(SPACE, 0.01, 8, seed=0)
+    full = grid.B_x * grid.B_y
+    assert max(size for _, (la, lb, ya, yb) in query_block_set(grid, qr)
+               if (size := (lb - la + 1) * (yb - ya + 1)) < full) == 6140
+    plan = compile_sp(grid, qr)
+    assert len(plan.scans) == 15
+    assert sum(len(scan.tips) <= CMU.n_active_tips for scan in plan.scans) == 13
+    sets = {id(tips): tips for tips in _tip_sets(plan)}
+    # nine clips at most, each cut into at most five layers, and the gap
+    assert len(sets) <= 9 * math.ceil(CMU.n_regions / CMU.n_active_tips) + 1
+    assert all(type(tips) in (range, SortedTips) for tips in sets.values() if tips)
+
+
+def test_equal_layers_of_different_clips_are_not_overrides():
+    # one row of two 4x2 blocks: the query holds the first block's top row,
+    # tips 1-4, and tips 1-2 of the second.  With one active tip both
+    # blocks' first two layers are the same tip, so the second block
+    # overrides none of them
+    dev = DeviceParams(regions_x=4, regions_y=2, sectors_x=4, sectors_y=4,
+                       n_active_tips=1)
+    grid = build_block_grid(dev, SpatialSpace(width=8, height=2), ratio=2.0)
+    plan = compile_sp(grid, region(1, 1, 6, 1))
+    assert plan_to_text(plan) == "scan 1 2 1\nscan 1 2 2\nscan 1 1 3\nscan 1 1 4\n"
 
 
 def test_query_region_validation():
