@@ -1,5 +1,6 @@
 """Relational placement layouts: mapping oracles, compilers, correctness."""
 
+import hashlib
 import math
 import random
 import re
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memsrs.device import DeviceParams, cmu_defaults
-from memsrs.emulator import SEEK_MODELS, Emulator, MediaImage, SortedTips
+from memsrs.emulator import (SEEK_MODELS, Emulator, MediaImage, SortedTips,
+                             plan_to_text)
 from memsrs.relational import (
     RangeQuery,
     RelLayoutRP,
@@ -358,6 +360,48 @@ def test_qualifying_rows_rejects_a_non_integer_id(ids, bad):
     with pytest.raises(ValueError, match=(
             f"^qualifying tuple id {re.escape(bad)} is not an integer$")):
         lay.qualifying_rows(ids)
+
+
+# -- plan-text pins ---------------------------------------------------------
+#
+# sha256 of the plans' text form: every tip set, override row and scan
+# boundary.  A change to how plans are built must keep them all.
+
+def _digest(plans):
+    return hashlib.sha256("".join(map(plan_to_text, plans)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("size_mb, digest", [
+    (5,
+     "027d0a39b47bcc77d7a36ac165265441f66db5d30462d6a652f22bbf4b6fe867"),
+    (320,
+     "f206836bce24ece788f4dcb1ba474be7338afec46d62c3abe1979827e3b3b7a3"),
+])
+def test_rsy_plan_text_pinned(size_mb, digest):
+    # the reference device at every projection width; each width's tips
+    # span one or more activation layers, and the last tuple row is short
+    lay = RelLayoutRSY(CMU, RelationSchema(k=16, n=size_mb * 2**20 // 128))
+    assert _digest(lay.compile(q(range(1, w + 1))) for w in range(1, 17)) == digest
+
+
+@pytest.mark.parametrize("napt, digest", [
+    (3,
+     "abcb3dab2dff80fb80b280d13e1bcc30a4d81b77c440573d1b4433f79d5aea5a"),
+    (7,
+     "722063c3bd9ab250524a5486dde19a9ba0e2b12897b732c73247694f32bb137d"),
+    (16,
+     "dba476c7f9cde5ec7a77e60b420f39c4658bfacd771f9654b72cf3303b44be75"),
+])
+def test_rp_real_id_plan_text_pinned(napt, digest):
+    # 8x8 tips and a ragged last band row of 40 tuples; from sparse rows
+    # to full ones, so wide rows are cut into layers and rows of unequal
+    # sets are overridden
+    dev = DeviceParams(regions_x=8, regions_y=8, n_active_tips=napt)
+    lay = RelLayoutRP(dev, RelationSchema(k=4, n=1000))
+    plans = [compile_rp(lay, q((1, 2, 4), sel=sigma),
+                        Relation(1000, seed).qualifying_set(sigma))
+             for seed, sigma in enumerate((0, 0.02, 0.3, 0.9, 1))]
+    assert _digest(plans) == digest
 
 
 def test_k_values_rsy():
