@@ -17,12 +17,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice, repeat
 from operator import lt, sub
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .cost import CostInput
 from .device import DeviceParams, check_integer, check_integers, check_real
-from .emulator import AccessPlan, MediaImage, Scan, SortedTips
-from .rs import RSAddr, layer_scans, rs_scan, write_values
+from .emulator import AccessPlan, MediaImage, SortedTips
+from .rs import RSAddr, layer_scans, layer_tips, rs_scan, write_values
 
 
 def exact_ceil(fraction: float, n: int) -> int:
@@ -118,21 +118,18 @@ class RelLayoutRSY:
 
     def compile(self, query: RangeQuery) -> AccessPlan:
         _check_query(query, self.schema)
-        napt = self.params.n_active_tips
-        k = self.schema.k
-        n_last = self.schema.n - (self.rows_used - 1) * self.m
-        occupied_slots = min(self.m, self.schema.n)
-        needed = sorted(k * slot + w
-                        for slot in range(occupied_slots)
-                        for w in query.projected)
-        scans: List[Scan] = []
-        for i in range(0, len(needed), napt):
-            chunk = tuple(needed[i:i + napt])
-            # the final sector row holds only the first n_last slots
-            last = tuple(t for t in chunk if (t - 1) // k < n_last)
-            scans.append(rs_scan(1, self.spv,
-                                 [chunk] * (self.rows_used - 1) + [last]))
-        return AccessPlan(scans)
+        napt, rows = self.params.n_active_tips, self.rows_used
+        # slot by slot, attribute by attribute: the tips ascend as built
+        needed = SortedTips.prechecked(self.schema.k * slot + w
+                                       for slot in range(min(self.m, self.schema.n))
+                                       for w in query.projected)
+        # the final sector row holds only the first n_last slots
+        n_last = self.schema.n - (rows - 1) * self.m
+        last = SortedTips.prechecked(needed[:n_last * query.n_projection])
+        return AccessPlan([rs_scan(1, self.spv,
+                                   [layer_tips(needed, lo, napt)] * (rows - 1)
+                                   + [layer_tips(last, lo, napt)])
+                           for lo in range(0, len(needed), napt)])
 
     def k_values(self, query: RangeQuery) -> CostInput:
         _check_query(query, self.schema)

@@ -10,8 +10,9 @@ are `DeviceParams` properties. Addresses are 1-based on both axes.
 The model's two facilities build every placement's scans: any tip set
 can be used for each sector row (`rs_scan`), and at most
 `n_active_tips` tips run at once, so wider sets are read in layers
-(`layer_scans`). Every placement that maps a value to one Region-Sector
-address stores it down that region's sector axis (`write_values`).
+(`layer_scans`, every layer cut by `layer_tips`). Every placement that
+maps a value to one Region-Sector address stores it down that region's
+sector axis (`write_values`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from itertools import groupby
 from typing import Callable, Dict, List, NamedTuple, Sequence
 
 from .device import DeviceParams
-from .emulator import MediaImage, Scan, _col_row, _lin
+from .emulator import MediaImage, Scan, SortedTips, _col_row, _lin
 
 
 class RSAddr(NamedTuple):
@@ -69,16 +70,27 @@ def rs_scan(start: int, unit_rows: int,
                 per_row_tips=prt or None)
 
 
+def layer_tips(tips: Sequence[int], lo: int, napt: int) -> Sequence[int]:
+    """The layer at `lo` (0-based) of a tip set read `napt` tips at a time:
+    () when the set has no tip there, the set itself when it fits one
+    layer, else tips lo..lo + napt - 1.  A `SortedTips` layer stays one,
+    or is a `range` when its tips run on, so equal layers of any two sets
+    compare equal, as `rs_scan` needs to leave them out of the overrides."""
+    if len(tips) <= lo:
+        return ()
+    part = tips if len(tips) <= napt else tips[lo:lo + napt]
+    if type(tips) is not SortedTips:
+        return part
+    if part[-1] - part[0] == len(part) - 1:
+        return range(part[0], part[-1] + 1)
+    return part if part is tips else SortedTips.prechecked(part)
+
+
 def layer_scans(start: int, unit_rows: int,
                 unit_tips: Sequence[Sequence[int]], p: DeviceParams) -> List[Scan]:
-    """Scans reading each unit's tip set at most `n_active_tips` at a time.
-
-    Layer k holds tips [k*n_active_tips, (k+1)*n_active_tips) of each
-    unit's set; per layer there is one `rs_scan` per maximal run of
-    units whose set reaches that layer.  A set that fits one layer is
-    passed through as the caller's object, not copied: shared objects
-    stay shared, and a `SortedTips` keeps its type.
-    """
+    """Scans reading each unit's tip set at most `n_active_tips` at a time:
+    per layer, one `rs_scan` of each unit's `layer_tips` per maximal run
+    of units whose set reaches that layer."""
     napt = p.n_active_tips
     sizes = list(map(len, unit_tips))
     scans: List[Scan] = []
@@ -88,8 +100,7 @@ def layer_scans(start: int, unit_rows: int,
             if reached:
                 run = list(run)
                 scans.append(rs_scan(start + run[0] * unit_rows, unit_rows,
-                                     [unit_tips[i] if sizes[i] <= napt
-                                      else unit_tips[i][lo:lo + napt]
+                                     [layer_tips(unit_tips[i], lo, napt)
                                       for i in run]))
     return scans
 

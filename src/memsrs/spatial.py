@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .cost import CostInput
 from .device import DeviceParams, check_integer
 from .emulator import AccessPlan, MediaImage, Scan, SortedTips
-from .rs import RSAddr, layer_scans, rs_scan, write_values
+from .rs import RSAddr, layer_scans, layer_tips, rs_scan, write_values
 
 
 @dataclass(frozen=True)
@@ -284,22 +284,6 @@ def _clip_tips(grid: BlockGrid, clip: Tuple[int, int, int, int]) -> Sequence[int
         for base in range((ya - 1) * b_x, yb * b_x, b_x)))
 
 
-def _layer_tips(tips: Sequence[int], lo: int, napt: int) -> Sequence[int]:
-    """Tips lo..lo + napt - 1 (0-based) of a `_clip_tips` set, in the same
-    form: () when the set has none there, the set itself when it fits one
-    layer, a `range` when they run on without a break, else a
-    `SortedTips`.  Equal tips then compare equal whatever clip they come
-    from, as `rs_scan` needs to leave them out of the overrides."""
-    if len(tips) <= lo:
-        return ()
-    if len(tips) <= napt:
-        return tips
-    part = tips[lo:lo + napt]
-    if isinstance(part, range) or part[-1] - part[0] == len(part) - 1:
-        return range(part[0], part[-1] + 1)
-    return SortedTips.prechecked(part)
-
-
 def compile_sp(grid: BlockGrid, qr: QueryRegion) -> AccessPlan:
     """Visit overlapped blocks in curve order, streaming through rank gaps
     that cost less to read over than the device's averaged seek."""
@@ -347,7 +331,7 @@ def compile_sp(grid: BlockGrid, qr: QueryRegion) -> AccessPlan:
             for tips in units[want[0]:want[-1] + 1]:
                 part = layers.get((id(tips), lo))
                 if part is None:
-                    part = layers[id(tips), lo] = _layer_tips(tips, lo, napt)
+                    part = layers[id(tips), lo] = layer_tips(tips, lo, napt)
                 cut.append(part)
             scans.append(rs_scan((first_rank + want[0] - 1) * spo + 1, spo, cut))
     return AccessPlan(scans)

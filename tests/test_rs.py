@@ -13,7 +13,8 @@ from memsrs.emulator import Emulator, MediaImage, Scan, SortedTips
 from memsrs.linear import (DsmLayout, NsmLayout, compile_dsm, compile_nsm,
                            write_image_dsm, write_image_nsm)
 from memsrs.relational import (RangeQuery, RelationSchema, RelLayoutRP,
-                               RelLayoutRSY, write_image_rp, write_image_rsy)
+                               RelLayoutRSY, compile_rp, write_image_rp,
+                               write_image_rsy)
 from memsrs.rs import (
     PhysAddr,
     RSAddr,
@@ -25,6 +26,7 @@ from memsrs.rs import (
 from memsrs.spatial import (QueryRegion, SpatialSpace, SSYLayout,
                             build_block_grid, compile_sp, write_image_sp,
                             write_image_ssy)
+from memsrs.workload import Relation
 from tests.oracles import dsm_cell, nsm_cell
 
 CMU = cmu_defaults()
@@ -188,15 +190,65 @@ def test_layer_scans_pass_a_set_that_fits_one_layer_through():
     prt = scans[0].per_row_tips
     assert all(prt[s] is fits for s in (12, 13, 16, 17))
     assert prt[18] is span and prt[19] is span
-    # a wider set is still cut into layers, as plain tuples
-    assert prt[14] == (1, 2) and type(prt[14]) is tuple
-    assert scans[1] == Scan(tips=(4,), start=14, length=2)
+    # a wider set is still cut into layers, a run of tips as a range
+    assert prt[14] == range(1, 3)
+    assert scans[1] == Scan(tips=range(4, 5), start=14, length=2)
 
 
 def test_layer_scans_no_units_give_no_scans():
     p = DeviceParams(regions_x=2, regions_y=2, n_active_tips=2)
     assert layer_scans(1, 4, [], p) == []
     assert layer_scans(1, 4, [(), ()], p) == []
+
+
+# -- the tip sets placements hand the emulator ----------------------------
+
+def _placement_plans(p, rng):
+    """Plans of every placement on device `p`: RSY, RP from real ids and
+    from counted rows, NSM, DSM, SSY and the block grid."""
+    n_tips, napt = p.n_tips, p.n_active_tips
+    k = min(4, napt)
+    schema = RelationSchema(k=k, n=5 * n_tips + 3)
+    rsy, rp = RelLayoutRSY(p, schema), RelLayoutRP(p, schema)
+    nsm, dsm = NsmLayout(p, schema), DsmLayout(p, schema)
+    plans = [compile_nsm(nsm)]
+    for sigma in (0.02, 0.3, 0.9, 1):
+        rel = Relation(schema.n, rng.randrange(100))
+        for nproj in range(1, k + 1):
+            query = RangeQuery(projected=tuple(range(1, nproj + 1)),
+                               predicate_attr=1, bound=0, selectivity=sigma)
+            plans += [rsy.compile(query), compile_dsm(dsm, query),
+                      compile_rp(rp, query, rel.qualifying_set(sigma)),
+                      rp.compile(query, rp.counted_rows(
+                          rel.qualifying_counts(sigma, n_tips)))]
+    space = SpatialSpace(width=2 * n_tips, height=2 * n_tips)
+    ssy = SSYLayout(p, space)
+    grids = [build_block_grid(p, space, ratio) for ratio in (0.25, 1.0, 4.0)]
+    for _ in range(8):
+        qr = QueryRegion(x0=rng.randint(1, space.width),
+                         y0=rng.randint(1, space.height),
+                         qx=rng.randint(1, space.width),
+                         qy=rng.randint(1, space.height))
+        plans += [ssy.compile(qr)] + [compile_sp(grid, qr) for grid in grids]
+    return plans
+
+
+@pytest.mark.parametrize("rx, ry, napt", [(3, 3, 3), (4, 2, 4), (8, 8, 8),
+                                          (8, 8, 16), (16, 8, 64)])
+def test_every_placement_plan_holds_ranges_sorted_tips_or_gaps(rx, ry, napt):
+    # the emulator checks such a set at its two ends; it walks any other
+    n_tips = rx * ry
+    p = DeviceParams(regions_x=rx, regions_y=ry, sectors_x=4 * n_tips,
+                     sectors_y=4, n_active_tips=napt)
+    plans = _placement_plans(p, random.Random(n_tips + napt))
+    sets = [scan.tips for plan in plans for scan in plan.scans]
+    sets += [tips for plan in plans for scan in plan.scans
+             for tips in (scan.per_row_tips or {}).values()]
+    for tips in sets:
+        assert (type(tips) is range
+                or type(tips) is tuple and tips == ()
+                or type(tips) is SortedTips
+                and SortedTips(tuple(tips)) == tips), tips
 
 
 # -- every layered placement reads back its contract ----------------------
