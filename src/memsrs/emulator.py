@@ -28,8 +28,9 @@ its tips ints.  A tip set is checked by its smallest and largest tip; a
 that ascend, when it was built or by the caller of `prechecked`) are
 checked at their two ends, any other set by a walk over its tips.
 `read` also checks once, before the sled moves, that the media image
-covers the emulator's geometry; it then fetches each pass row's cells
-in one batch, and unwritten cells read as zeros.
+covers the emulator's geometry and holds sectors of its size; it then
+fetches each pass row's cells in one batch, and unwritten cells read as
+zeros.
 """
 
 from __future__ import annotations
@@ -121,6 +122,10 @@ class MediaImage:
         self._cells: Dict[Tuple[int, int], bytes] = {}
 
     def write_cell(self, region: int, s: int, data: bytes) -> None:
+        # the exact type, inline: a written cell costs no extra call
+        if type(region) is not int or type(s) is not int:
+            check_integer("region", region)
+            check_integer("row", s)
         if not 1 <= region <= self.n_regions:
             raise ValueError(f"region {region} out of range 1..{self.n_regions}")
         if not 1 <= s <= self.sectors_per_region:
@@ -257,6 +262,10 @@ class Emulator:
                     f"media image of {media.n_regions} regions x "
                     f"{media.sectors_per_region} rows does not cover the "
                     f"emulator's {p.n_tips} tips x {p.sectors_per_region} rows")
+            if media.sector_bytes * 8 != p.sector_bits:
+                raise ValueError(
+                    f"media image of {media.sector_bytes * 8}-bit sectors does "
+                    f"not match the emulator's {p.sector_bits}-bit sectors")
             get, zero = media._cells.get, bytes(media.sector_bytes)
         napt = p.n_active_tips
         sy = p.sectors_y

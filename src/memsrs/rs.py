@@ -20,7 +20,7 @@ from __future__ import annotations
 from itertools import groupby
 from typing import Callable, Dict, List, NamedTuple, Sequence
 
-from .device import DeviceParams
+from .device import DeviceParams, check_integer
 from .emulator import MediaImage, Scan, SortedTips, _col_row, _lin
 
 
@@ -36,8 +36,16 @@ class PhysAddr(NamedTuple):
     row: int   # tip-sector position inside the column
 
 
+def _check_fields(kind: str, a: tuple, fields: Sequence[str]) -> None:
+    """Reject a field of the address `a` that is not an int, naming it."""
+    for name, value in zip(fields, a):
+        check_integer(f"{kind} address {name}", value)
+
+
 def rs_to_mems(a: RSAddr, p: DeviceParams) -> PhysAddr:
     r, s = a
+    if not (type(r) is type(s) is int):
+        _check_fields("RS", a, RSAddr._fields)
     if not (1 <= r <= p.n_regions and 1 <= s <= p.sectors_per_region):
         raise ValueError(f"RS address out of bounds: {a}")
     return PhysAddr((r - 1) % p.regions_x + 1, (r - 1) // p.regions_x + 1,
@@ -46,6 +54,8 @@ def rs_to_mems(a: RSAddr, p: DeviceParams) -> PhysAddr:
 
 def mems_to_rs(a: PhysAddr, p: DeviceParams) -> RSAddr:
     region_x, region_y, col, row = a
+    if not (type(region_x) is type(region_y) is type(col) is type(row) is int):
+        _check_fields("physical", a, PhysAddr._fields)
     if not (1 <= region_x <= p.regions_x and 1 <= region_y <= p.regions_y
             and 1 <= col <= p.sectors_x and 1 <= row <= p.sectors_y):
         raise ValueError(f"physical address out of bounds: {a}")

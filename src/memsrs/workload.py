@@ -7,17 +7,12 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, compress, repeat
-from operator import add
+from itertools import accumulate, compress
 from typing import Tuple
 
 from .device import check_integer
 from .relational import check_selectivity, exact_ceil
 from .spatial import QueryRegion, SpatialSpace
-
-# the uniform draw's id listing lists kept ids over blocks of this many ids
-_BLOCK = 2**12
-_BLOCK_IDS = tuple(range(1, _BLOCK + 1))
 
 
 @dataclass(frozen=True)
@@ -90,13 +85,10 @@ def _uniform_draw(rng: random.Random, n: int, m: int, width: int):
 
 def _uniform_subset(rng: random.Random, n: int, m: int) -> Tuple[int, ...]:
     """The ids of the uniform draw, ascending, its mask counted as one
-    row.  The kept ids are listed block by block, offset from one shared
-    tuple of ids, so only kept ids become Python ints."""
+    row.  The kept ids are listed in one pass over the mask, so only
+    kept ids become Python ints."""
     mask, _, dropped, added = _uniform_draw(rng, n, m, n)
-    picked: list = []
-    for off in range(0, n, _BLOCK):
-        picked += map(add, compress(_BLOCK_IDS, mask[off:off + _BLOCK]),
-                      repeat(off))
+    picked = list(compress(range(1, n + 1), mask))
     if dropped:
         keep = bytearray(b"\1") * len(picked)
         for i in dropped:

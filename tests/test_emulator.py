@@ -517,6 +517,34 @@ def test_media_bounds():
     assert data == bytes(24) + _pattern(7, 1)
 
 
+
+@pytest.mark.parametrize("region, row, message", [
+    (1.5, 2, "region must be an integer, got 1.5"),
+    (True, 2, "region must be an integer, got True"),
+    (1, 2.0, "row must be an integer, got 2.0"),
+    (1, False, "row must be an integer, got False"),
+], ids=["float-region", "bool-region", "float-row", "bool-row"])
+def test_write_cell_rejects_a_non_integer_region_or_row(region, row, message):
+    # such a cell was stored under a key no read reaches
+    im = MediaImage(TINY)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        im.write_cell(region, row, bytes(8))
+    assert im._cells == {}
+
+
+def test_read_rejects_an_image_of_another_sector_size_before_the_sled_moves():
+    # an image of 16-byte sectors read by an 8-byte device returned
+    # 16-byte cells
+    wide = MediaImage(replace(TINY, sector_bits=128))
+    wide.write_cell(1, 1, bytes(16))
+    em = Emulator(TINY)
+    plan = AccessPlan([Scan(tips=(1,), start=5, length=3)])
+    with pytest.raises(ValueError, match=r"^media image of 128-bit sectors does "
+                                         r"not match the emulator's 64-bit "
+                                         r"sectors$"):
+        em.read(plan, wide)
+    assert em.state == SledState()
+
 # -- plan serialization -------------------------------------------------
 
 def test_plan_text_round_trip():

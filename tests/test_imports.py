@@ -1,6 +1,6 @@
 """Every name a `memsrs` module imports is used in that module, every
-top-level function and class is named somewhere outside its own
-definition, and every name the package exports exists."""
+top-level function, class and constant is named somewhere outside its
+own definition, and every name the package exports exists."""
 
 import ast
 import functools
@@ -60,15 +60,41 @@ def names(node: ast.AST) -> set:
     return out
 
 
+def _unnamed(source: str, elsewhere: set, defined):
+    """(line, name) of each name that `defined` finds a top-level
+    statement of the source binding, and that neither `elsewhere` nor the
+    source's other statements name."""
+    tree = ast.parse(source)
+    named = [names(node) for node in tree.body]
+    return [(node.lineno, name) for i, node in enumerate(tree.body)
+            for name in defined(node)
+            if name not in elsewhere.union(*named[:i], *named[i + 1:])]
+
+
 def unnamed_definitions(source: str, elsewhere: set):
     """(line, name) of each top-level function or class of the source
     that neither `elsewhere` nor the source's other statements name."""
-    tree = ast.parse(source)
-    named = [names(node) for node in tree.body]
-    return [(node.lineno, node.name) for i, node in enumerate(tree.body)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))
-            and node.name not in elsewhere.union(*named[:i], *named[i + 1:])]
+    return _unnamed(source, elsewhere, lambda node: [node.name] if isinstance(
+        node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else [])
+
+
+def _assigned(node: ast.AST) -> list:
+    """The names a module-level assignment binds, dunders (`__all__`) aside."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [sub.id for target in targets for sub in ast.walk(target)
+            if isinstance(sub, ast.Name) and not sub.id.startswith("__")]
+
+
+def unnamed_constants(source: str, elsewhere: set):
+    """(line, name) of each top-level constant (a module-level assignment)
+    of the source that neither `elsewhere` nor the source's other
+    statements name."""
+    return _unnamed(source, elsewhere, _assigned)
 
 
 @functools.lru_cache(maxsize=None)
@@ -111,6 +137,19 @@ def test_checker_finds_an_unnamed_definition():
                                                           (9, "unnamed")]
 
 
+def test_checker_finds_an_unnamed_constant():
+    source = ("__all__ = ['f']\n"
+              "_BLOCK = 2**12\n"
+              "_BLOCK_IDS = tuple(range(1, _BLOCK + 1))\n"
+              "_LEFT, RIGHT = 1, 2\n"
+              "LIMIT: int = 3\n"
+              "SHOWN = 4\n"
+              "def f():\n"
+              "    return _LEFT\n")
+    assert unnamed_constants(source, {"SHOWN"}) == [(3, "_BLOCK_IDS"),
+                                                    (4, "RIGHT"), (5, "LIMIT")]
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -121,6 +160,13 @@ def test_every_definition_is_named(path):
     elsewhere = set().union(*(found for other, found in _names_by_file().items()
                               if other != path))
     assert unnamed_definitions(path.read_text(encoding="utf-8"), elsewhere) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_constant_is_named(path):
+    elsewhere = set().union(*(found for other, found in _names_by_file().items()
+                              if other != path))
+    assert unnamed_constants(path.read_text(encoding="utf-8"), elsewhere) == []
 
 
 def test_every_exported_name_exists():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import struct
 
 import pytest
@@ -60,6 +61,24 @@ def test_bounds_rejected():
         mems_to_rs(PhysAddr(81, 1, 1, 1), CMU)
     with pytest.raises(ValueError):
         mems_to_rs(PhysAddr(1, 1, 2501, 1), CMU)
+
+
+@pytest.mark.parametrize("convert, address, message", [
+    (rs_to_mems, RSAddr(1.5, 2.5),
+     "RS address region must be an integer, got 1.5"),
+    (rs_to_mems, RSAddr(1, 2.0), "RS address sector must be an integer, got 2.0"),
+    (rs_to_mems, RSAddr(True, 1),
+     "RS address region must be an integer, got True"),
+    (mems_to_rs, PhysAddr(1, 1, 1.0, 1),
+     "physical address col must be an integer, got 1.0"),
+    (mems_to_rs, PhysAddr(1, 1, 1, True),
+     "physical address row must be an integer, got True"),
+], ids=["rs-float", "rs-float-sector", "rs-bool", "phys-float", "phys-bool"])
+def test_address_field_that_is_not_an_integer_is_rejected(convert, address,
+                                                          message):
+    # RSAddr(1.5, 2.5) mapped to PhysAddr(1.5, 1.0, 1.0, 2.5)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        convert(address, CMU)
 
 
 def test_exhaustive_bijection_tiny_geometry():

@@ -11,8 +11,8 @@ import pytest
 
 from memsrs.relational import exact_ceil
 from memsrs.spatial import SpatialSpace
-from memsrs.workload import (_BLOCK, Relation, _uniform_counts,
-                             _uniform_subset, gen_query_region)
+from memsrs.workload import (Relation, _uniform_counts, _uniform_subset,
+                             gen_query_region)
 from tests.oracles import whole_range_uniform_subset
 
 
@@ -106,11 +106,8 @@ def test_uniform_draw_is_an_exact_ascending_subset(path):
     assert calls <= seen
 
 
-@pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1,
-                               3 * 2**16 + 5])
+@pytest.mark.parametrize("n", [4095, 4096, 4097, 3 * 2**16 + 5])
 def test_uniform_draw_matches_the_whole_range_draw_across_blocks(n):
-    # sizes just inside, at and just past one listing block, and many
-    # blocks with a ragged last one
     for sigma in (0.0005, 0.1, 0.5, 0.999, 1.0):
         m = exact_ceil(sigma, n)
         for seed in range(3):
@@ -159,7 +156,7 @@ def test_counts_equal_the_bucketed_ids_across_selectivities(sigma):
     for seed in range(3):
         rel = Relation(n, seed)
         ids = rel.qualifying_set(sigma)
-        for width in (6400, _BLOCK, n + 1):
+        for width in (6400, 4096, n + 1):
             assert (rel.qualifying_counts(sigma, width)
                     == _bucketed(ids, n, width))
     assert rel.qualifying_counts(sigma, 1) == _bucketed(ids, n, 1)
