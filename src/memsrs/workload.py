@@ -85,8 +85,7 @@ def _uniform_draw(rng: random.Random, n: int, m: int, width: int):
 
 def _uniform_subset(rng: random.Random, n: int, m: int) -> Tuple[int, ...]:
     """The ids of the uniform draw, ascending, its mask counted as one
-    row.  The kept ids are listed in one pass over the mask, so only
-    kept ids become Python ints."""
+    row and its kept ids listed in one pass."""
     mask, _, dropped, added = _uniform_draw(rng, n, m, n)
     picked = list(compress(range(1, n + 1), mask))
     if dropped:
