@@ -1,11 +1,12 @@
 """Linear block abstraction and the row-store / column-store baselines."""
 
+import hashlib
 import math
 
 import pytest
 
 from memsrs.device import DeviceParams, cmu_defaults
-from memsrs.emulator import Emulator, MediaImage
+from memsrs.emulator import Emulator, MediaImage, plan_to_text
 from memsrs.linear import (
     DsmLayout,
     LinearMap,
@@ -247,3 +248,32 @@ def test_dsm_projection_wider_than_schema_rejected():
 def test_dsm_capacity_error():
     with pytest.raises(ValueError):
         DsmLayout(RED, RelationSchema(k=4, n=2000))
+
+
+# -- plan pins ------------------------------------------------------------
+#
+# sha256 of the plans' text form and of their `Timing`s, on the reference
+# device at every projection width.  A change to how block plans are
+# built must keep both.
+
+@pytest.mark.parametrize("cls, size_mb, plan_digest, timing_digest", [
+    (NsmLayout, 5,
+     "1189692bf2e99b4b81b57e5e08ead27cc09d03bd33665472c500d64bd2669ef3",
+     "55490a445925a79b2df8eabddd02f6d7d4b5d50d255e873b5f028094a24cfe4a"),
+    (NsmLayout, 320,
+     "c40bb8d6fadafaebca21ef376fad470c5b066eeea8f06c2054c7fe1a7cfc7793",
+     "7af441045bad202defcc64b425232d9d9c6c7ee809b7d78659f82b57d1f51004"),
+    (DsmLayout, 5,
+     "451b317e46242d58ef073742889780dd816fccae49090d9ec6226d9b61fb574f",
+     "ee5790649543fd1aa2f4e73bcdd2ff79d5c38bbf2221b23643da15f4f3a06dba"),
+    (DsmLayout, 320,
+     "9c1dab2f3c136f08d8abfcd5809910cdec6770fea22fd8f1600fed3fd31ee9ee",
+     "5cdfc9b32cadf11e8702975c7f13fe09ad158923f4fd0567fa5ffa5f97727bf6"),
+], ids=["nsm-5", "nsm-320", "dsm-5", "dsm-320"])
+def test_packed_plans_pinned(cls, size_mb, plan_digest, timing_digest):
+    layout = cls(CMU, RelationSchema(k=16, n=size_mb * 2**20 // 128))
+    plans = [layout.compile(query(w)) for w in range(1, 17)]
+    text = "".join(map(plan_to_text, plans))
+    timings = "".join(repr(Emulator(CMU).execute(p)) for p in plans)
+    assert hashlib.sha256(text.encode()).hexdigest() == plan_digest
+    assert hashlib.sha256(timings.encode()).hexdigest() == timing_digest

@@ -404,6 +404,34 @@ def test_rp_real_id_plan_text_pinned(napt, digest):
     assert _digest(plans) == digest
 
 
+
+def _timing_digest(plans, dev):
+    return hashlib.sha256("".join(repr(Emulator(dev).execute(plan))
+                                  for plan in plans).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("sigma, plan_digest, timing_digest", [
+    (0.1,
+     "00992eba2e15baf522ac64c68745497757f1bb1840533e8f9dba7c648f60823a",
+     "3b0c2b82f6c8494fdf5a7d568b39e79951dc31ce46d1577187c93479149f854f"),
+    (0.5,
+     "dc7308792539dfdf4eca3f4003b78b0c3ada6095cf5fe18964eb8e89c7d8f27e",
+     "ecd98fae33ad631b3e6f3881fca285ab90c23be9e7684fa2814a8159f4f1a4bf"),
+], ids=["sigma-0.1", "sigma-0.5"])
+def test_rp_counted_row_plans_pinned(sigma, plan_digest, timing_digest):
+    # the sweeps' plans: the reference device at 320 MB, every projection
+    # width, seed 0's counted rows.  At sigma 0.5 each band row reaches
+    # three activation layers, so rows still wanting tips after the first
+    # pass are pinned too.
+    lay = RelLayoutRP(CMU, BIG)
+    rows = lay.counted_rows(Relation(BIG.n, 0).qualifying_counts(sigma,
+                                                                 CMU.n_tips))
+    plans = [lay.compile(q(range(1, w + 1), sel=sigma), rows)
+             for w in range(1, 17)]
+    assert _digest(plans) == plan_digest
+    assert _timing_digest(plans, CMU) == timing_digest
+
+
 def test_k_values_rsy():
     lay = RelLayoutRSY(CMU, BIG)
     ci = lay.k_values(q(range(1, 9)))
