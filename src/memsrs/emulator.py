@@ -27,6 +27,9 @@ its tips ints.  A tip set is checked by its smallest and largest tip; a
 `range` and a `SortedTips` (a tuple whose tips were checked to be ints
 that ascend, when it was built or by the caller of `prechecked`) are
 checked at their two ends, any other set by a walk over its tips.
+Each distinct set object is checked once per plan: a scan's override
+sets are told apart by `id` at C speed, so rows and scans that share one
+set (the linear stores share one `range` per tip group) add no check.
 `read` also checks once, before the sled moves, that the media image
 covers the emulator's geometry and holds sectors of its size; it then
 fetches each pass row's cells in one batch, and unwritten cells read as
@@ -43,10 +46,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .device import DeviceParams, check_integer, check_integers, named
 
 SEEK_MODELS = ("average", "distance")
-
-
-def _col_of(s: int, sy: int) -> int:
-    return (s - 1) // sy + 1
 
 
 def _col_row(s: int, sy: int) -> Tuple[int, int]:
@@ -222,33 +221,39 @@ class Emulator:
         because the plan holds every tip set for the whole call.
         """
         p = self.params
-        n_tips = p.n_tips
+        n_tips, rows = p.n_tips, p.sectors_per_region
         checked = set()
-
-        def check(tips: Sequence[int]) -> None:
+        for scan in plan.scans:
+            start, length, tips = scan.start, scan.length, scan.tips
+            # the exact type, inline: a valid field costs no extra call
+            if type(length) is not int:
+                check_integer("scan length", length)
+            if length < 1:
+                raise ValueError("scan length must be >= 1")
+            if type(start) is not int:
+                check_integer("scan start", start)
+            lo, hi = start, start + length - 1
+            if lo < 1 or hi > rows:
+                raise ValueError(f"scan rows {lo}..{hi} exceed 1..{rows}")
             if id(tips) not in checked:
                 _check_tips(tips, n_tips)
                 checked.add(id(tips))
-
-        for scan in plan.scans:
-            check_integer("scan length", scan.length)
-            if scan.length < 1:
-                raise ValueError("scan length must be >= 1")
-            check_integer("scan start", scan.start)
-            lo, hi = scan.start, scan.start + scan.length - 1
-            if lo < 1 or hi > p.sectors_per_region:
-                raise ValueError(f"scan rows {lo}..{hi} exceed 1..{p.sectors_per_region}")
-            check(scan.tips)
-            if scan.per_row_tips:
+            prt = scan.per_row_tips
+            if prt:
                 # rows that are all exact ints pass at C speed
-                if {*map(type, scan.per_row_tips)} != {int}:
-                    for s in scan.per_row_tips:
+                if {*map(type, prt)} != {int}:
+                    for s in prt:
                         check_integer("override row", s)
-                for s in (min(scan.per_row_tips), max(scan.per_row_tips)):
+                for s in (min(prt), max(prt)):
                     if not lo <= s <= hi:
                         raise ValueError(f"override row {s} outside scan {lo}..{hi}")
-                for tips in scan.per_row_tips.values():
-                    check(tips)
+                # the scan's distinct sets in first-use order, found in C
+                sets = dict(zip(map(id, prt.values()), prt.values()))
+                if not sets.keys() <= checked:
+                    for key, tips in sets.items():
+                        if key not in checked:
+                            _check_tips(tips, n_tips)
+                            checked.add(key)
 
     def _run(self, plan: AccessPlan, media: Optional[MediaImage]):
         self._validate(plan)
@@ -272,22 +277,24 @@ class Emulator:
         seek_s = 0.0
         n_seeks = n_turnarounds = n_row_steps = n_settles = n_sectors = 0
         out: List[bytes] = []
+        no_rows: Dict[int, Sequence[int]] = {}
+        state = self.state
+        cur = _lin(state.col, state.row, sy)  # the sled's linear row
 
         for scan in plan.scans:
-            lo = scan.start
-            hi = scan.start + scan.length - 1
-            cur = _lin(self.state.col, self.state.row, sy)
+            lo, length = scan.start, scan.length
+            hi = lo + length - 1
             ascending = abs(cur - lo) <= abs(cur - hi)
             entry = lo if ascending else hi
             tcol, trow = _col_row(entry, sy)
 
-            if trow != self.state.row:
-                first_dir = 1 if trow > self.state.row else -1
-            elif scan.length > 1:
+            if trow != state.row:
+                first_dir = 1 if trow > state.row else -1
+            elif length > 1:
                 first_dir = _phys_dir(tcol, ascending)
             else:
                 first_dir = 0
-            cost, moved = _transition_cost(self.state, tcol, trow, first_dir,
+            cost, moved = _transition_cost(state, tcol, trow, first_dir,
                                            p, self.seek_model)
             if moved:
                 seek_s += cost
@@ -297,13 +304,18 @@ class Emulator:
             n_seeks += 1
 
             tips = scan.tips
-            prt = scan.per_row_tips or {}
-            n_sectors += (len(tips) * (scan.length - len(prt))
-                          + sum(map(len, prt.values())))
+            prt = scan.per_row_tips
             # rows wanting more tips than one pass activates: the wide
             # overrides and the outermost rows left on the default set
-            wide = [(s, len(t)) for s, t in prt.items() if len(t) > napt]
-            if len(tips) > napt and len(prt) < scan.length:
+            if prt:
+                n_sectors += (len(tips) * (length - len(prt))
+                              + sum(map(len, prt.values())))
+                wide = [(s, len(t)) for s, t in prt.items() if len(t) > napt]
+            else:
+                prt = no_rows
+                n_sectors += len(tips) * length
+                wide = []
+            if len(tips) > napt and len(prt) < length:
                 first, last = lo, hi
                 while first in prt:
                     first += 1
@@ -320,7 +332,7 @@ class Emulator:
                 lo_n, hi_n = span
                 far, dirn = (hi_n, 1) if pos <= lo_n else (lo_n, -1)
                 n_row_steps += abs(far - pos) + (lo_n <= pos <= hi_n)
-                n_settles += abs(_col_of(far, sy) - _col_of(pos, sy))
+                n_settles += abs((far - 1) // sy - (pos - 1) // sy)
                 if media is not None:
                     rows = (range(lo_n, hi_n + 1) if dirn > 0
                             else range(hi_n, lo_n - 1, -1))
@@ -330,18 +342,19 @@ class Emulator:
                 last_dir = -last_dir if far == pos else dirn
                 pos = far
                 base += napt
-                need = [s for s, c in wide if c > base]
+                need = wide and [s for s, c in wide if c > base]
                 if not need:
                     break
                 span = (min(need), max(need))
                 n_turnarounds += 1
 
+            cur = pos
             fcol, frow = _col_row(pos, sy)
-            self.state.col, self.state.row = fcol, frow
-            if scan.length > 1:
-                self.state.y_dir = _phys_dir(fcol, last_dir == 1)
+            state.col, state.row = fcol, frow
+            if length > 1:
+                state.y_dir = _phys_dir(fcol, last_dir == 1)
             elif first_dir != 0:
-                self.state.y_dir = first_dir
+                state.y_dir = first_dir
 
         # seconds come from event counts, so execute and read agree
         # exactly; total_s adds repositioning and streaming time in the

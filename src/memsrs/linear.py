@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import groupby
 from typing import Callable, List, Tuple
 
-from .device import DeviceParams
+from .device import DeviceParams, check_integer
 from .emulator import AccessPlan, MediaImage, Scan
 from .relational import RangeQuery, RelationSchema, _check_query
 
@@ -29,9 +29,15 @@ class LinearMap:
         self.params = params
         self.tip_groups = params.n_tips // params.n_active_tips
         self.lba_count = self.tip_groups * params.sectors_x * params.sectors_y
+        # each group's tips, one object that every scan of the group shares
+        napt = params.n_active_tips
+        self.group_tips = tuple(range(g * napt + 1, (g + 1) * napt + 1)
+                                for g in range(self.tip_groups))
 
     def locate(self, lba: int) -> Tuple[int, int, int]:
         """(column, group, row-in-column) for a 1-based block address."""
+        if type(lba) is not int:
+            check_integer("block address", lba)
         if not 1 <= lba <= self.lba_count:
             raise ValueError(f"block {lba} out of range 1..{self.lba_count}")
         sy = self.params.sectors_y
@@ -49,24 +55,31 @@ class LinearMap:
 
 def lba_to_plan(lm: LinearMap, lba_start: int, lba_len: int) -> AccessPlan:
     """One scan per maximal block run inside a single column and group."""
+    if type(lba_start) is not int or type(lba_len) is not int:
+        check_integer("block address", lba_start)
+        check_integer("block run length", lba_len)
     if lba_len == 0:
         return AccessPlan([])
     if lba_len < 0:
         raise ValueError("block run length must be non-negative")
-    lm.locate(lba_start)
+    c, g, j = lm.locate(lba_start)
     lm.locate(lba_start + lba_len - 1)
-    p = lm.params
-    sy = p.sectors_y
-    napt = p.n_active_tips
+    sy = lm.params.sectors_y
+    groups = lm.group_tips
     scans: List[Scan] = []
-    lba = lba_start
-    end = lba_start + lba_len - 1
-    while lba <= end:
-        c, g, j = lm.locate(lba)
-        span = min(sy - j + 1, end - lba + 1)  # stay inside this column/group
-        scans.append(Scan(tips=range((g - 1) * napt + 1, g * napt + 1),
-                          start=(c - 1) * sy + j, length=span))
-        lba += span
+    # each scan runs to its column's foot or the run's end; the next one
+    # starts at the column's head in the next group, or the next column
+    above, g = (c - 1) * sy, g - 1  # rows in the columns before this one
+    left = lba_len
+    while left:
+        span = min(sy - j + 1, left)
+        scans.append(Scan(tips=groups[g], start=above + j, length=span))
+        left -= span
+        j = 1
+        g += 1
+        if g == len(groups):
+            g = 0
+            above += sy
     return AccessPlan(scans)
 
 

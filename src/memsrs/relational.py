@@ -22,7 +22,8 @@ from typing import Dict, Iterable, Mapping, Sequence, Tuple
 from .cost import CostInput
 from .device import DeviceParams, check_integer, check_integers, check_real
 from .emulator import AccessPlan, MediaImage, SortedTips
-from .rs import RSAddr, layer_scans, layer_tips, rs_scan, write_values
+from .rs import (RSAddr, layer_runs, layer_scans, layer_tips, rs_scan,
+                 write_values)
 
 
 def exact_ceil(fraction: float, n: int) -> int:
@@ -222,15 +223,20 @@ class RelLayoutRP:
         builds it; the map is the same for every attribute band.
         """
         _check_query(query, self.schema)
-        h = self.band_rows
-        full = [range(1, self._row_count(j) + 1) for j in range(1, h + 1)]
-        scans = layer_scans(self.band_start(query.predicate_attr), self.spv,
+        h, spv = self.band_rows, self.spv
+        # every band row but the last holds n_tips tuples: one shared set
+        full = ([range(1, self.params.n_tips + 1)] * (h - 1)
+                + [range(1, self._row_count(h) + 1)])
+        scans = layer_scans(self.band_start(query.predicate_attr), spv,
                             full, self.params)
-        qual = [rows.get(j, ()) for j in range(1, h + 1)]
+        # the qualifying rows are cut into layers once, for every band
+        runs = layer_runs([rows.get(j, ()) for j in range(1, h + 1)],
+                          self.params.n_active_tips)
         for w in query.projected:
             if w != query.predicate_attr:
-                scans.extend(layer_scans(self.band_start(w), self.spv, qual,
-                                         self.params))
+                start = self.band_start(w)
+                scans += [rs_scan(start + first * spv, spv, run)
+                          for first, run in runs]
         return AccessPlan(scans)
 
     def k_values(self, query: RangeQuery) -> CostInput:

@@ -10,15 +10,16 @@ are `DeviceParams` properties. Addresses are 1-based on both axes.
 The model's two facilities build every placement's scans: any tip set
 can be used for each sector row (`rs_scan`), and at most
 `n_active_tips` tips run at once, so wider sets are read in layers
-(`layer_scans`, every layer cut by `layer_tips`). Every placement that
+(`layer_runs`, every layer cut by `layer_tips` once per distinct tip
+set; `layer_scans` makes each run one `rs_scan`). Every placement that
 maps a value to one Region-Sector address stores it down that region's
 sector axis (`write_values`).
 """
 
 from __future__ import annotations
 
-from itertools import groupby
-from typing import Callable, Dict, List, NamedTuple, Sequence
+from itertools import groupby, repeat
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from .device import DeviceParams, check_integer
 from .emulator import MediaImage, Scan, SortedTips, _col_row, _lin
@@ -72,11 +73,17 @@ def rs_scan(start: int, unit_rows: int,
     that repeats the default object is skipped without comparing sets.
     """
     default = unit_tips[0]
-    prt: Dict[int, Sequence[int]] = {
-        s: tips for i, tips in enumerate(unit_tips)
-        if tips is not default and tips != default
-        for s in range(start + i * unit_rows, start + (i + 1) * unit_rows)}
-    return Scan(tips=default, start=start, length=len(unit_tips) * unit_rows,
+    length = len(unit_tips) * unit_rows
+    other = [(first, tips) for first, tips
+             in zip(range(start, start + length, unit_rows), unit_tips)
+             if tips is not default and tips != default]
+    prt: Dict[int, Sequence[int]] = dict(other)
+    if other:
+        # each overridden unit's later rows, one offset at a time: the
+        # sets still first appear in unit order
+        for d in range(1, unit_rows):
+            prt.update([(first + d, tips) for first, tips in other])
+    return Scan(tips=default, start=start, length=length,
                 per_row_tips=prt or None)
 
 
@@ -96,23 +103,33 @@ def layer_tips(tips: Sequence[int], lo: int, napt: int) -> Sequence[int]:
     return part if part is tips else SortedTips.prechecked(part)
 
 
+def layer_runs(unit_tips: Sequence[Sequence[int]],
+               napt: int) -> List[Tuple[int, List[Sequence[int]]]]:
+    """Each unit's tip set read `napt` tips at a time: per layer, per
+    maximal run of units whose set reaches that layer, (index of the
+    run's first unit, the run's `layer_tips`).  Each distinct set object
+    is cut once per layer, however many units share it."""
+    ids = list(map(id, unit_tips))
+    distinct = dict(zip(ids, unit_tips))
+    runs: List[Tuple[int, List[Sequence[int]]]] = []
+    for lo in range(0, max(map(len, distinct.values()), default=0), napt):
+        cut = dict(zip(distinct, map(layer_tips, distinct.values(),
+                                     repeat(lo), repeat(napt))))
+        first = 0
+        # a set that does not reach the layer is cut to (), which is false
+        for reached, run in groupby(map(cut.__getitem__, ids), bool):
+            run = list(run)
+            if reached:
+                runs.append((first, run))
+            first += len(run)
+    return runs
+
+
 def layer_scans(start: int, unit_rows: int,
                 unit_tips: Sequence[Sequence[int]], p: DeviceParams) -> List[Scan]:
-    """Scans reading each unit's tip set at most `n_active_tips` at a time:
-    per layer, one `rs_scan` of each unit's `layer_tips` per maximal run
-    of units whose set reaches that layer."""
-    napt = p.n_active_tips
-    sizes = list(map(len, unit_tips))
-    scans: List[Scan] = []
-    for lo in range(0, max(sizes, default=0), napt):
-        reaches = [size > lo for size in sizes]
-        for reached, run in groupby(range(len(sizes)), reaches.__getitem__):
-            if reached:
-                run = list(run)
-                scans.append(rs_scan(start + run[0] * unit_rows, unit_rows,
-                                     [layer_tips(unit_tips[i], lo, napt)
-                                      for i in run]))
-    return scans
+    """One `rs_scan` per `layer_runs` run of units `unit_rows` rows each."""
+    return [rs_scan(start + first * unit_rows, unit_rows, run)
+            for first, run in layer_runs(unit_tips, p.n_active_tips)]
 
 
 def write_values(image: MediaImage, mapper: Callable[[int, int], RSAddr],

@@ -6,13 +6,16 @@ layout's own block walk, so tests use it as an oracle for
 The curve keys order a block grid by sorting every cell on its position
 along the curve, an oracle for `build_block_grid`'s quadrant walk.
 The whole-range draw lists a uniform subset's kept ids in one pass over
-every id, an oracle for `_uniform_subset`'s block-wise listing."""
+every id, an oracle for `_uniform_subset`'s block-wise listing.
+The per-block plan locates every block of a run on its own, an oracle
+for `lba_to_plan`'s column and group stepping."""
 
 import random
 from itertools import compress
 from typing import List, Tuple
 
 from memsrs.device import DeviceParams
+from memsrs.linear import LinearMap
 from memsrs.relational import RelationSchema, RelLayoutRSY, _check_vw
 from memsrs.rs import PhysAddr
 from memsrs.spatial import SSYLayout
@@ -65,6 +68,26 @@ def dsm_cell(p: DeviceParams, schema: RelationSchema, v: int,
     per_block = p.n_active_tips // spv
     block, i = divmod(v - 1, per_block)
     return _block_cell(p, (w - 1) * -(-schema.n // per_block) + block, i * spv)
+
+
+def per_block_plan(lm: LinearMap, lba_start: int,
+                   lba_len: int) -> List[Tuple[int, int, Tuple[int, ...]]]:
+    """(start, length, tips) of each scan reading blocks lba_start ..
+    lba_start + lba_len - 1: blocks located one by one, and each block
+    of the same column and group as the one before joined to its scan."""
+    p = lm.params
+    scans: List[list] = []
+    prev = None
+    for lba in range(lba_start, lba_start + lba_len):
+        col, group, row = lm.locate(lba)
+        if (col, group) == prev:
+            scans[-1][1] += 1
+        else:
+            scans.append([(col - 1) * p.sectors_y + row, 1, tuple(range(
+                (group - 1) * p.n_active_tips + 1,
+                group * p.n_active_tips + 1))])
+        prev = col, group
+    return [tuple(scan) for scan in scans]
 
 
 def _hilbert_xy2d(side: int, x: int, y: int) -> int:

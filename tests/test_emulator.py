@@ -342,6 +342,18 @@ def test_bad_tip_only_in_a_later_override_rejected():
         Emulator(CMU).execute(plan)
 
 
+
+@pytest.mark.parametrize("rows", [(3, 2), (2, 3)])
+def test_first_bad_override_set_in_dict_order_is_named(rows):
+    # two bad sets in one scan: the one earlier in the override dict is
+    # named, whichever row it overrides
+    bad = {0: (0,), 6401: (6401,)}
+    first, second = rows
+    plan = AccessPlan([Scan(tips=(1,), start=1, length=3, per_row_tips={
+        first: bad[0], second: bad[6401]})])
+    with pytest.raises(ValueError, match=r"^tip 0 out of range 1\.\.6400$"):
+        Emulator(CMU).execute(plan)
+
 @settings(max_examples=60, deadline=None)
 @given(
     starts=st.lists(st.tuples(st.integers(1, 10), st.integers(1, 3),
@@ -475,6 +487,65 @@ def test_read_returns_each_wanted_cell_exactly_once(plan, col, row, y_dir):
                    for tip in (scan.per_row_tips or {}).get(s, scan.tips))
     assert got == want
 
+
+
+def _fresh(tips):
+    """An equal tip set of the same type that is another object (but for
+    the empty tuple, of which there is one)."""
+    if isinstance(tips, range):
+        return range(tips.start, tips.stop, tips.step)
+    if type(tips) is SortedTips:
+        return SortedTips.prechecked(list(tips))
+    return type(tips)(list(tips))
+
+
+@st.composite
+def _shared_set_plans(draw):
+    # a few tip-set objects of every checked kind, some out of range or
+    # not ints, each shared by any number of defaults and override rows
+    spr, n_tips = SMALL.sectors_per_region, SMALL.n_tips
+    tip = st.integers(0, n_tips + 1)
+    pool = draw(st.lists(st.one_of(
+        st.builds(range, tip, tip, st.sampled_from((1, 2, -1))),
+        st.lists(tip, unique=True).map(lambda v: SortedTips(sorted(v))),
+        st.lists(tip | st.just(1.5), max_size=n_tips + 1).map(tuple),
+        st.lists(tip, max_size=n_tips + 1)), min_size=1, max_size=4))
+    shared = st.integers(0, len(pool) - 1).map(pool.__getitem__)
+    scans = []
+    for _ in range(draw(st.integers(1, 5))):
+        start = draw(st.integers(1, spr))
+        length = draw(st.integers(1, spr - start + 1))
+        overrides = st.dictionaries(st.integers(start, start + length - 1),
+                                    shared, max_size=length)
+        scans.append(Scan(tips=draw(shared), start=start, length=length,
+                          per_row_tips=draw(st.none() | overrides)))
+    return AccessPlan(scans)
+
+
+@settings(max_examples=300, deadline=None)
+@given(plan=_shared_set_plans(), col=st.integers(1, SMALL.sectors_x),
+       row=st.integers(1, SMALL.sectors_y), y_dir=st.sampled_from((1, -1)))
+def test_checking_each_tip_set_object_once_is_only_a_cache(plan, col, row,
+                                                           y_dir):
+    # the emulator checks each distinct set object once per plan; with
+    # no object shared, every set is checked where it is used, and the
+    # outcome must not change
+    unshared = AccessPlan([
+        Scan(tips=_fresh(s.tips), start=s.start, length=s.length,
+             per_row_tips=s.per_row_tips and {
+                 r: _fresh(t) for r, t in s.per_row_tips.items()})
+        for s in plan.scans])
+
+    def outcome(p):
+        em = Emulator(SMALL)
+        em.state = SledState(col, row, y_dir)
+        try:
+            result = em.execute(p)
+        except ValueError as exc:
+            result = str(exc)
+        return result, em.state
+
+    assert outcome(plan) == outcome(unshared)
 
 def test_exit_row_rescan_reverses_direction():
     em = Emulator(SMALL)

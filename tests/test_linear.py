@@ -2,8 +2,11 @@
 
 import hashlib
 import math
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memsrs.device import DeviceParams, cmu_defaults
 from memsrs.emulator import Emulator, MediaImage, plan_to_text
@@ -18,6 +21,7 @@ from memsrs.linear import (
     write_image_nsm,
 )
 from memsrs.relational import RangeQuery, RelationSchema
+from tests.oracles import per_block_plan
 
 CMU = cmu_defaults()
 # small geometry where every address can be checked by hand; three tip
@@ -27,6 +31,9 @@ TINY9 = DeviceParams(regions_x=3, regions_y=3, sectors_x=4, sectors_y=3,
 # reduced geometry sized so relations of a few dozen tuples fill whole blocks
 RED = DeviceParams(regions_x=8, regions_y=8, sectors_x=20, sectors_y=5,
                    n_active_tips=16)
+# every tip in one group: each column is one group's whole run
+ONE_GROUP = DeviceParams(regions_x=2, regions_y=2, sectors_x=3, sectors_y=4,
+                         n_active_tips=4)
 
 ST = CMU.sector_bits / CMU.tip_rate_bits_s
 
@@ -105,6 +112,70 @@ def test_lba_bounds_and_empty():
     with pytest.raises(ValueError):
         lba_to_plan(lm, lm.lba_count, 2)
 
+
+
+@pytest.mark.parametrize("lba, message", [
+    (2.5, "block address must be an integer, got 2.5"),
+    (3.0, "block address must be an integer, got 3.0"),
+    (True, "block address must be an integer, got True"),
+    ("3", "block address must be an integer, got '3'"),
+], ids=["float", "integral-float", "bool", "str"])
+def test_locate_rejects_a_non_integer_address_by_name(lba, message):
+    # 2.5 used to locate as (1.0, 1.0, 2.5)
+    lm = LinearMap(TINY9)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        lm.locate(lba)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        lm.block_cells(lba)
+
+
+@pytest.mark.parametrize("start, length, message", [
+    (1, 2.5, "block run length must be an integer, got 2.5"),
+    (1, 27.0, "block run length must be an integer, got 27.0"),
+    (1, True, "block run length must be an integer, got True"),
+    (True, 2, "block address must be an integer, got True"),
+    (1.0, 27, "block address must be an integer, got 1.0"),
+    (2.5, 0, "block address must be an integer, got 2.5"),
+], ids=["length-float", "length-integral-float", "length-bool",
+        "start-bool", "start-integral-float", "start-float-empty-run"])
+def test_lba_to_plan_rejects_non_integer_fields_by_name(start, length,
+                                                        message):
+    # (1, 2.5) used to plan a 2.5-row scan, (1, 27.0) and (True, 2) were
+    # planned as ints, and (1.0, 27) raised a bare TypeError
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        lba_to_plan(LinearMap(CMU), start, length)
+
+
+def _check_against_per_block_plan(dev, start, length):
+    lm = LinearMap(dev)
+    plan = lba_to_plan(lm, start, length)
+    assert ([(sc.start, sc.length, tuple(sc.tips)) for sc in plan.scans]
+            == per_block_plan(lm, start, length))
+    # every scan of a group reads that group's one shared set
+    assert all(any(sc.tips is tips for tips in lm.group_tips)
+               for sc in plan.scans)
+
+
+@pytest.mark.parametrize("dev, start, length", [
+    (ONE_GROUP, 1, 12),    # one group: a scan per column, the whole device
+    (ONE_GROUP, 3, 7),     # starts and ends mid-column across three columns
+    (TINY9, 2, 5),         # starts and ends mid-column, two groups
+    (TINY9, 8, 4),         # last group's foot into the next column's head
+    (TINY9, 9, 19),        # from the last block of a column, three columns on
+    (RED, 17, 1),          # one block at a group's foot
+], ids=["one-group-whole", "one-group-mid", "mid-column", "last-group-to-next",
+        "column-foot-on", "single-block"])
+def test_lba_to_plan_matches_per_block_plan(dev, start, length):
+    _check_against_per_block_plan(dev, start, length)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), dev=st.sampled_from((ONE_GROUP, TINY9, RED)))
+def test_lba_to_plan_matches_per_block_plan_on_any_run(data, dev):
+    count = LinearMap(dev).lba_count
+    start = data.draw(st.integers(1, count), label="start")
+    length = data.draw(st.integers(0, count - start + 1), label="length")
+    _check_against_per_block_plan(dev, start, length)
 
 def test_whole_device_touches_every_sector_once():
     lm = LinearMap(TINY9)
