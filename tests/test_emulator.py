@@ -347,10 +347,9 @@ def test_bad_tip_only_in_a_later_override_rejected():
 def test_first_bad_override_set_in_dict_order_is_named(rows):
     # two bad sets in one scan: the one earlier in the override dict is
     # named, whichever row it overrides
-    bad = {0: (0,), 6401: (6401,)}
     first, second = rows
-    plan = AccessPlan([Scan(tips=(1,), start=1, length=3, per_row_tips={
-        first: bad[0], second: bad[6401]})])
+    plan = AccessPlan([Scan(tips=(1,), start=1, length=3,
+                            per_row_tips={first: (0,), second: (6401,)})])
     with pytest.raises(ValueError, match=r"^tip 0 out of range 1\.\.6400$"):
         Emulator(CMU).execute(plan)
 
