@@ -82,6 +82,34 @@ def test_info_reports_derived_and_averaged_values(capsys):
     assert float(d["seek_fraction"]) == pytest.approx(0.0801, abs=5e-4)
 
 
+def test_info_lines_pinned(capsys):
+    # every device field, every derived constant and the seek share, once
+    code, out, _ = run_cli(["info"], capsys)
+    assert code == 0
+    assert sorted(out.splitlines()) == [
+        "move_x_s = 0.00052",
+        "move_y_s = 0.00035",
+        "n_active_tips = 1280",
+        "n_regions = 6400",
+        "n_tips = 6400",
+        "region_bits = 4320000",
+        "region_read_time_s = 6.7087135714285715",
+        "regions_x = 80",
+        "regions_y = 80",
+        "sector_bits = 64",
+        "sector_time_s = 9.142857142857143e-05",
+        "sectors_per_region = 67500",
+        "sectors_x = 2500",
+        "sectors_y = 27",
+        "seek_fraction = 0.08008763442938123",
+        "seek_time_rs_s = 0.000735",
+        "settle_time_s = 0.000215",
+        "tip_rate_bits_s = 700000.0",
+        "transfer_rate_rs_bits_s = 643918.0196965664",
+        "turnaround_time_s = 6e-05",
+    ]
+
+
 def test_info_honours_device_config(tmp_path, capsys):
     small = DeviceParams(regions_x=8, regions_y=8, sectors_x=20, sectors_y=5,
                          n_active_tips=16)

@@ -1,5 +1,6 @@
 """Spatial placements: space mapping, block grid, curve orders, compilers."""
 
+import hashlib
 import math
 import re
 import sys
@@ -704,6 +705,56 @@ def test_equal_layers_of_different_clips_are_not_overrides():
     grid = build_block_grid(dev, SpatialSpace(width=8, height=2), ratio=2.0)
     plan = compile_sp(grid, region(1, 1, 6, 1))
     assert plan_to_text(plan) == "scan 1 2 1\nscan 1 2 2\nscan 1 1 3\nscan 1 1 4\n"
+
+
+# -- block-plan pins -----------------------------------------------------------
+#
+# sha256 of the plans' text form and of their `Timing`s.  A change to how
+# block plans are built must keep them all.
+
+def _plan_digests(plans, dev):
+    plans = list(plans)
+    text = "".join(map(plan_to_text, plans))
+    timings = "".join(repr(Emulator(dev).execute(plan)) for plan in plans)
+    return (hashlib.sha256(text.encode()).hexdigest(),
+            hashlib.sha256(timings.encode()).hexdigest())
+
+
+@pytest.mark.parametrize("points, plan_digest, timing_digest", [
+    ([(frac, 1.0) for frac in bench.QUERY_FRACS],
+     "0ec1ba5c9919b9ff4b86d78f6cb6a6ece4824c8bfe7b73e6146e6360f2dd8f9b",
+     "063cbc307e9f81a8b6254533228270743845aeaf7fc21da6995de930b1a2a6a0"),
+    ([(0.01, aspect) for aspect in bench.ASPECTS],
+     "1345e2f560cf8888ec66bcddff1991b3b854c8704956e1c5273b6dd09f76a200",
+     "9ecbb157759c92898285a44e0b4781d293d1e29004f32cb78f46e1555f55d45b"),
+], ids=["experiment-3", "experiment-4"])
+def test_default_sweep_block_plans_pinned(points, plan_digest, timing_digest):
+    # every default query of the spatial sweeps, seeds 0-5, on the
+    # reference device: full blocks, partial clips many layers deep and
+    # streamed rank gaps
+    plans = [compile_sp(build_block_grid(CMU, SPACE, aspect),
+                        gen_query_region(SPACE, frac, aspect, seed=seed))
+             for frac, aspect in points for seed in range(6)]
+    assert _plan_digests(plans, CMU) == (plan_digest, timing_digest)
+
+
+# the byte-level readback geometry: 8x8 tips with 16 active, 20x5 sectors
+# and a 64x64 space, with every one of its query widths and heights
+READBACK = DeviceParams(regions_x=8, regions_y=8, sectors_x=20, sectors_y=5,
+                        n_active_tips=16)
+READBACK_EXTENTS = (1, 2, 5, 9, 16, 24, 40, 70)
+
+
+def test_readback_block_plans_pinned():
+    # origins inside the space and near its far edge, so partial clips of
+    # every shape reach the layered branch and wide queries are cut off
+    grid = build_block_grid(READBACK, SpatialSpace(width=64, height=64), 1.0)
+    plans = [compile_sp(grid, region(x0, y0, qx, qy))
+             for x0, y0 in ((1, 1), (4, 13), (29, 38), (57, 60), (64, 62))
+             for qx in READBACK_EXTENTS for qy in READBACK_EXTENTS]
+    assert _plan_digests(plans, READBACK) == (
+        "3b5f2e0011523025ed9d1ca66444703a7a06bb0580410b04c12806d9f184ade3",
+        "2b0b7382be9534884c9f5c594b2809fb9b24d00a6ba33f0cf1d7b8baeaad1d8d")
 
 
 def test_query_region_validation():
