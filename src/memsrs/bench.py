@@ -349,6 +349,11 @@ def _spatial_point(params: DeviceParams, pt: tuple, name: str,
                        "selectivity": "", "query_frac": frac, "aspect": aspect,
                        "qx": qr.qx, "qy": qr.qy},
                       qr, qr.qx * qr.qy * _SPACE.obj_bits, None))
+    if not seeds:
+        # no seed changes a query's shape, so a run with no seeds still
+        # checks that it fits
+        with named(name):
+            gen_query_region(_SPACE, frac, aspect)
     layouts = {}
     with named(name):
         if BlockGrid in classes:

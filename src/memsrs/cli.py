@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields
 from functools import partial
 from typing import List, Optional, Sequence
 
@@ -76,28 +77,14 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def cmd_info(args: argparse.Namespace) -> int:
     p = _device(args)
-    settle_total = (p.sectors_x - 1) * p.settle_time_s
-    pairs = [
-        ("regions_x", p.regions_x), ("regions_y", p.regions_y),
-        ("sectors_x", p.sectors_x), ("sectors_y", p.sectors_y),
-        ("n_regions", p.n_regions), ("n_tips", p.n_tips),
-        ("n_active_tips", p.n_active_tips),
-        ("sectors_per_region", p.sectors_per_region),
-        ("sector_bits", p.sector_bits),
-        ("tip_rate_bits_s", p.tip_rate_bits_s),
-        ("move_x_s", p.move_x_s), ("move_y_s", p.move_y_s),
-        ("settle_time_s", p.settle_time_s),
-        ("turnaround_time_s", p.turnaround_time_s),
-        ("region_bits", p.region_bits),
-        ("sector_time_s", p.sector_time_s),
-        ("region_read_time_s", p.region_read_time_s),
-        ("transfer_rate_rs_bits_s", p.transfer_rate_rs_bits_s),
-        ("seek_time_rs_s", p.seek_time_rs_s),
-        # share of a full-region read spent settling between columns
-        ("seek_fraction", settle_total / p.region_read_time_s),
-    ]
-    for name, value in pairs:
-        print(f"{name} = {value}")
+    names = [field.name for field in fields(p)]
+    names += [name for name, attr in vars(DeviceParams).items()
+              if isinstance(attr, property)]
+    for name in names:
+        print(f"{name} = {getattr(p, name)}")
+    # share of a full-region read spent settling between columns
+    print(f"seek_fraction = "
+          f"{(p.sectors_x - 1) * p.settle_time_s / p.region_read_time_s}")
     return 0
 
 
@@ -116,49 +103,47 @@ def cmd_map(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench_relational(args: argparse.Namespace) -> int:
+def _run_bench(args: argparse.Namespace, placements: Sequence[str],
+               columns: Sequence[str], sweeps, **options) -> int:
+    """Run the sweeps whose lists are not empty and write one CSV of all
+    their rows.  Each sweep is (list option, its text, token parser, a
+    function of the parsed list giving the sweep's `bench` call).  The
+    device is checked first, then --repeats, then every list; with no
+    seeds a sweep runs all its checks and makes no row, so every sweep
+    is checked before any of them runs."""
     p = _device(args)
     seeds = _seeds(args)
-    placements = tuple(args.placement or bench.RELATIONAL_PLACEMENTS)
-    # both lists are parsed before either sweep runs
-    sizes = _num_list(args.sizes, _ratio, "--sizes")
-    nprojs = _num_list(args.nproj, _integer, "--nproj")
-    common = dict(selectivity=args.selectivity, placements=placements,
-                  seek_model=args.seek_model)
-    sweeps = []
-    if sizes:
-        sweeps.append(partial(bench.run_experiment1, p, sizes_mb=sizes,
-                              **common))
-    if nprojs:
-        sweeps.append(partial(bench.run_experiment2, p, n_projections=nprojs,
-                              **common))
-    # with no seeds a sweep runs all its checks and makes no row, so both
-    # sweeps are checked before either runs
-    for sweep in sweeps:
-        sweep(seeds=())
-    rows = [row for sweep in sweeps for row in sweep(seeds=seeds)]
-    _emit(bench.csv_text(rows, bench.RELATIONAL_FIELDS), args.out)
+    lists = [(make, _num_list(text, conv, option))
+             for option, text, conv, make in sweeps]
+    runs = [partial(make(values), p, seek_model=args.seek_model,
+                    placements=tuple(args.placement or placements), **options)
+            for make, values in lists if values]
+    for run in runs:
+        run(seeds=())
+    rows = [row for run in runs for row in run(seeds=seeds)]
+    _emit(bench.csv_text(rows, columns), args.out)
     return 0
+
+
+def cmd_bench_relational(args: argparse.Namespace) -> int:
+    return _run_bench(
+        args, bench.RELATIONAL_PLACEMENTS, bench.RELATIONAL_FIELDS,
+        [("--sizes", args.sizes, _ratio,
+          lambda sizes: partial(bench.run_experiment1, sizes_mb=sizes)),
+         ("--nproj", args.nproj, _integer,
+          lambda nprojs: partial(bench.run_experiment2, n_projections=nprojs))],
+        selectivity=args.selectivity)
 
 
 def cmd_bench_spatial(args: argparse.Namespace) -> int:
-    p = _device(args)
-    seeds = _seeds(args)
-    placements = tuple(args.placement or bench.SPATIAL_PLACEMENTS)
-    fracs = [pct / 100 for pct in _num_list(args.query_sizes, _ratio,
-                                            "--query-sizes")]
-    aspects = _num_list(args.aspects, _ratio, "--aspects")
-    rows: List[bench.Row] = []
-    if fracs:
-        rows += bench.run_experiment3(p, query_fracs=fracs, seeds=seeds,
-                                      placements=placements, curve=args.curve,
-                                      seek_model=args.seek_model)
-    if aspects:
-        rows += bench.run_experiment4(p, aspects=aspects, seeds=seeds,
-                                      placements=placements, curve=args.curve,
-                                      seek_model=args.seek_model)
-    _emit(bench.csv_text(rows, bench.SPATIAL_FIELDS), args.out)
-    return 0
+    return _run_bench(
+        args, bench.SPATIAL_PLACEMENTS, bench.SPATIAL_FIELDS,
+        [("--query-sizes", args.query_sizes, _ratio,
+          lambda pcts: partial(bench.run_experiment3,
+                               query_fracs=[pct / 100 for pct in pcts])),
+         ("--aspects", args.aspects, _ratio,
+          lambda aspects: partial(bench.run_experiment4, aspects=aspects))],
+        curve=args.curve)
 
 
 # -- parser ---------------------------------------------------------------------

@@ -372,8 +372,15 @@ class Emulator:
 
 # -- plan text form -----------------------------------------------------
 
+def _run_text(first: int, last: int) -> str:
+    return str(first) if first == last else f"{first}-{last}"
+
+
 def _rle(tips: Iterable[int]) -> str:
-    vals = sorted(tips)
+    # a step-1 range is one run, and a `SortedTips` already ascends
+    if type(tips) is range and tips.step == 1 and tips:
+        return _run_text(tips[0], tips[-1])
+    vals = tips if type(tips) is SortedTips else sorted(tips)
     if not vals:
         return "-"
     parts: List[str] = []
@@ -382,9 +389,9 @@ def _rle(tips: Iterable[int]) -> str:
         if v == prev + 1:
             prev = v
             continue
-        parts.append(str(run_start) if run_start == prev else f"{run_start}-{prev}")
+        parts.append(_run_text(run_start, prev))
         run_start = prev = v
-    parts.append(str(run_start) if run_start == prev else f"{run_start}-{prev}")
+    parts.append(_run_text(run_start, prev))
     return ",".join(parts)
 
 

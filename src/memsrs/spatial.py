@@ -312,10 +312,6 @@ def compile_sp(grid: BlockGrid, qr: QueryRegion) -> AccessPlan:
             runs.append((rank, [tips]))
         prev_rank = rank
     napt = p.n_active_tips
-    # each set's layers are cut once per call and shared like the sets,
-    # so the emulator checks each distinct layer once; `clip_tips` keeps
-    # every set alive, so their ids stay unique
-    layers: Dict[Tuple[int, int], Sequence[int]] = {}
     scans: List[Scan] = []
     for first_rank, units in runs:
         deepest = max(map(len, units))
@@ -326,14 +322,10 @@ def compile_sp(grid: BlockGrid, qr: QueryRegion) -> AccessPlan:
             scans.append(rs_scan((first_rank - 1) * spo + 1, spo, units))
             continue
         for lo in range(0, deepest, napt):
-            want = [i for i, tips in enumerate(units) if len(tips) > lo]
-            cut = []
-            for tips in units[want[0]:want[-1] + 1]:
-                part = layers.get((id(tips), lo))
-                if part is None:
-                    part = layers[id(tips), lo] = layer_tips(tips, lo, napt)
-                cut.append(part)
-            scans.append(rs_scan((first_rank + want[0] - 1) * spo + 1, spo, cut))
+            cut = [layer_tips(tips, lo, napt) for tips in units]
+            want = [i for i, part in enumerate(cut) if part]
+            scans.append(rs_scan((first_rank + want[0] - 1) * spo + 1, spo,
+                                 cut[want[0]:want[-1] + 1]))
     return AccessPlan(scans)
 
 

@@ -476,6 +476,14 @@ def test_infeasible_spatial_point_fails_before_any_row(no_rows):
         run_experiment4(query_frac=0.1, aspects=(1, 1 / 16), seeds=(0,))
 
 
+def test_infeasible_spatial_point_fails_with_no_seeds():
+    # no seed changes the query shape, so a run that draws no query still
+    # rejects it, naming the point
+    with pytest.raises(ValueError, match=r"^experiment 4, query_frac=0\.1, "
+                       r"aspect=0\.0625: query shape 506x8095"):
+        run_experiment4(query_frac=0.1, aspects=(1, 1 / 16), seeds=())
+
+
 @pytest.mark.parametrize("run, kw", [
     (run_experiment1, {"sizes_mb": (5, 10)}),
     (run_experiment2, {"size_mb": 5, "n_projections": (1, 8)}),

@@ -250,6 +250,36 @@ def test_bench_relational_checks_both_sweeps_before_either_runs(monkeypatch,
                    "projection width 0 is below 1\n")
 
 
+def test_bench_spatial_checks_both_sweeps_before_either_runs(monkeypatch,
+                                                            capsys):
+    # the size sweep used to run in full before the aspect sweep's query
+    # shapes were checked
+    def no_row(*args, **kwargs):
+        raise AssertionError("a row was made")
+
+    monkeypatch.setattr(bench, "_measured_row", no_row)
+    monkeypatch.setattr(bench, "_lowerbound_row", no_row)
+    code, out, err = run_cli(["bench", "spatial", "--aspects", "1,100000"],
+                             capsys)
+    assert code == 1
+    assert out == ""
+    assert err == ("error: experiment 4, query_frac=0.01, aspect=100000: "
+                   "query shape 202386x2 does not fit the space\n")
+
+
+@pytest.mark.parametrize("command, flag", [("relational", "--nproj"),
+                                           ("spatial", "--aspects")])
+def test_bench_errors_come_config_then_repeats_then_lists(command, flag,
+                                                          tmp_path, capsys):
+    bad_lists = ["bench", command, flag, "1,x", "--repeats", "0"]
+    code, out, err = run_cli(bad_lists, capsys)
+    assert (code, out, err) == (1, "", "error: --repeats must be >= 1, got 0\n")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("T_X abc\n")
+    code, out, err = run_cli(bad_lists + ["--device-config", str(cfg)], capsys)
+    assert (code, out, err) == (1, "", "error: config key T_X: bad value 'abc'\n")
+
+
 def test_bench_list_error_chains_the_token_error():
     args = build_parser().parse_args(["bench", "relational", "--nproj", "1,x"])
     with pytest.raises(ValueError) as err:

@@ -22,6 +22,7 @@ from memsrs.emulator import (
     SortedTips,
     _check_tips,
     _lin,
+    _rle,
     plan_from_text,
     plan_to_text,
 )
@@ -634,6 +635,22 @@ def test_plan_text_format_is_run_length_encoded():
 def test_plan_text_empty_tips_marker():
     text = plan_to_text(AccessPlan([Scan(tips=(), start=1, length=1)]))
     assert text.splitlines()[0] == "scan 1 1 -"
+
+
+_tip_lists = st.lists(st.integers(1, 40), max_size=30, unique=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tips=st.one_of(
+    st.builds(range, st.integers(-3, 40), st.integers(-3, 40),
+              st.integers(1, 5) | st.integers(-5, -1)),
+    _tip_lists.map(lambda tips: SortedTips(sorted(tips))),
+    st.permutations(list(range(1, 30))).map(tuple),
+    _tip_lists.map(tuple)))
+def test_rle_of_a_run_or_sorted_set_matches_sorting_it(tips):
+    # ranges and `SortedTips` skip the sort; any set encodes as its
+    # sorted tuple does
+    assert _rle(tips) == _rle(tuple(sorted(tips)))
 
 
 @pytest.mark.parametrize("text,message", [

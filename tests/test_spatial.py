@@ -680,7 +680,8 @@ def test_compile_sp_builds_each_clip_tip_set_once():
 def test_compile_sp_cuts_each_clip_layer_once_at_a_default_point():
     # exp4's aspect-8 point: on 320x20 blocks its edge clips hold up to
     # 6140 tips, five layers of 1280, so most of its scans read layers cut
-    # from partial clips; each distinct (clip, layer) is one shared object
+    # from partial clips; their layers are cut per block, and the plan
+    # still holds few distinct sets, each a range or a SortedTips
     grid = build_block_grid(CMU, SPACE, ratio=8)
     qr = gen_query_region(SPACE, 0.01, 8, seed=0)
     full = grid.B_x * grid.B_y
