@@ -22,7 +22,7 @@ from typing import Dict, Iterable, Mapping, Sequence, Tuple
 from .cost import CostInput
 from .device import DeviceParams, check_integer, check_integers, check_real
 from .emulator import AccessPlan, MediaImage, SortedTips
-from .rs import (RSAddr, layer_runs, layer_scans, layer_tips, rs_scan,
+from .rs import (RSAddr, layer_cuts, layer_runs, layer_scans, rs_scan,
                  write_values)
 
 
@@ -127,10 +127,8 @@ class RelLayoutRSY:
         # the final sector row holds only the first n_last slots
         n_last = self.schema.n - (rows - 1) * self.m
         last = SortedTips.prechecked(needed[:n_last * query.n_projection])
-        return AccessPlan([rs_scan(1, self.spv,
-                                   [layer_tips(needed, lo, napt)] * (rows - 1)
-                                   + [layer_tips(last, lo, napt)])
-                           for lo in range(0, len(needed), napt)])
+        return AccessPlan([rs_scan(1, self.spv, [body] * (rows - 1) + [tail])
+                           for body, tail in layer_cuts([needed, last], napt)])
 
     def k_values(self, query: RangeQuery) -> CostInput:
         _check_query(query, self.schema)

@@ -10,16 +10,16 @@ are `DeviceParams` properties. Addresses are 1-based on both axes.
 The model's two facilities build every placement's scans: any tip set
 can be used for each sector row (`rs_scan`), and at most
 `n_active_tips` tips run at once, so wider sets are read in layers
-(`layer_runs`, every layer cut by `layer_tips` once per distinct tip
-set; `layer_scans` makes each run one `rs_scan`). Every placement that
-maps a value to one Region-Sector address stores it down that region's
-sector axis (`write_values`).
+(`layer_cuts` walks them, cutting each distinct set once per layer with
+`layer_tips`; `layer_scans` makes one `rs_scan` per `layer_runs` run).
+Every placement that maps a value to one Region-Sector address stores
+it down that region's sector axis (`write_values`).
 """
 
 from __future__ import annotations
 
-from itertools import groupby, repeat
-from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
+from itertools import groupby
+from typing import Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .device import DeviceParams, check_integer
 from .emulator import MediaImage, Scan, SortedTips, _col_row, _lin
@@ -103,21 +103,27 @@ def layer_tips(tips: Sequence[int], lo: int, napt: int) -> Sequence[int]:
     return part if part is tips else SortedTips.prechecked(part)
 
 
-def layer_runs(unit_tips: Sequence[Sequence[int]],
-               napt: int) -> List[Tuple[int, List[Sequence[int]]]]:
-    """Each unit's tip set read `napt` tips at a time: per layer, per
-    maximal run of units whose set reaches that layer, (index of the
-    run's first unit, the run's `layer_tips`).  Each distinct set object
-    is cut once per layer, however many units share it."""
+def layer_cuts(unit_tips: Sequence[Sequence[int]],
+               napt: int) -> Iterator[List[Sequence[int]]]:
+    """Per layer of `napt` tips, from the first to the deepest set's last,
+    every unit's `layer_tips`.  Each distinct set object is cut once per
+    layer, so the units that share it share its cut."""
     ids = list(map(id, unit_tips))
     distinct = dict(zip(ids, unit_tips))
-    runs: List[Tuple[int, List[Sequence[int]]]] = []
     for lo in range(0, max(map(len, distinct.values()), default=0), napt):
-        cut = dict(zip(distinct, map(layer_tips, distinct.values(),
-                                     repeat(lo), repeat(napt))))
+        cut = {key: layer_tips(tips, lo, napt) for key, tips in distinct.items()}
+        yield list(map(cut.__getitem__, ids))
+
+
+def layer_runs(unit_tips: Sequence[Sequence[int]],
+               napt: int) -> List[Tuple[int, List[Sequence[int]]]]:
+    """Per `layer_cuts` layer, per maximal run of units whose set reaches
+    that layer: (index of the run's first unit, the run's cuts)."""
+    runs: List[Tuple[int, List[Sequence[int]]]] = []
+    for cut in layer_cuts(unit_tips, napt):
         first = 0
         # a set that does not reach the layer is cut to (), which is false
-        for reached, run in groupby(map(cut.__getitem__, ids), bool):
+        for reached, run in groupby(cut, bool):
             run = list(run)
             if reached:
                 runs.append((first, run))

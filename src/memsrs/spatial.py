@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .cost import CostInput
 from .device import DeviceParams, check_integer
 from .emulator import AccessPlan, MediaImage, Scan, SortedTips
-from .rs import RSAddr, layer_scans, layer_tips, rs_scan, write_values
+from .rs import RSAddr, layer_cuts, layer_scans, rs_scan, write_values
 
 
 @dataclass(frozen=True)
@@ -311,18 +311,13 @@ def compile_sp(grid: BlockGrid, qr: QueryRegion) -> AccessPlan:
         else:
             runs.append((rank, [tips]))
         prev_rank = rank
-    napt = p.n_active_tips
     scans: List[Scan] = []
     for first_rank, units in runs:
-        deepest = max(map(len, units))
-        # a run holding a full block is one scan, whose passes read the
-        # layers past the activation limit; any other run is one scan per
-        # tip layer, from the first to the last block with tips in it
-        if deepest == grid.B_x * grid.B_y:
-            scans.append(rs_scan((first_rank - 1) * spo + 1, spo, units))
-            continue
-        for lo in range(0, deepest, napt):
-            cut = [layer_tips(tips, lo, napt) for tips in units]
+        # one scan per layer, from its first to its last block with tips; a
+        # run holding a full block is one scan, whose passes read its layers
+        cuts = ([units] if max(map(len, units)) == grid.B_x * grid.B_y
+                else layer_cuts(units, p.n_active_tips))
+        for cut in cuts:
             want = [i for i, part in enumerate(cut) if part]
             scans.append(rs_scan((first_rank + want[0] - 1) * spo + 1, spo,
                                  cut[want[0]:want[-1] + 1]))
