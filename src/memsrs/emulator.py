@@ -26,7 +26,8 @@ start, length and override rows must be ints (a bool is not one), and
 its tips ints.  A tip set is checked by its smallest and largest tip; a
 `range` and a `SortedTips` (a tuple whose tips were checked to be ints
 that ascend, when it was built or by the caller of `prechecked`) are
-checked at their two ends, any other set by a walk over its tips.
+checked at their two ends, any other set by a walk over its tips that
+also rejects a repeated tip (one tip reads one sector per row).
 Each distinct set object is checked once per plan: a scan's override
 sets are told apart by `id` at C speed, so rows and scans that share one
 set (the linear stores share one `range` per tip group) add no check.
@@ -155,18 +156,25 @@ class SortedTips(tuple):
 
 
 def _check_tips(tips: Sequence[int], n_tips: int) -> None:
-    if tips:
-        # the exact type: a subclass could be built without the check
-        if type(tips) is SortedTips:
-            low, high = tips[0], tips[-1]
-        elif isinstance(tips, range):
-            # a range's extremes are its end points, whatever its step
-            low, high = min(tips[0], tips[-1]), max(tips[0], tips[-1])
-        else:
-            check_integers("tip", tips)
-            low, high = min(tips), max(tips)
-        if low < 1 or high > n_tips:
-            raise ValueError(f"tip {low if low < 1 else high} out of range 1..{n_tips}")
+    if not tips:
+        return
+    # the exact type: a subclass could be built without the check
+    walked = type(tips) is not SortedTips and not isinstance(tips, range)
+    if walked:
+        check_integers("tip", tips)
+        low, high = min(tips), max(tips)
+    else:
+        # a range's extremes are its end points, whatever its step
+        low, high = min(tips[0], tips[-1]), max(tips[0], tips[-1])
+    if low < 1 or high > n_tips:
+        raise ValueError(f"tip {low if low < 1 else high} out of range 1..{n_tips}")
+    # only a walked set can repeat a tip
+    if walked and len(set(tips)) < len(tips):
+        seen = set()
+        for tip in tips:
+            if tip in seen:
+                raise ValueError(f"tip {tip} listed twice")
+            seen.add(tip)
 
 
 def _transition_cost(state: SledState, tcol: int, trow: int, first_dir: int,

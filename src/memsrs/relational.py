@@ -218,13 +218,25 @@ class RelLayoutRP:
         """Plan: the predicate band in full, other bands only where tuples qualify.
 
         `rows` maps band rows to their qualifying tips, as `qualifying_rows`
-        builds it; the map is the same for every attribute band.
+        builds it; the map is the same for every attribute band.  A row
+        outside 1..band_rows, or a last-row tip past the tuples that row
+        holds, is rejected by name.
         """
         _check_query(query, self.schema)
         h, spv = self.band_rows, self.spv
+        check_integers("band row", rows)
+        for j in (min(rows), max(rows)) if rows else ():
+            if not 1 <= j <= h:
+                raise ValueError(f"band row {j} out of range 1..{h}")
+        last, count = rows.get(h, ()), self._row_count(h)
+        # a range or a `SortedTips` is bounded by its ends: no row is walked
+        if last and type(last) in (range, SortedTips):
+            last = (last[0], last[-1])
+        if max(last, default=0) > count:
+            raise ValueError(f"tip {max(last)} of band row {h} out of range "
+                             f"1..{count}")
         # every band row but the last holds n_tips tuples: one shared set
-        full = ([range(1, self.params.n_tips + 1)] * (h - 1)
-                + [range(1, self._row_count(h) + 1)])
+        full = [range(1, self.params.n_tips + 1)] * (h - 1) + [range(1, count + 1)]
         scans = layer_scans(self.band_start(query.predicate_attr), spv,
                             full, self.params)
         # the qualifying rows are cut into layers once, for every band

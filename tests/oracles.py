@@ -5,8 +5,9 @@ layout's own block walk, so tests use it as an oracle for
 `rs_to_mems(layout.map(...))` or for the cells a store's image holds.
 The curve keys order a block grid by sorting every cell on its position
 along the curve, an oracle for `build_block_grid`'s quadrant walk.
-The whole-range draw lists a uniform subset's kept ids in one pass over
-every id, an oracle for `_uniform_subset`'s block-wise listing.
+The whole-range draw writes a uniform subset's random calls out inline,
+without `_uniform_draw`'s per-row counts, an oracle that `_uniform_subset`
+makes the same calls in the same order and keeps the same ids.
 The per-block plan locates every block of a run on its own, an oracle
 for `lba_to_plan`'s column and group stepping."""
 
@@ -138,9 +139,8 @@ def curve_key_order(curve: str, g_x: int, g_y: int) -> List[Tuple[int, int]]:
 
 def whole_range_uniform_subset(rng: random.Random, n: int,
                                m: int) -> Tuple[int, ...]:
-    """`_uniform_subset` with its kept ids listed by one `compress` over
-    all of 1..n: the same random calls in the same order, so the same
-    draw."""
+    """The uniform draw in one function, not through `_uniform_draw`:
+    the same random calls in the same order, so the same draw."""
     c = -(-256 * m // n)
     mask = rng.randbytes(n).translate(b"\1" * c + bytes(256 - c))
     picked = list(compress(range(1, n + 1), mask))

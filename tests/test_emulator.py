@@ -323,6 +323,31 @@ def test_out_of_range_sorted_tips_rejected_before_the_sled_moves(call, bad, tip)
     assert em.state == SledState()
 
 
+@pytest.mark.parametrize("call", ["execute", "read"])
+@pytest.mark.parametrize("scan, tip", [
+    # one tip reads one sector per row step: a repeat used to be priced
+    # and read once per listing
+    (Scan(tips=(1, 1, 1), start=10, length=1), 1),
+    (Scan(tips=[1, 2], start=10, length=3, per_row_tips={11: [3, 1, 3, 1]}), 3),
+], ids=["default", "override"])
+def test_repeated_tip_rejected_before_the_sled_moves(call, scan, tip):
+    plan = AccessPlan([Scan(tips=(1,), start=500, length=3), scan])
+    em = Emulator(CMU)
+    with pytest.raises(ValueError, match=rf"^tip {tip} listed twice$"):
+        if call == "execute":
+            em.execute(plan)
+        else:
+            em.read(plan, MediaImage(CMU))
+    assert em.state == SledState()
+
+
+def test_repeated_tip_checked_after_its_integers_and_range():
+    with pytest.raises(ValueError, match=r"^tip 1\.5 is not an integer$"):
+        _check_tips((1, 1, 1.5), 6400)
+    with pytest.raises(ValueError, match=r"^tip 6401 out of range 1\.\.6400$"):
+        _check_tips((1, 1, 6401), 6400)
+
+
 def test_bad_tip_in_shared_override_tuple_rejected():
     shared = (2, 6401)
     plan = AccessPlan([

@@ -172,3 +172,11 @@ def test_every_constant_is_named(path):
 def test_every_exported_name_exists():
     # a stale `__all__` entry breaks only `from memsrs import *`
     assert [name for name in memsrs.__all__ if not hasattr(memsrs, name)] == []
+
+
+def test_only_rs_cuts_activation_layers():
+    # every placement walks its layers through `rs.layer_cuts`, so no
+    # other module names the one cut of a tip set
+    cutting = [path.name for path in sorted(SRC.glob("*.py"))
+               if "layer_tips" in names(ast.parse(path.read_text(encoding="utf-8")))]
+    assert cutting == ["rs.py"]

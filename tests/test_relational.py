@@ -319,6 +319,35 @@ def test_counted_rows_reject_a_count_the_row_cannot_hold(counts, message):
         lay.counted_rows(counts)
 
 
+# 40960 tuples on the reference device: 7 band rows, 2560 tuples in the last
+RP7 = RelationSchema(k=16, n=40_960)
+
+
+@pytest.mark.parametrize("rows, message", [
+    # each used to compile: the first two as the plan of {}, the others
+    # priced as tips the last band row does not hold
+    ({999: range(1, 5)}, "band row 999 out of range 1..7"),
+    ({0: range(1, 3)}, "band row 0 out of range 1..7"),
+    ({2.0: (1,)}, "band row 2.0 is not an integer"),
+    ({7: range(1, 6401)}, "tip 6400 of band row 7 out of range 1..2560"),
+    ({7: SortedTips((5, 2561))}, "tip 2561 of band row 7 out of range 1..2560"),
+    ({1: (6400,), 7: (2561, 5)}, "tip 2561 of band row 7 out of range 1..2560"),
+], ids=["above-band", "zero", "float", "range", "sorted", "tuple"])
+def test_rp_compile_rejects_a_row_it_cannot_place(rows, message):
+    lay = RelLayoutRP(CMU, RP7)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        lay.compile(q([1, 2]), rows)
+
+
+def test_rp_compile_takes_the_rows_it_builds_at_their_limits():
+    lay = RelLayoutRP(CMU, RP7)
+    assert lay.band_rows == 7
+    for rows in (lay.counted_rows([6400] + [0] * 5 + [2560]),
+                 lay.qualifying_rows([1, 6400, 6401, 40_960]),
+                 {7: range(2560, 0, -1)}, {}):
+        assert lay.compile(q([1, 2]), rows).scans
+
+
 # -- analytic cost inputs -------------------------------------------------
 
 def test_qualifying_rows_matches_per_id_bucketing():

@@ -19,7 +19,9 @@ from memsrs.relational import (RangeQuery, RelationSchema, RelLayoutRP,
 from memsrs.rs import (
     PhysAddr,
     RSAddr,
+    layer_cuts,
     layer_scans,
+    layer_tips,
     mems_to_rs,
     rs_scan,
     rs_to_mems,
@@ -218,6 +220,39 @@ def test_layer_scans_no_units_give_no_scans():
     p = DeviceParams(regions_x=2, regions_y=2, n_active_tips=2)
     assert layer_scans(1, 4, [], p) == []
     assert layer_scans(1, 4, [(), ()], p) == []
+
+
+@st.composite
+def _shared_units(draw):
+    """Units drawn from a few set objects, so some units share one: ranges,
+    `SortedTips`, plain tuples in any order and ()."""
+    tips = st.integers(1, 12)
+    pool = draw(st.lists(st.one_of(
+        st.just(()),
+        st.builds(lambda a, n: range(a, a + n), tips, st.integers(0, 12)),
+        st.sets(tips).map(lambda s: SortedTips(sorted(s))),
+        st.lists(tips, unique=True).map(tuple)), min_size=1, max_size=4))
+    return draw(st.lists(st.sampled_from(pool), max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(units=_shared_units(), napt=st.integers(1, 4))
+def test_layer_cuts_cut_each_unit_layer_by_layer_once_per_set(units, napt):
+    cuts = list(layer_cuts(units, napt))
+    assert len(cuts) == -(-max(map(len, units), default=0) // napt)
+    for i, cut in enumerate(cuts):
+        expected = [layer_tips(tips, i * napt, napt) for tips in units]
+        assert cut == expected
+        assert list(map(type, cut)) == list(map(type, expected))
+        # the units that hold one object hold one cut object
+        shared = {}
+        for tips, part in zip(units, cut):
+            assert shared.setdefault(id(tips), part) is part
+
+
+def test_layer_cuts_no_units_or_no_tips_give_no_layers():
+    assert list(layer_cuts([], 2)) == []
+    assert list(layer_cuts([(), range(3, 3), SortedTips()], 2)) == []
 
 
 # -- the tip sets placements hand the emulator ----------------------------
