@@ -227,8 +227,16 @@ TINY3 = replace(TINY, n_active_tips=3)
      r"^override row must be an integer, got True$"),
     (Scan((1.5,), 1, 1), r"^tip 1\.5 is not an integer$"),
     (Scan((1,), 1, 3, {2: (1, 2.5, 3)}), r"^tip 2\.5 is not an integer$"),
+    # one tip reads one sector per row step: a repeat used to be priced
+    # and read once per listing.  The integer and range checks come first
+    (Scan((1, 1, 1), 1, 1), r"^tip 1 listed twice$"),
+    (Scan([1, 2], 1, 3, {2: [3, 1, 3, 1]}), r"^tip 3 listed twice$"),
+    (Scan((1, 1, 1.5), 1, 1), r"^tip 1\.5 is not an integer$"),
+    (Scan((1, 1, 10), 1, 1), r"^tip 10 out of range 1\.\.9$"),
 ], ids=["length-float", "length-bool", "start-float", "start-integral-float",
-        "start-bool", "row-float", "row-bool", "tip-float", "override-tip-float"])
+        "start-bool", "row-float", "row-bool", "tip-float", "override-tip-float",
+        "tip-repeated", "override-tip-repeated", "repeated-tip-float",
+        "repeated-tip-out-of-range"])
 def test_non_integer_plan_field_rejected_before_the_sled_moves(call, scan,
                                                                message):
     plan = AccessPlan([Scan(tips=(2,), start=5, length=3), scan])
@@ -321,31 +329,6 @@ def test_out_of_range_sorted_tips_rejected_before_the_sled_moves(call, bad, tip)
         else:
             em.read(plan, MediaImage(CMU))
     assert em.state == SledState()
-
-
-@pytest.mark.parametrize("call", ["execute", "read"])
-@pytest.mark.parametrize("scan, tip", [
-    # one tip reads one sector per row step: a repeat used to be priced
-    # and read once per listing
-    (Scan(tips=(1, 1, 1), start=10, length=1), 1),
-    (Scan(tips=[1, 2], start=10, length=3, per_row_tips={11: [3, 1, 3, 1]}), 3),
-], ids=["default", "override"])
-def test_repeated_tip_rejected_before_the_sled_moves(call, scan, tip):
-    plan = AccessPlan([Scan(tips=(1,), start=500, length=3), scan])
-    em = Emulator(CMU)
-    with pytest.raises(ValueError, match=rf"^tip {tip} listed twice$"):
-        if call == "execute":
-            em.execute(plan)
-        else:
-            em.read(plan, MediaImage(CMU))
-    assert em.state == SledState()
-
-
-def test_repeated_tip_checked_after_its_integers_and_range():
-    with pytest.raises(ValueError, match=r"^tip 1\.5 is not an integer$"):
-        _check_tips((1, 1, 1.5), 6400)
-    with pytest.raises(ValueError, match=r"^tip 6401 out of range 1\.\.6400$"):
-        _check_tips((1, 1, 6401), 6400)
 
 
 def test_bad_tip_in_shared_override_tuple_rejected():
