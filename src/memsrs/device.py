@@ -34,12 +34,14 @@ def check_real(what: str, value) -> None:
 
 
 def check_integers(what: str, values) -> None:
-    """Reject `values` unless each one is an int, in one C-speed pass: a
-    sum of ints is an int.  Only a failure walks them, to name the first
-    value that is not one as a `what`."""
-    if type(sum(values)) is not int:
-        value = next(v for v in values if not isinstance(v, int))
-        raise ValueError(f"{what} {value!r} is not an integer")
+    """Reject `values` unless each one is an int (a bool is not one).
+    All-int values pass in one C-speed pass over their types; any other
+    type walks them, to name the first value that is not an int as a
+    `what`."""
+    if not {*map(type, values)} <= {int}:
+        for value in values:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{what} {value!r} is not an integer")
 
 
 @contextmanager

@@ -8,6 +8,10 @@ which is why a scan is priced once no matter how many tips it powers.
 There is one execution path.  A scan is priced pass by pass: pass 0
 walks the scan from its entry row to its exit row, and each later pass
 reverses over the rows that still want more than `n_active_tips` tips.
+Those rows are the default set's outermost rows when that set is wide,
+and the wide overrides; the overrides are listed only when the largest
+of them (found at C speed) is wide, so a scan of narrow overrides is
+not walked row by row in Python.
 A pass costs only its row steps, column crossings and one turnaround,
 and `Timing` seconds are computed from those integer event counts plus
 the seek charges.  `read` walks the same passes and also reads each
@@ -22,15 +26,16 @@ exempt, since it returns the tips' bytes.
 
 A plan is validated once, in full, before the sled moves, so an invalid
 plan raises `ValueError` and leaves the sled state unchanged.  A scan's
-start, length and override rows must be ints (a bool is not one), and
-its tips ints.  A tip set is checked by its smallest and largest tip; a
+start, length, override rows and tips must be ints (a bool is not one).
+A tip set is checked by its smallest and largest tip; a
 `range` and a `SortedTips` (a tuple whose tips were checked to be ints
 that ascend, when it was built or by the caller of `prechecked`) are
 checked at their two ends, any other set by a walk over its tips that
 also rejects a repeated tip (one tip reads one sector per row).
 Each distinct set object is checked once per plan: a scan's override
 sets are told apart by `id` at C speed, so rows and scans that share one
-set (the linear stores share one `range` per tip group) add no check.
+set (the linear stores share one `range` per tip group, and counted band
+rows one `range` per count) add no check.
 `read` also checks once, before the sled moves, that the media image
 covers the emulator's geometry and holds sectors of its size; it then
 fetches each pass row's cells in one batch, and unwritten cells read as
@@ -255,10 +260,11 @@ class Emulator:
                 for s in (min(prt), max(prt)):
                     if not lo <= s <= hi:
                         raise ValueError(f"override row {s} outside scan {lo}..{hi}")
-                # the scan's distinct sets in first-use order, found in C
-                sets = dict(zip(map(id, prt.values()), prt.values()))
-                if not sets.keys() <= checked:
-                    for key, tips in sets.items():
+                # the scan's distinct sets, found in C; only a set not yet
+                # checked lists them in first-use order
+                sets = prt.values()
+                if not {*map(id, sets)} <= checked:
+                    for key, tips in dict(zip(map(id, sets), sets)).items():
                         if key not in checked:
                             _check_tips(tips, n_tips)
                             checked.add(key)
@@ -316,9 +322,10 @@ class Emulator:
             # rows wanting more tips than one pass activates: the wide
             # overrides and the outermost rows left on the default set
             if prt:
-                n_sectors += (len(tips) * (length - len(prt))
-                              + sum(map(len, prt.values())))
-                wide = [(s, len(t)) for s, t in prt.items() if len(t) > napt]
+                sizes = list(map(len, prt.values()))
+                n_sectors += len(tips) * (length - len(prt)) + sum(sizes)
+                wide = ([(s, len(t)) for s, t in prt.items() if len(t) > napt]
+                        if max(sizes) > napt else [])
             else:
                 prt = no_rows
                 n_sectors += len(tips) * length

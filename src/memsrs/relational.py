@@ -22,7 +22,7 @@ from typing import Dict, Iterable, Mapping, Sequence, Tuple
 from .cost import CostInput
 from .device import DeviceParams, check_integer, check_integers, check_real
 from .emulator import AccessPlan, MediaImage, SortedTips
-from .rs import (RSAddr, layer_cuts, layer_runs, layer_scans, rs_scan,
+from .rs import (RSAddr, layer_cuts, layer_runs, rs_scan, shift_scans,
                  write_values)
 
 
@@ -120,15 +120,22 @@ class RelLayoutRSY:
     def compile(self, query: RangeQuery) -> AccessPlan:
         _check_query(query, self.schema)
         napt, rows = self.params.n_active_tips, self.rows_used
-        # slot by slot, attribute by attribute: the tips ascend as built
-        needed = SortedTips.prechecked(self.schema.k * slot + w
-                                       for slot in range(min(self.m, self.schema.n))
-                                       for w in query.projected)
+        # slot by slot, attribute by attribute, so the tips ascend: the
+        # i-th projected attribute's tips fill every nproj-th place
+        k, nproj = self.schema.k, query.n_projection
+        slots = min(self.m, self.schema.n)
+        tips = [0] * (slots * nproj)
+        for i, w in enumerate(query.projected):
+            tips[i::nproj] = range(w, k * slots + w, k)
+        needed = SortedTips.prechecked(tips)
         # the final sector row holds only the first n_last slots
         n_last = self.schema.n - (rows - 1) * self.m
-        last = SortedTips.prechecked(needed[:n_last * query.n_projection])
-        return AccessPlan([rs_scan(1, self.spv, [body] * (rows - 1) + [tail])
-                           for body, tail in layer_cuts([needed, last], napt)])
+        last = SortedTips.prechecked(needed[:n_last * nproj])
+        # each layer: the body's rows - 1 units, then the last one, which
+        # alone overrides; a single row reads the last set alone
+        units, lead = ([needed, last], rows - 1) if rows > 1 else ([last], 1)
+        return AccessPlan([rs_scan(1, self.spv, cut, lead)
+                           for cut in layer_cuts(units, napt)])
 
     def k_values(self, query: RangeQuery) -> CostInput:
         _check_query(query, self.schema)
@@ -168,10 +175,11 @@ class RelLayoutRP:
 
         Each row's tips are a `SortedTips`, so the emulator checks them
         at their two ends however many plans share them.  The ids are
-        sorted and checked once, as one list, so no row is walked again.
+        checked and sorted once, as one list, so no row is walked again.
         """
-        ids = sorted(qualifying)
+        ids = list(qualifying)
         check_integers("qualifying tuple id", ids)
+        ids.sort()
         for v in ids[:1] + ids[-1:]:
             if not 1 <= v <= self.schema.n:
                 raise ValueError(f"qualifying tuple id {v} out of range")
@@ -192,7 +200,8 @@ class RelLayoutRP:
 
     def counted_rows(self, counts: Sequence[int]) -> Dict[int, range]:
         """Band rows from how many qualifying tuples each holds: row j
-        with `counts[j-1]` > 0 gets the tips 1..counts[j-1].
+        with `counts[j-1]` > 0 gets the tips 1..counts[j-1], as one
+        `range` shared by every row of that count.
 
         An execute's `Timing` depends only on each row's tip-set size, so
         these rows price a plan as the `qualifying_rows` of any ids with
@@ -203,6 +212,8 @@ class RelLayoutRP:
         if len(counts) > self.band_rows:
             raise ValueError(f"{len(counts)} qualifying counts for "
                              f"{self.band_rows} band rows")
+        # one range per distinct count, shared by every row of that count
+        shared = {count: range(1, count + 1) for count in set(counts)}
         rows: Dict[int, range] = {}
         for row, count in enumerate(counts, 1):
             if count:
@@ -210,7 +221,7 @@ class RelLayoutRP:
                     raise ValueError(f"qualifying count {count} of band row "
                                      f"{row} out of range "
                                      f"0..{self._row_count(row)}")
-                rows[row] = range(1, count + 1)
+                rows[row] = shared[count]
         return rows
 
     def compile(self, query: RangeQuery,
@@ -235,18 +246,22 @@ class RelLayoutRP:
         if max(last, default=0) > count:
             raise ValueError(f"tip {max(last)} of band row {h} out of range "
                              f"1..{count}")
-        # every band row but the last holds n_tips tuples: one shared set
-        full = [range(1, self.params.n_tips + 1)] * (h - 1) + [range(1, count + 1)]
-        scans = layer_scans(self.band_start(query.predicate_attr), spv,
-                            full, self.params)
-        # the qualifying rows are cut into layers once, for every band
-        runs = layer_runs([rows.get(j, ()) for j in range(1, h + 1)],
-                          self.params.n_active_tips)
+        # every band row but the last holds n_tips tuples: one set held
+        # for a lead run, then the last row's own, left out of a layer it
+        # has no tips in; a single row reads its own set alone
+        full, tail = range(1, self.params.n_tips + 1), range(1, count + 1)
+        units, lead = ([full, tail], h - 1) if h > 1 else ([tail], 1)
+        start = self.band_start(query.predicate_attr)
+        scans = [rs_scan(start, spv, cut if cut[-1] else cut[:1], lead)
+                 for cut in layer_cuts(units, self.params.n_active_tips)]
+        # the qualifying rows are cut into layers and scanned once, from
+        # row 1, then moved to every other projected band
+        band = [rs_scan(first * spv + 1, spv, run) for first, run
+                in layer_runs([rows.get(j, ()) for j in range(1, h + 1)],
+                              self.params.n_active_tips)]
         for w in query.projected:
             if w != query.predicate_attr:
-                start = self.band_start(w)
-                scans += [rs_scan(start + first * spv, spv, run)
-                          for first, run in runs]
+                scans += shift_scans(band, self.band_start(w) - 1)
         return AccessPlan(scans)
 
     def k_values(self, query: RangeQuery) -> CostInput:

@@ -8,17 +8,21 @@ per-column settle into the transfer rate; that rate and the averaged seek
 are `DeviceParams` properties. Addresses are 1-based on both axes.
 
 The model's two facilities build every placement's scans: any tip set
-can be used for each sector row (`rs_scan`), and at most
+can be used for each sector row (`rs_scan`, whose first set may hold for
+a lead run of units, so a long run costs no step per unit), and at most
 `n_active_tips` tips run at once, so wider sets are read in layers
 (`layer_cuts` walks them, cutting each distinct set once per layer with
 `layer_tips`; `layer_scans` makes one `rs_scan` per `layer_runs` run).
+Scans built once are placed elsewhere on the sector axis by
+`shift_scans`, which shares their tip sets.
 Every placement that maps a value to one Region-Sector address stores
 it down that region's sector axis (`write_values`).
 """
 
 from __future__ import annotations
 
-from itertools import groupby
+from itertools import groupby, repeat
+from operator import add
 from typing import Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .device import DeviceParams, check_integer
@@ -65,17 +69,20 @@ def mems_to_rs(a: PhysAddr, p: DeviceParams) -> RSAddr:
 
 
 def rs_scan(start: int, unit_rows: int,
-            unit_tips: Sequence[Sequence[int]]) -> Scan:
+            unit_tips: Sequence[Sequence[int]], lead: int = 1) -> Scan:
     """One scan over consecutive units of `unit_rows` rows from `start`.
 
-    Unit i reads `unit_tips[i]`. The first unit's set is the scan's
-    default; every row of a unit with another set overrides it.  A unit
-    that repeats the default object is skipped without comparing sets.
+    The first `lead` units read `unit_tips[0]`, the scan's default, and
+    each later unit reads the next set; every row of a unit with another
+    set overrides the default.  A unit that repeats the default object is
+    skipped without comparing sets.
     """
     default = unit_tips[0]
-    length = len(unit_tips) * unit_rows
+    length = (lead + len(unit_tips) - 1) * unit_rows
+    # unit_tips[0] from the lead run's last unit on, the next set after it
     other = [(first, tips) for first, tips
-             in zip(range(start, start + length, unit_rows), unit_tips)
+             in zip(range(start + (lead - 1) * unit_rows, start + length,
+                          unit_rows), unit_tips)
              if tips is not default and tips != default]
     prt: Dict[int, Sequence[int]] = dict(other)
     if other:
@@ -85,6 +92,16 @@ def rs_scan(start: int, unit_rows: int,
             prt.update([(first + d, tips) for first, tips in other])
     return Scan(tips=default, start=start, length=length,
                 per_row_tips=prt or None)
+
+
+def shift_scans(scans: Sequence[Scan], rows: int) -> List[Scan]:
+    """The scans `rows` rows further along the sector axis, their override
+    rows moved with them; every tip set is shared, not copied."""
+    return [Scan(tips=scan.tips, start=scan.start + rows, length=scan.length,
+                 per_row_tips=scan.per_row_tips and dict(zip(
+                     map(add, scan.per_row_tips, repeat(rows)),
+                     scan.per_row_tips.values())))
+            for scan in scans]
 
 
 def layer_tips(tips: Sequence[int], lo: int, napt: int) -> Sequence[int]:

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cost import CostInput
 from .device import DeviceParams, check_integer
-from .emulator import AccessPlan, MediaImage, Scan, SortedTips
+from .emulator import AccessPlan, MediaImage, SortedTips
 from .rs import RSAddr, layer_cuts, layer_scans, rs_scan, write_values
 
 
@@ -93,14 +93,14 @@ class SSYLayout:
             return AccessPlan([])
         x0, y0, x1, y1 = box
         n_pt = self.params.n_tips
-        scans: List[Scan] = []
+        plan = AccessPlan()
         for comp in range((x0 - 1) // n_pt, (x1 - 1) // n_pt + 1):
             lo = max(x0, comp * n_pt + 1) - comp * n_pt
             hi = min(x1, (comp + 1) * n_pt) - comp * n_pt
             start = comp * self.component_rows + (y0 - 1) * self.spo + 1
-            scans += layer_scans(start, (y1 - y0 + 1) * self.spo,
-                                 [range(lo, hi + 1)], self.params)
-        return AccessPlan(scans)
+            plan.scans += layer_scans(start, (y1 - y0 + 1) * self.spo,
+                                      [range(lo, hi + 1)], self.params)
+        return plan
 
     def k_values(self, qr: QueryRegion) -> CostInput:
         box = qr.clip(self.space)
@@ -311,7 +311,7 @@ def compile_sp(grid: BlockGrid, qr: QueryRegion) -> AccessPlan:
         else:
             runs.append((rank, [tips]))
         prev_rank = rank
-    scans: List[Scan] = []
+    plan = AccessPlan()
     for first_rank, units in runs:
         # one scan per layer, from its first to its last block with tips; a
         # run holding a full block is one scan, whose passes read its layers
@@ -319,9 +319,9 @@ def compile_sp(grid: BlockGrid, qr: QueryRegion) -> AccessPlan:
                 else layer_cuts(units, p.n_active_tips))
         for cut in cuts:
             want = [i for i, part in enumerate(cut) if part]
-            scans.append(rs_scan((first_rank + want[0] - 1) * spo + 1, spo,
-                                 cut[want[0]:want[-1] + 1]))
-    return AccessPlan(scans)
+            plan.scans.append(rs_scan((first_rank + want[0] - 1) * spo + 1,
+                                      spo, cut[want[0]:want[-1] + 1]))
+    return plan
 
 
 # -- module-level operation names and image writers -------------------------

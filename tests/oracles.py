@@ -9,16 +9,22 @@ The whole-range draw writes a uniform subset's random calls out inline,
 without `_uniform_draw`'s per-row counts, an oracle that `_uniform_subset`
 makes the same calls in the same order and keeps the same ids.
 The per-block plan locates every block of a run on its own, an oracle
-for `lba_to_plan`'s column and group stepping."""
+for `lba_to_plan`'s column and group stepping.
+The per-row and per-band plans build the relational plans one unit per
+tuple row and one `rs_scan` per attribute band, oracles for the lead run
+of `RelLayoutRSY.compile` and the shifted band scans of
+`RelLayoutRP.compile`."""
 
 import random
 from itertools import compress
-from typing import List, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 from memsrs.device import DeviceParams
+from memsrs.emulator import AccessPlan, SortedTips
 from memsrs.linear import LinearMap
-from memsrs.relational import RelationSchema, RelLayoutRSY, _check_vw
-from memsrs.rs import PhysAddr
+from memsrs.relational import (RangeQuery, RelationSchema, RelLayoutRP,
+                               RelLayoutRSY, _check_vw)
+from memsrs.rs import PhysAddr, layer_cuts, layer_runs, layer_scans, rs_scan
 from memsrs.spatial import SSYLayout
 
 
@@ -32,6 +38,38 @@ def rsy_map_phys(lay: RelLayoutRSY, v: int, w: int) -> PhysAddr:
     row = off + 1 if col % 2 == 1 else p.sectors_y - off
     return PhysAddr((r - 1) % p.regions_x + 1, (r - 1) // p.regions_x + 1,
                     col, row)
+
+
+def rsy_plan_per_row(lay: RelLayoutRSY, query: RangeQuery) -> AccessPlan:
+    """The tuple-major plan with one unit per tuple row in each layer's
+    scan: the body's set on every row but the last."""
+    rows, k = lay.rows_used, lay.schema.k
+    needed = SortedTips.prechecked(k * slot + w
+                                   for slot in range(min(lay.m, lay.schema.n))
+                                   for w in query.projected)
+    n_last = lay.schema.n - (rows - 1) * lay.m
+    last = SortedTips.prechecked(needed[:n_last * query.n_projection])
+    return AccessPlan([rs_scan(1, lay.spv, [body] * (rows - 1) + [tail])
+                       for body, tail in layer_cuts([needed, last],
+                                                    lay.params.n_active_tips)])
+
+
+def rp_plan_per_band(lay: RelLayoutRP, query: RangeQuery,
+                     rows: Mapping[int, Sequence[int]]) -> AccessPlan:
+    """The attribute-band plan with each projected band's scans built by
+    their own `rs_scan` calls from that band's first row."""
+    h, spv, p = lay.band_rows, lay.spv, lay.params
+    count = lay.schema.n - (h - 1) * p.n_tips
+    full = [range(1, p.n_tips + 1)] * (h - 1) + [range(1, count + 1)]
+    scans = layer_scans(lay.band_start(query.predicate_attr), spv, full, p)
+    runs = layer_runs([rows.get(j, ()) for j in range(1, h + 1)],
+                      p.n_active_tips)
+    for w in query.projected:
+        if w != query.predicate_attr:
+            start = lay.band_start(w)
+            scans += [rs_scan(start + first * spv, spv, run)
+                      for first, run in runs]
+    return AccessPlan(scans)
 
 
 def ssy_map_phys(lay: SSYLayout, x: int, y: int) -> PhysAddr:

@@ -1,6 +1,7 @@
 """Device parameter construction, derived constants, config round-trip."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from memsrs.device import (
     DeviceParams,
+    check_integers,
     cmu_defaults,
     from_config_text,
     named,
@@ -77,6 +79,24 @@ def test_non_integer_count_rejected(field, value):
     with pytest.raises(ValueError,
                        match=f"^{field} must be an integer, got {value!r}$"):
         DeviceParams(**{field: value})
+
+
+class _Tip(int):
+    """An int subclass other than bool."""
+
+
+@pytest.mark.parametrize("values, bad", [
+    ([1, 2.5, True], "2.5"), ([1, True, "a"], "True"), ((False,), "False"),
+    ((1, "a"), "'a'"), ((None,), "None"), ({3: 1, 4.0: 2}, "4.0")],
+    ids=["float", "bool", "false", "str", "none", "mapping-key"])
+def test_check_integers_names_the_first_value_that_is_not_an_int(values, bad):
+    with pytest.raises(ValueError, match=rf"^tip {re.escape(bad)} is not an integer$"):
+        check_integers("tip", values)
+
+
+def test_check_integers_takes_ints_and_their_subclasses_but_bool():
+    for values in ([], (1, 2, 3), range(5), [_Tip(2), 7], {1: "a", 2: "b"}):
+        check_integers("tip", values)
 
 
 @pytest.mark.parametrize("field", ["tip_rate_bits_s", "move_x_s", "move_y_s",

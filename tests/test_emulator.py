@@ -233,10 +233,17 @@ TINY3 = replace(TINY, n_active_tips=3)
     (Scan([1, 2], 1, 3, {2: [3, 1, 3, 1]}), r"^tip 3 listed twice$"),
     (Scan((1, 1, 1.5), 1, 1), r"^tip 1\.5 is not an integer$"),
     (Scan((1, 1, 10), 1, 1), r"^tip 10 out of range 1\.\.9$"),
+    # a bool tip used to be priced as a sector, and a tip that is no
+    # number failed on a bare TypeError without naming it
+    (Scan((True, 2), 1, 1), r"^tip True is not an integer$"),
+    (Scan((1,), 1, 3, {2: (2, False)}), r"^tip False is not an integer$"),
+    (Scan((1, "a"), 1, 1), r"^tip 'a' is not an integer$"),
+    (Scan((None,), 1, 1), r"^tip None is not an integer$"),
 ], ids=["length-float", "length-bool", "start-float", "start-integral-float",
         "start-bool", "row-float", "row-bool", "tip-float", "override-tip-float",
         "tip-repeated", "override-tip-repeated", "repeated-tip-float",
-        "repeated-tip-out-of-range"])
+        "repeated-tip-out-of-range", "tip-bool", "override-tip-bool",
+        "tip-str", "tip-none"])
 def test_non_integer_plan_field_rejected_before_the_sled_moves(call, scan,
                                                                message):
     plan = AccessPlan([Scan(tips=(2,), start=5, length=3), scan])
@@ -259,8 +266,11 @@ def test_integer_checks_keep_the_old_check_order():
 
 
 @pytest.mark.parametrize("tips, bad", [((1, 2.5), 2.5), ((1.0, 2), 1.0),
-                                       ((Fraction(3, 2),), Fraction(3, 2))],
-                         ids=["float", "integral-float", "fraction"])
+                                       ((Fraction(3, 2),), Fraction(3, 2)),
+                                       ((True, 2), True), ((1, "a"), "a"),
+                                       ((None,), None)],
+                         ids=["float", "integral-float", "fraction", "bool",
+                              "str", "none"])
 def test_sorted_tips_reject_non_integer_tips(tips, bad):
     with pytest.raises(ValueError, match=rf"^tip {re.escape(repr(bad))} "
                                          r"is not an integer$"):
@@ -435,6 +445,32 @@ def _plans(draw):
 # only the exit row of a two-row scan wants a second pass
 _EXIT_ROW_ONLY = AccessPlan([Scan(tips=(1,), start=1, length=2,
                                   per_row_tips={2: (1, 2, 3)})])
+
+
+def _priced(plan, params):
+    """execute's event counts for the plan from the sled's home, after
+    checking that read prices it alike."""
+    t = Emulator(params).execute(plan)
+    assert Emulator(params).read(plan, MediaImage(params))[0] == t
+    return t.n_row_steps, t.n_turnarounds, t.n_sectors, t.settle_s
+
+
+def test_wide_default_with_only_narrow_overrides_takes_extra_passes():
+    # 2 active tips: the default's 3 tips want a second pass over its
+    # outermost rows, 1 and 4, though no override is wide.  Pass 0 walks
+    # rows 1..4, crossing into column 2; pass 1 reverses over 4..1.
+    plan = AccessPlan([Scan(tips=(1, 2, 3), start=1, length=4,
+                            per_row_tips={2: (1,), 3: ()})])
+    assert _priced(plan, SMALL) == (8, 1, 3 * 2 + 1, 2 * SMALL.settle_time_s)
+
+
+def test_one_wide_override_among_narrow_ones_takes_an_extra_pass():
+    # only row 2's 3 tips exceed the 2 active tips (row 5's 2 do not), so
+    # pass 1 reverses from exit row 6 back to row 2 alone
+    plan = AccessPlan([Scan(tips=(1,), start=1, length=6,
+                            per_row_tips={2: (1, 2, 3), 3: (4,), 5: (5, 6)})])
+    assert _priced(plan, SMALL) == (6 + 4, 1, 3 + 3 + 1 + 2,
+                                    2 * SMALL.settle_time_s)
 
 
 @settings(max_examples=200, deadline=None)

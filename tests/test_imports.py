@@ -180,3 +180,12 @@ def test_only_rs_cuts_activation_layers():
     cutting = [path.name for path in sorted(SRC.glob("*.py"))
                if "layer_tips" in names(ast.parse(path.read_text(encoding="utf-8")))]
     assert cutting == ["rs.py"]
+
+
+def test_only_rs_builds_region_sector_scans():
+    # the placements over the Region-Sector view take their scans from
+    # `rs` (`rs_scan`, `layer_scans`, `shift_scans`), so neither names the
+    # emulator's `Scan`
+    building = [name for name in ("relational.py", "spatial.py")
+                if "Scan" in names(ast.parse((SRC / name).read_text(encoding="utf-8")))]
+    assert building == []

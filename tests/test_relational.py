@@ -4,12 +4,14 @@ import hashlib
 import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memsrs import emulator
 from memsrs.device import DeviceParams, cmu_defaults
 from memsrs.emulator import (SEEK_MODELS, Emulator, MediaImage, SortedTips,
                              plan_to_text)
@@ -26,7 +28,7 @@ from memsrs.relational import (
 )
 from memsrs.rs import PhysAddr, RSAddr, rs_to_mems
 from memsrs.workload import Relation
-from tests.oracles import rsy_map_phys
+from tests.oracles import rp_plan_per_band, rsy_map_phys, rsy_plan_per_row
 
 CMU = cmu_defaults()
 TINY = DeviceParams(regions_x=3, regions_y=3, sectors_x=4, sectors_y=3,
@@ -310,13 +312,44 @@ def test_counted_rows_are_ranges_of_the_counts():
     ([1, -1], "qualifying count -1 of band row 2 out of range 0..4"),
     ([0] * 14, "14 qualifying counts for 13 band rows"),
     ([1, 2.0], "qualifying count 2.0 is not an integer"),
-], ids=["above-row", "above-last-row", "negative", "too-many-rows", "float"])
+    ([1, True], "qualifying count True is not an integer"),
+], ids=["above-row", "above-last-row", "negative", "too-many-rows", "float",
+        "bool"])
 def test_counted_rows_reject_a_count_the_row_cannot_hold(counts, message):
     dev = DeviceParams(regions_x=2, regions_y=2, sectors_x=10, sectors_y=3,
                        n_active_tips=4)
     lay = RelLayoutRP(dev, RelationSchema(k=2, n=50))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         lay.counted_rows(counts)
+
+
+def test_counted_rows_share_one_range_per_count_checked_once_per_plan(
+        monkeypatch):
+    dev = DeviceParams(regions_x=8, regions_y=8, sectors_x=20, sectors_y=5,
+                       n_active_tips=64)
+    lay = RelLayoutRP(dev, RelationSchema(k=4, n=350))  # 6 rows, last of 30
+    rows = lay.counted_rows([5, 0, 7, 5, 7, 5])
+    assert rows == {1: range(1, 6), 3: range(1, 8), 4: range(1, 6),
+                    5: range(1, 8), 6: range(1, 6)}
+    assert rows[1] is rows[4] is rows[6] and rows[3] is rows[5]
+    # every set fits one layer, so the plan holds the rows' own objects;
+    # the emulator checks each of them once, however many bands use it
+    checked = Counter()
+
+    def counting(tips, n_tips):
+        checked[id(tips)] += 1
+        return check_tips(tips, n_tips)
+
+    check_tips = emulator._check_tips
+    monkeypatch.setattr(emulator, "_check_tips", counting)
+    plan = lay.compile(q((1, 2, 3, 4)), rows)
+    # scan 0 is the predicate band's
+    assert {id(t) for s in plan.scans[1:]
+            for t in [s.tips, *(s.per_row_tips or {}).values()]} == {
+                id(rows[1]), id(rows[3])}
+    Emulator(dev).execute(plan)
+    assert checked[id(rows[1])] == checked[id(rows[3])] == 1
+    assert set(checked.values()) == {1}
 
 
 # 40960 tuples on the reference device: 7 band rows, 2560 tuples in the last
@@ -346,6 +379,74 @@ def test_rp_compile_takes_the_rows_it_builds_at_their_limits():
                  lay.qualifying_rows([1, 6400, 6401, 40_960]),
                  {7: range(2560, 0, -1)}, {}):
         assert lay.compile(q([1, 2]), rows).scans
+
+
+# -- plans built once per run, against the per-unit builders --------------
+
+def _same_scans(plan, oracle):
+    """Scan by scan: equal fields, and tip sets of the same types."""
+    assert len(plan.scans) == len(oracle.scans)
+    for got, want in zip(plan.scans, oracle.scans):
+        assert ((got.start, got.length, got.tips, got.per_row_tips)
+                == (want.start, want.length, want.tips, want.per_row_tips))
+        assert type(got.tips) is type(want.tips)
+        assert ({r: type(t) for r, t in (got.per_row_tips or {}).items()}
+                == {r: type(t) for r, t in (want.per_row_tips or {}).items()})
+
+
+def _oracle_device(napt):
+    # 8x8 tips in columns of 5 rows: m = 16 tuples a sector row at k = 4
+    return DeviceParams(regions_x=8, regions_y=8, sectors_x=20, sectors_y=5,
+                        n_active_tips=napt)
+
+
+# contiguous widths from attribute 1, and two gapped projections
+_PROJECTIONS = ([(range(1, w + 1), 1) for w in range(1, 5)]
+                + [((2, 4), 4), ((1, 3), 3)])
+
+
+@pytest.mark.parametrize("n, attr_bits, napt, rows_used, n_last", [
+    (10, 64, 16, 1, 10),
+    (16, 128, 3, 1, 16),
+    (80, 64, 5, 5, 16),
+    (350, 128, 3, 22, 14),
+    (350, 64, 64, 22, 14),
+], ids=["one-short-row", "one-full-row-spv2", "last-row-full",
+        "ragged-spv2-layers", "ragged-one-layer"])
+def test_rsy_lead_run_matches_the_per_row_builder(n, attr_bits, napt,
+                                                  rows_used, n_last):
+    lay = RelLayoutRSY(_oracle_device(napt),
+                       RelationSchema(k=4, n=n, attr_bits=attr_bits))
+    assert (lay.rows_used, n - (lay.rows_used - 1) * lay.m) == (rows_used,
+                                                                n_last)
+    for projected, pred in _PROJECTIONS:
+        query = q(projected, pred=pred)
+        _same_scans(lay.compile(query), rsy_plan_per_row(lay, query))
+
+
+@pytest.mark.parametrize("napt", [3, 16])
+@pytest.mark.parametrize("attr_bits", [64, 128])
+@pytest.mark.parametrize("n, band_rows", [(350, 6), (384, 6), (50, 1)],
+                         ids=["ragged", "last-row-full", "one-row"])
+@pytest.mark.parametrize("sigma", [1e-4, 0.1, 0.5, 1.0])
+def test_rp_shifted_bands_match_the_per_band_builder(sigma, n, band_rows,
+                                                     attr_bits, napt):
+    # band rows of 64 tips; at 1e-4 one tuple qualifies, so all band rows
+    # but one are empty
+    dev = _oracle_device(napt)
+    lay = RelLayoutRP(dev, RelationSchema(k=4, n=n, attr_bits=attr_bits))
+    assert lay.band_rows == band_rows
+    rel = Relation(n, 0)
+    real = lay.qualifying_rows(rel.qualifying_set(sigma))
+    counted = lay.counted_rows(rel.qualifying_counts(sigma, dev.n_tips))
+    # one range object per row, as counted rows were before they shared
+    unshared = {r: range(1, len(t) + 1) for r, t in counted.items()}
+    assert len(real) == (1 if sigma == 1e-4 else band_rows)
+    for rows in (real, counted, unshared):
+        for projected, pred in _PROJECTIONS:
+            query = q(projected, sel=sigma, pred=pred)
+            _same_scans(lay.compile(query, rows),
+                        rp_plan_per_band(lay, query, rows))
 
 
 # -- analytic cost inputs -------------------------------------------------
@@ -382,7 +483,9 @@ def test_qualifying_rows_rejects_a_repeated_id(ids, repeated):
 
 @pytest.mark.parametrize("ids, bad", [
     ([2.5, 7], "2.5"), ([7, 3.0], "3.0"),
-    ([9, Fraction(7, 2), 4], "Fraction(7, 2)")])
+    ([9, Fraction(7, 2), 4], "Fraction(7, 2)"),
+    # a bool used to pass as tuple 1, and a str failed the sort unnamed
+    ([True, 5], "True"), ([1, "a"], "'a'"), ([None], "None")])
 def test_qualifying_rows_rejects_a_non_integer_id(ids, bad):
     # a float tip would pass the emulator's range check and read as zeros
     lay = RelLayoutRP(CMU, RelationSchema(k=2, n=50))

@@ -24,6 +24,7 @@ from memsrs.rs import (
     layer_tips,
     mems_to_rs,
     rs_scan,
+    shift_scans,
     rs_to_mems,
 )
 from memsrs.spatial import (QueryRegion, SpatialSpace, SSYLayout,
@@ -186,6 +187,32 @@ def test_rs_scan_other_set_overrides_every_row_of_its_unit():
     assert (scan.start, scan.length) == (5, 12)
     assert scan.per_row_tips == {8: (3,), 9: (3,), 10: (3,),
                                  14: (), 15: (), 16: ()}
+
+
+def test_rs_scan_lead_run_holds_the_first_set():
+    body, tail = (1, 2), (1,)
+    scan = rs_scan(5, 2, [body, tail], lead=3)
+    assert scan == rs_scan(5, 2, [body] * 3 + [tail])
+    assert scan == Scan(tips=(1, 2), start=5, length=8,
+                        per_row_tips={11: (1,), 12: (1,)})
+    # an equal last set overrides nothing, however long the lead run
+    assert rs_scan(1, 1, [body, (1, 2)], lead=500) == Scan(tips=(1, 2),
+                                                          start=1, length=501)
+
+
+def test_shift_scans_moves_every_row_and_shares_the_tip_sets():
+    default, override = (1, 2), (3,)
+    scans = [Scan(tips=default, start=5, length=4,
+                  per_row_tips={6: override, 8: ()}),
+             Scan(tips=(4,), start=9, length=1)]
+    moved = shift_scans(scans, 10)
+    assert moved == [Scan(tips=(1, 2), start=15, length=4,
+                          per_row_tips={16: (3,), 18: ()}),
+                     Scan(tips=(4,), start=19, length=1)]
+    assert moved[0].tips is default and moved[0].per_row_tips[16] is override
+    # the scans moved from are left as they were
+    assert scans[0].start == 5 and scans[0].per_row_tips == {6: (3,), 8: ()}
+    assert shift_scans([], 3) == []
 
 
 def test_layer_scans_unit_without_tips_in_a_layer_splits_its_run():
