@@ -37,17 +37,21 @@ sets are told apart by `id` at C speed, so rows and scans that share one
 set (the linear stores share one `range` per tip group, and counted band
 rows one `range` per count) add no check.
 `read` also checks once, before the sled moves, that the media image
-covers the emulator's geometry and holds sectors of its size; it then
-fetches each pass row's cells in one batch, and unwritten cells read as
-zeros.
+covers the emulator's geometry and holds sectors of its size.  The image
+keeps each written sector row as one list of cells indexed by region, so
+`read` takes a pass row's cells as one slice of that list when the
+row's layer is a step-1 `range`, and by one lookup per tip otherwise; a
+scan without overrides cuts its layer once per pass.  Unwritten cells,
+and unwritten rows, read as zeros.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice, repeat
-from operator import lt
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import chain, islice, repeat
+from operator import itemgetter, lt
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from .device import DeviceParams, check_integer, check_integers, named
 
@@ -114,8 +118,20 @@ class Timing:
     n_sectors: int
 
 
+def check_bytes_like(payloads: Sequence, name: Callable[[int], str]) -> None:
+    """Reject a payload that is not bytes, a bytearray or a memoryview,
+    naming the first one by `name(index)`; exact `bytes` pass at C speed."""
+    if {*map(type, payloads)} - {bytes}:
+        for i, data in enumerate(payloads):
+            if not isinstance(data, (bytes, bytearray, memoryview)):
+                raise ValueError(f"{name(i)} must be bytes, bytearray or "
+                                 f"memoryview, got {type(data).__name__}")
+
+
 class MediaImage:
-    """Sparse cell store; unwritten cells read back as zero bytes."""
+    """Cell store by sector row: each written row is one list of cells,
+    indexed by region (index 0 unused) and filled with one shared zero
+    cell, so unwritten cells, and rows, read back as zero bytes."""
 
     def __init__(self, params: DeviceParams):
         if params.sector_bits % 8 != 0:
@@ -124,20 +140,46 @@ class MediaImage:
         self.sector_bytes = params.sector_bits // 8
         self.n_regions = params.n_regions
         self.sectors_per_region = params.sectors_per_region
-        self._cells: Dict[Tuple[int, int], bytes] = {}
+        # the row every unwritten row reads as, and each written row's start
+        self._zero_row = [bytes(self.sector_bytes)] * (self.n_regions + 1)
+        self._cells: Dict[int, List[bytes]] = {}
 
     def write_cell(self, region: int, s: int, data: bytes) -> None:
-        # the exact type, inline: a written cell costs no extra call
-        if type(region) is not int or type(s) is not int:
-            check_integer("region", region)
-            check_integer("row", s)
-        if not 1 <= region <= self.n_regions:
-            raise ValueError(f"region {region} out of range 1..{self.n_regions}")
-        if not 1 <= s <= self.sectors_per_region:
-            raise ValueError(f"row {s} out of range 1..{self.sectors_per_region}")
-        if len(data) != self.sector_bytes:
+        self.write_cells((region,), (s,), (data,))
+
+    def write_cells(self, regions: Sequence[int], rows: Sequence[int],
+                    cells: Sequence[bytes]) -> None:
+        """Store `cells[i]` at (`regions[i]`, `rows[i]`) for every i.  The
+        whole batch is checked first, so a bad cell stores nothing."""
+        if not len(regions) == len(rows) == len(cells):
+            raise ValueError(f"{len(regions)} regions, {len(rows)} rows and "
+                             f"{len(cells)} cells do not pair up")
+        if not cells:
+            return
+        # exact ints pass at C speed; the first cell with another type fails
+        if {*map(type, regions)} | {*map(type, rows)} != {int}:
+            for region, s in zip(regions, rows):
+                check_integer("region", region)
+                check_integer("row", s)
+        low, high = min(regions), max(regions)
+        if low < 1 or high > self.n_regions:
+            raise ValueError(f"region {low if low < 1 else high} out of range "
+                             f"1..{self.n_regions}")
+        low, high = min(rows), max(rows)
+        if low < 1 or high > self.sectors_per_region:
+            raise ValueError(f"row {low if low < 1 else high} out of range "
+                             f"1..{self.sectors_per_region}")
+        if {*map(type, cells)} != {bytes}:
+            check_bytes_like(cells, lambda i: "cell payload")
+            cells = list(map(bytes, cells))
+        if {*map(len, cells)} != {self.sector_bytes}:
             raise ValueError(f"cell payload must be {self.sector_bytes} bytes")
-        self._cells[(region, s)] = bytes(data)
+        store, zero_row = self._cells, self._zero_row
+        for region, s, data in zip(regions, rows, cells):
+            row = store.get(s)
+            if row is None:
+                row = store[s] = zero_row.copy()
+            row[region] = data
 
 
 class SortedTips(tuple):
@@ -180,6 +222,18 @@ def _check_tips(tips: Sequence[int], n_tips: int) -> None:
             if tip in seen:
                 raise ValueError(f"tip {tip} listed twice")
             seen.add(tip)
+
+
+def _layer_reader(
+        layer: Sequence[int]) -> Callable[[List[bytes]], Iterable[bytes]]:
+    """From a stored sector row, the cells of the tips in `layer`: one
+    slice for a step-1 `range`, else one lookup per tip, in C when the
+    layer has two tips or more (an `itemgetter` of one returns no tuple)."""
+    if type(layer) is range and layer.step == 1:
+        return itemgetter(slice(layer.start, layer.stop))
+    if len(layer) > 1:
+        return itemgetter(*layer)
+    return lambda row: map(row.__getitem__, layer)
 
 
 def _transition_cost(state: SledState, tcol: int, trow: int, first_dir: int,
@@ -285,7 +339,7 @@ class Emulator:
                 raise ValueError(
                     f"media image of {media.sector_bytes * 8}-bit sectors does "
                     f"not match the emulator's {p.sector_bits}-bit sectors")
-            get, zero = media._cells.get, bytes(media.sector_bytes)
+            get, zero_row = media._cells.get, media._zero_row
         napt = p.n_active_tips
         sy = p.sectors_y
         seek_s = 0.0
@@ -351,9 +405,15 @@ class Emulator:
                 if media is not None:
                     rows = (range(lo_n, hi_n + 1) if dirn > 0
                             else range(hi_n, lo_n - 1, -1))
-                    for s in rows:
-                        row_tips = prt.get(s, tips)[base:base + napt]
-                        out += map(get, zip(row_tips, repeat(s)), repeat(zero))
+                    if prt:
+                        for s in rows:
+                            layer = prt.get(s, tips)[base:base + napt]
+                            out += _layer_reader(layer)(get(s, zero_row))
+                    else:
+                        # one layer for every row of the pass
+                        out += chain.from_iterable(map(
+                            _layer_reader(tips[base:base + napt]),
+                            map(get, rows, repeat(zero_row))))
                 last_dir = -last_dir if far == pos else dirn
                 pos = far
                 base += napt

@@ -12,12 +12,13 @@ advances land in the adjacent position (settle only).
 
 from __future__ import annotations
 
-from itertools import groupby
+from itertools import groupby, product, repeat
 from typing import Callable, List, Tuple
 
 from .device import DeviceParams, check_integer
 from .emulator import AccessPlan, MediaImage, Scan
 from .relational import RangeQuery, RelationSchema, _check_query
+from .rs import value_cells
 
 
 class LinearMap:
@@ -118,20 +119,25 @@ class _PackedLayout:
 
     def write_image(self, image: MediaImage,
                     value_bytes: Callable[[int, int], bytes]) -> None:
-        """Store `value_bytes(t, w)` in `spv` adjacent tips of its block row."""
-        sch, spv, step = self.schema, self.spv, image.sector_bytes
-        for w in range(1, sch.k + 1):
-            g, a = divmod(w - 1, self.width)
-            for t in range(1, sch.n + 1):
-                payload = value_bytes(t, w)
-                if len(payload) != spv * step:
-                    raise ValueError(f"value payload must be {spv * step} "
-                                     f"bytes, got {len(payload)}")
-                b, i = divmod(t - 1, self.records_per_block)
+        """Store `value_bytes(t, w)` in `spv` adjacent tips of its block
+        row, the whole image as one checked batch."""
+        sch, spv, width = self.schema, self.spv, self.width
+        per_block = self.records_per_block
+        keys: List[Tuple[int, int]] = []
+        regions: List[int] = []
+        rows: List[int] = []
+        for g in range(sch.k // width):
+            attrs = range(g * width + 1, (g + 1) * width + 1)
+            for b in range(self.sub_blocks):
                 tip0, s = self.linear.block_cells(g * self.sub_blocks + b + 1)
-                tip = tip0 + (i * self.width + a) * spv
-                for d in range(spv):
-                    image.write_cell(tip + d, s, payload[d * step:(d + 1) * step])
+                first = b * per_block + 1
+                count = min(per_block, sch.n - first + 1)
+                # from tip0 on: each record's attributes, each value's sectors
+                keys += product(range(first, first + count), attrs)
+                regions += range(tip0, tip0 + count * width * spv)
+                rows += repeat(s, count * width * spv)
+        cells = value_cells(value_bytes, keys, spv, image.sector_bytes)
+        image.write_cells(regions, rows, cells)
 
 
 class NsmLayout(_PackedLayout):

@@ -161,9 +161,8 @@ class RelLayoutRP:
 
     def map(self, v: int, w: int) -> RSAddr:
         _check_vw(v, w, self.schema)
-        vrow = (v - 1) // self.params.n_tips
-        return RSAddr((v - 1) % self.params.n_tips + 1,
-                      self.band_start(w) + vrow * self.spv)
+        vrow, tip = divmod(v - 1, self.params.n_tips)
+        return RSAddr(tip + 1, self.band_start(w) + vrow * self.spv)
 
     def _row_count(self, band_row: int) -> int:
         if band_row < self.band_rows:

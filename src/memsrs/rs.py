@@ -21,12 +21,13 @@ it down that region's sector axis (`write_values`).
 
 from __future__ import annotations
 
-from itertools import groupby, repeat
+from itertools import groupby, product, repeat, starmap
 from operator import add
 from typing import Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .device import DeviceParams, check_integer
-from .emulator import MediaImage, Scan, SortedTips, _col_row, _lin
+from .emulator import (MediaImage, Scan, SortedTips, _col_row, _lin,
+                       check_bytes_like)
 
 
 class RSAddr(NamedTuple):
@@ -155,20 +156,36 @@ def layer_scans(start: int, unit_rows: int,
             for first, run in layer_runs(unit_tips, p.n_active_tips)]
 
 
+def value_cells(value_fn: Callable[[int, int], bytes], keys: Sequence[tuple],
+                spv: int, sector_bytes: int) -> List[bytes]:
+    """`value_fn(*key)` for every key, each checked to be bytes-like and
+    `spv` sectors long, cut into its sectors in order; a bad payload is
+    named by its key."""
+    payloads = list(starmap(value_fn, keys))
+    name = lambda i: f"payload of {keys[i]}"
+    check_bytes_like(payloads, name)
+    size = spv * sector_bytes
+    if {*map(len, payloads)} - {size}:
+        i = next(i for i, data in enumerate(payloads) if len(data) != size)
+        raise ValueError(f"{name(i)} must be {size} bytes, "
+                         f"got {len(payloads[i])}")
+    if spv == 1:
+        return payloads
+    return [data[d * sector_bytes:(d + 1) * sector_bytes]
+            for data in payloads for d in range(spv)]
+
+
 def write_values(image: MediaImage, mapper: Callable[[int, int], RSAddr],
                  n_a: int, n_b: int, spv: int,
                  value_fn: Callable[[int, int], bytes]) -> None:
     """Store `value_fn(a, b)` for every a in 1..n_a and b in 1..n_b as
-    `spv` whole sectors, from `mapper(a, b)` on along the sector axis."""
-    cell = image.sector_bytes
-    size = spv * cell
-    for a in range(1, n_a + 1):
-        for b in range(1, n_b + 1):
-            payload = value_fn(a, b)
-            if len(payload) != size:
-                raise ValueError(f"payload of ({a}, {b}) must be {size} "
-                                 f"bytes, got {len(payload)}")
-            region, sector = mapper(a, b)
-            for i in range(spv):
-                image.write_cell(region, sector + i,
-                                 payload[i * cell:(i + 1) * cell])
+    `spv` whole sectors, from `mapper(a, b)` on along the sector axis.
+    The whole image is checked and written as one batch, so a bad
+    payload leaves the image as it was."""
+    keys = list(product(range(1, n_a + 1), range(1, n_b + 1)))
+    cells = value_cells(value_fn, keys, spv, image.sector_bytes)
+    regions, sectors = zip(*starmap(mapper, keys))
+    if spv > 1:
+        regions = [r for r in regions for _ in range(spv)]
+        sectors = [s + d for s in sectors for d in range(spv)]
+    image.write_cells(regions, sectors, cells)

@@ -83,8 +83,8 @@ class SSYLayout:
 
     def map(self, x: int, y: int) -> RSAddr:
         self.space.check(x, y)
-        comp = (x - 1) // self.params.n_tips
-        return RSAddr((x - 1) % self.params.n_tips + 1,
+        comp, tip = divmod(x - 1, self.params.n_tips)
+        return RSAddr(tip + 1,
                       comp * self.component_rows + (y - 1) * self.spo + 1)
 
     def compile(self, qr: QueryRegion) -> AccessPlan:

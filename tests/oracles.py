@@ -13,11 +13,14 @@ for `lba_to_plan`'s column and group stepping.
 The per-row and per-band plans build the relational plans one unit per
 tuple row and one `rs_scan` per attribute band, oracles for the lead run
 of `RelLayoutRSY.compile` and the shifted band scans of
-`RelLayoutRP.compile`."""
+`RelLayoutRP.compile`.
+The dict reader looks up every cell a plan reads, one (tip, row) at a
+time, in a plain dict of what was written, an oracle for the cells
+`Emulator.read` takes from the image's sector rows pass by pass."""
 
 import random
 from itertools import compress
-from typing import List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from memsrs.device import DeviceParams
 from memsrs.emulator import AccessPlan, SortedTips
@@ -80,6 +83,16 @@ def ssy_map_phys(lay: SSYLayout, x: int, y: int) -> PhysAddr:
     col, off = divmod(s0, p.sectors_y)
     return PhysAddr(tip % p.regions_x + 1, tip // p.regions_x + 1, col + 1,
                     off + 1 if col % 2 == 0 else p.sectors_y - off)
+
+
+def dict_read_cells(plan: AccessPlan, written: Dict[Tuple[int, int], bytes],
+                    zero: bytes) -> List[bytes]:
+    """Every cell the plan reads, in scan and row order: each row's whole
+    set, its override or the scan's default, looked up by (tip, row) in
+    `written`, with `zero` for a cell never written."""
+    return [written.get((tip, s), zero) for scan in plan.scans
+            for s in range(scan.start, scan.start + scan.length)
+            for tip in (scan.per_row_tips or {}).get(s, scan.tips)]
 
 
 def _block_cell(p: DeviceParams, block: int, offset: int) -> Tuple[int, int]:

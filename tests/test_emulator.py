@@ -26,6 +26,7 @@ from memsrs.emulator import (
     plan_from_text,
     plan_to_text,
 )
+from tests.oracles import dict_read_cells
 
 CMU = cmu_defaults()
 SECTOR = 64 / 0.7e6
@@ -533,6 +534,65 @@ def test_read_returns_each_wanted_cell_exactly_once(plan, col, row, y_dir):
 
 
 
+@st.composite
+def _tip_sets(draw, n_tips):
+    """A tip set of 1..n_tips: a `range` of step 1, 2 or -1, a
+    `SortedTips`, a plain tuple in any order, or ()."""
+    lo = draw(st.integers(1, n_tips))
+    hi = draw(st.integers(lo - 1, n_tips))
+    tips = draw(st.lists(st.integers(1, n_tips), unique=True,
+                         max_size=n_tips))
+    return draw(st.sampled_from((range(lo, hi + 1), range(lo, hi + 1, 2),
+                                 range(hi, lo - 1, -1),
+                                 SortedTips(sorted(tips)), tuple(tips), ())))
+
+
+@st.composite
+def _read_cases(draw):
+    """A reduced device, an image that covers it and may be larger, some
+    of the image's cells written (whole rows left out), and a plan."""
+    rx, ry = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    p = DeviceParams(regions_x=rx, regions_y=ry,
+                     sectors_x=draw(st.integers(1, 3)),
+                     sectors_y=draw(st.integers(1, 3)),
+                     n_active_tips=draw(st.integers(1, rx * ry)))
+    image = MediaImage(replace(p, regions_x=rx + draw(st.integers(0, 2)),
+                               sectors_x=p.sectors_x + draw(st.integers(0, 2))))
+    # cells of some rows only, so whole rows stay unwritten
+    rows = draw(st.lists(st.integers(1, image.sectors_per_region), unique=True))
+    keys = draw(st.sets(st.tuples(st.integers(1, image.n_regions),
+                                  st.sampled_from(rows)))) if rows else ()
+    written = {key: struct.pack(">II", *key) for key in keys}
+    spr, tip_sets = p.sectors_per_region, _tip_sets(p.n_tips)
+    scans = []
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(1, spr))
+        length = draw(st.integers(1, spr - start + 1))
+        overrides = st.dictionaries(st.integers(start, start + length - 1),
+                                    tip_sets, max_size=length)
+        scans.append(Scan(tips=draw(tip_sets), start=start, length=length,
+                          per_row_tips=draw(st.none() | overrides)))
+    return p, image, written, AccessPlan(scans)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_read_cases(), sled=st.tuples(st.integers(1, 3), st.integers(1, 3),
+                                          st.sampled_from((1, -1))))
+def test_read_takes_the_cells_a_plain_dict_lookup_gives(case, sled):
+    # a second route: each row's cells looked up one (tip, row) at a time
+    p, image, written, plan = case
+    image.write_cells([r for r, _ in written], [s for _, s in written],
+                      list(written.values()))
+    col, row, y_dir = min(sled[0], p.sectors_x), min(sled[1], p.sectors_y), sled[2]
+    ex, rd = Emulator(p), Emulator(p)
+    ex.state, rd.state = SledState(col, row, y_dir), SledState(col, row, y_dir)
+    t, data = rd.read(plan, image)
+    assert t == ex.execute(plan)
+    assert rd.state == ex.state
+    got = Counter(data[i:i + 8] for i in range(0, len(data), 8))
+    assert got == Counter(dict_read_cells(plan, written, bytes(8)))
+
+
 def _fresh(tips):
     """An equal tip set of the same type that is another object (but for
     the empty tuple, of which there is one)."""
@@ -645,6 +705,34 @@ def test_write_cell_rejects_a_non_integer_region_or_row(region, row, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         im.write_cell(region, row, bytes(8))
     assert im._cells == {}
+
+
+@pytest.mark.parametrize("data, kind", [("abcdefgh", "str"), (12345678, "int"),
+                                        (None, "NoneType"), ([0] * 8, "list")],
+                         ids=["str", "int", "none", "list"])
+def test_write_cell_rejects_a_payload_that_is_not_bytes_like(data, kind):
+    im = MediaImage(TINY)
+    with pytest.raises(ValueError, match=f"^cell payload must be bytes, "
+                                         f"bytearray or memoryview, got {kind}$"):
+        im.write_cell(1, 1, data)
+    assert im._cells == {}
+
+
+def test_write_cells_checks_the_whole_batch_before_storing():
+    im = MediaImage(TINY)
+    with pytest.raises(ValueError, match=r"^row 13 out of range 1\.\.12$"):
+        im.write_cells([1, 2, 3], [1, 13, 2], [bytes(8)] * 3)
+    with pytest.raises(ValueError, match=r"^cell payload must be 8 bytes$"):
+        im.write_cells([1, 2], [1, 1], [bytes(8), bytes(9)])
+    with pytest.raises(ValueError, match=r"^2 regions, 2 rows and 1 cells "
+                                         r"do not pair up$"):
+        im.write_cells([1, 2], [1, 1], [bytes(8)])
+    assert im._cells == {}
+    # a bytearray or memoryview is stored as bytes; a later write replaces
+    im.write_cells([2, 2], [5, 5], [bytearray(b"a" * 8), memoryview(b"b" * 8)])
+    _, data = Emulator(TINY).read(AccessPlan([Scan(tips=(1, 2), start=5,
+                                                   length=1)]), im)
+    assert data == bytes(8) + b"b" * 8
 
 
 def test_read_rejects_an_image_of_another_sector_size_before_the_sled_moves():

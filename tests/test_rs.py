@@ -468,7 +468,10 @@ def test_row_and_column_stores_write_the_straight_line_cells(geometry):
                 for d, c in enumerate(_cells((v, w), spv)):
                     want[tip + d, s] = c
         assert len(want) == n * k * spv  # the oracle gives every sector a cell
-        assert image._cells == want
+        # the image's rows hold every expected cell and no other non-zero one
+        got = {(tip, s): c for s, row in image._cells.items()
+               for tip, c in enumerate(row) if c != bytes(10)}
+        assert got == want
     # the row store reads every block whatever the query projects
     nsm = NsmLayout(p, schema)
     for mask in range(1, 2 ** k):
@@ -502,3 +505,54 @@ def test_writer_rejects_payload_of_wrong_length(case, size):
     write, layout = cases[case]
     with pytest.raises(ValueError, match=f"must be 16 bytes, got {size}"):
         write(layout, MediaImage(p), lambda a, b: bytes(size))
+
+
+_WRITERS = ["rsy", "rp", "nsm", "dsm", "ssy", "sp"]
+
+
+def _last_value(layout):
+    """The (tuple, attribute) or (x, y) every writer stores last."""
+    if hasattr(layout, "schema"):
+        return layout.schema.n, layout.schema.k
+    return layout.space.width, layout.space.height
+
+
+@pytest.mark.parametrize("case", range(6), ids=_WRITERS)
+def test_writer_with_a_bad_last_payload_leaves_the_image_empty(case):
+    # the image is one checked batch: no earlier value is stored either
+    p, cases = _writer_cases()
+    write, layout = cases[case]
+    last = _last_value(layout)
+    image = MediaImage(p)
+    with pytest.raises(ValueError, match=rf"^payload of \({last[0]}, "
+                                         rf"{last[1]}\) must be 16 bytes, got 7$"):
+        write(layout, image, lambda a, b: bytes(7 if (a, b) == last else 16))
+    assert image._cells == {}
+
+
+@pytest.mark.parametrize("payload, kind", [("x" * 16, "str"), (12345678, "int"),
+                                           ([0] * 16, "list")],
+                         ids=["str", "int", "list"])
+@pytest.mark.parametrize("case", range(6), ids=_WRITERS)
+def test_writer_rejects_a_payload_that_is_not_bytes_like(case, payload, kind):
+    p, cases = _writer_cases()
+    write, layout = cases[case]
+    last = _last_value(layout)
+    image = MediaImage(p)
+    with pytest.raises(ValueError, match=rf"^payload of \({last[0]}, {last[1]}\) "
+                                         rf"must be bytes, bytearray or "
+                                         rf"memoryview, got {kind}$"):
+        write(layout, image, lambda a, b: payload if (a, b) == last else bytes(16))
+    assert image._cells == {}
+
+
+@pytest.mark.parametrize("case", range(6), ids=_WRITERS)
+def test_writer_stores_a_bytearray_or_memoryview_payload_as_bytes(case):
+    p, cases = _writer_cases()
+    write, layout = cases[case]
+    by_bytes, by_view = MediaImage(p), MediaImage(p)
+    value = lambda a, b: struct.pack(">IIQ", a, b, 7)
+    write(layout, by_bytes, value)
+    write(layout, by_view, lambda a, b: memoryview(bytearray(value(a, b))))
+    assert by_view._cells == by_bytes._cells
+    assert {type(c) for row in by_view._cells.values() for c in row} == {bytes}
