@@ -39,7 +39,7 @@ from .emulator import Emulator
 from .linear import DsmLayout, NsmLayout, compile_dsm, compile_nsm
 from .relational import (RangeQuery, RelationSchema, RelLayoutRP, RelLayoutRSY,
                          check_selectivity, exact_ceil)
-from .spatial import (CURVES, BlockGrid, SpatialSpace, SSYLayout, _block_shape,
+from .spatial import (CURVES, BlockGrid, SpatialSpace, SSYLayout, _grid_shape,
                       build_block_grid, compile_sp, query_block_set)
 from .workload import Relation, gen_query_region
 
@@ -334,8 +334,9 @@ def _spatial_point(params: DeviceParams, pt: tuple, name: str,
                    curve: str) -> tuple:
     """Each seed's query at `pt` = (frac, aspect), with the block grid
     built under (BlockGrid, its block shape) and the stripe layout under
-    SSYLayout.  A point that cannot be run, or whose size fraction or
-    aspect is not a real number, fails naming the point."""
+    SSYLayout; with no seeds the grid is checked, not built.  A point
+    that cannot be run, or whose size fraction or aspect is not a real
+    number, fails naming the point."""
     frac, aspect = pt
     with named(name):
         check_real("query size fraction", frac)
@@ -357,10 +358,14 @@ def _spatial_point(params: DeviceParams, pt: tuple, name: str,
     layouts = {}
     with named(name):
         if BlockGrid in classes:
-            # each point's aspect picks a block shape; one grid per shape
-            layouts[BlockGrid] = build(
-                (BlockGrid, _block_shape(params, aspect)),
-                lambda: build_block_grid(params, _SPACE, aspect, curve))
+            # the grid's checks, without the curve walk; each point's
+            # aspect picks a block shape, and one grid per shape is built
+            # only for a run with seeds, since no other run makes a row
+            shape = _grid_shape(params, _SPACE, aspect, curve)[:2]
+            if seeds:
+                layouts[BlockGrid] = build(
+                    (BlockGrid, shape),
+                    lambda: build_block_grid(params, _SPACE, aspect, curve))
         if SSYLayout in classes:
             layouts[SSYLayout] = build(SSYLayout,
                                        lambda: SSYLayout(params, _SPACE))

@@ -12,12 +12,11 @@ Two layouts for a uniformly gridded object space:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cost import CostInput
-from .device import DeviceParams, check_integer
+from .device import DeviceParams, check_integer, check_real
 from .emulator import AccessPlan, MediaImage, SortedTips
 from .rs import RSAddr, layer_cuts, layer_scans, rs_scan, write_values
 
@@ -154,13 +153,16 @@ CURVES = tuple(_CURVES)
 @dataclass(frozen=True)
 class BlockGrid:
     """B_x x B_y blocks of one object per region, row-major within a block;
-    `rank` gives each block (gx, gy) its 1-based position on the curve."""
+    `rank` gives each block (gx, gy) its 1-based position on the curve,
+    and `tips` is the block's tips 1..B_x*B_y, the one tuple every partial
+    clip's `SortedTips` is joined from."""
     params: DeviceParams
     space: SpatialSpace
     B_x: int
     B_y: int
     spo: int
     rank: Dict[Tuple[int, int], int]
+    tips: Tuple[int, ...] = field(repr=False, compare=False)
 
     def map(self, x: int, y: int) -> RSAddr:
         self.space.check(x, y)
@@ -201,6 +203,7 @@ def _block_shape(params: DeviceParams, ratio: float) -> Tuple[int, int]:
     Candidate dimensions are the factor pairs of the region count whose own
     ratio is a power of two, so the curve runs on a power-of-two grid.
     """
+    check_real("aspect ratio", ratio)
     if not 0 < ratio < math.inf:
         raise ValueError(f"aspect ratio must be positive and finite, got {ratio}")
     n_r = params.n_regions
@@ -213,11 +216,13 @@ def _block_shape(params: DeviceParams, ratio: float) -> Tuple[int, int]:
                                      -p[0]))
 
 
-def build_block_grid(params: DeviceParams, space: SpatialSpace, ratio: float,
-                     curve: str = "hilbert") -> BlockGrid:
-    """Tile the space in the `_block_shape` of `ratio` and order the blocks
-    along `curve`; aspects of one shape give the same grid."""
-    if curve not in _CURVES:
+def _grid_shape(params: DeviceParams, space: SpatialSpace, ratio: float,
+                curve: str) -> Tuple[int, int, int]:
+    """The block shape (B_x, B_y) and sectors per object of the grid that
+    `build_block_grid` would build, after all of its checks and without
+    walking the curve: the curve, the shape of `ratio`, the tiling and
+    the fit, in that order."""
+    if not isinstance(curve, str) or curve not in _CURVES:
         raise ValueError(f"unknown curve: {curve!r}")
     b_x, b_y = _block_shape(params, ratio)
     if space.width % b_x or space.height % b_y:
@@ -227,6 +232,15 @@ def build_block_grid(params: DeviceParams, space: SpatialSpace, ratio: float,
     spo = -(-space.obj_bits // params.sector_bits)
     if g_x * g_y * spo > params.sectors_per_region:
         raise ValueError("space does not fit the device under this layout")
+    return b_x, b_y, spo
+
+
+def build_block_grid(params: DeviceParams, space: SpatialSpace, ratio: float,
+                     curve: str = "hilbert") -> BlockGrid:
+    """Tile the space in the `_block_shape` of `ratio` and order the blocks
+    along `curve`; aspects of one shape give the same grid."""
+    b_x, b_y, spo = _grid_shape(params, space, ratio, curve)
+    g_x, g_y = space.width // b_x, space.height // b_y
     # blocks in curve order: one walk over the smallest power-of-two square
     # holding the grid skips sub-squares outside it and emits each tile
     kids, tiles = _CURVES[curve]
@@ -244,8 +258,11 @@ def build_block_grid(params: DeviceParams, space: SpatialSpace, ratio: float,
         n //= 2
         stack += [(x0 + x * n, y0 + y * n, n, t) for x, y, t in kids[o]
                   if x0 + x * n <= g_x and y0 + y * n <= g_y]
+    # the ranks 1..blocks and the tips 1..B_x*B_y both count from 1, so
+    # one tuple gives both their int objects
+    numbers = tuple(range(1, max(len(order), b_x * b_y) + 1))
     return BlockGrid(params=params, space=space, B_x=b_x, B_y=b_y, spo=spo,
-                     rank={cell: i for i, cell in enumerate(order, 1)})
+                     rank=dict(zip(order, numbers)), tips=numbers[:b_x * b_y])
 
 
 def _spans(lo: int, hi: int, size: int) -> List[Tuple[int, int, int]]:
@@ -273,15 +290,19 @@ def query_block_set(grid: BlockGrid, qr: QueryRegion
 def _clip_tips(grid: BlockGrid, clip: Tuple[int, int, int, int]) -> Sequence[int]:
     """Tips of a block clip, row-major.  A clip whose tips run on without
     a break (one local row, or whole block rows such as the full block)
-    is a `range`; any other clip is a `SortedTips` of its rows' ranges,
-    not walked again, since 1 <= la <= lb <= B_x makes its ints ascend."""
+    is a `range`; any other clip is a `SortedTips` joined from one slice
+    of `grid.tips` per row, so no tip is made or walked here and every
+    clip of the grid shares the block's int objects.  1 <= la <= lb <= B_x
+    makes the joined tips ascend, so `prechecked` is safe."""
     la, lb, ya, yb = clip
     b_x = grid.B_x
     if ya == yb or (la == 1 and lb == b_x):
         return range((ya - 1) * b_x + la, (yb - 1) * b_x + lb + 1)
-    return SortedTips.prechecked(chain.from_iterable(
-        range(base + la, base + lb + 1)
-        for base in range((ya - 1) * b_x, yb * b_x, b_x)))
+    cells, width = grid.tips, lb - la + 1
+    out: List[int] = []
+    for start in range((ya - 1) * b_x + la - 1, (yb - 1) * b_x + la, b_x):
+        out += cells[start:start + width]
+    return SortedTips.prechecked(out)
 
 
 def compile_sp(grid: BlockGrid, qr: QueryRegion) -> AccessPlan:

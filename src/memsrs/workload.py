@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import accumulate, compress
 from typing import Tuple
 
-from .device import check_integer
+from .device import check_integer, check_real
 from .relational import check_selectivity, exact_ceil
 from .spatial import QueryRegion, SpatialSpace
 
@@ -119,6 +119,7 @@ def gen_query_region(space: SpatialSpace, size_fraction: float, aspect: float,
     """Rectangle of the given area fraction and width:height ratio at a
     uniformly random in-bounds origin."""
     for name, value in (("size fraction", size_fraction), ("aspect", aspect)):
+        check_real(f"query {name}", value)
         if not 0 < value < math.inf:
             raise ValueError(f"query {name} must be positive and finite, got {value}")
     area = size_fraction * space.width * space.height

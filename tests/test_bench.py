@@ -535,6 +535,19 @@ def test_spatial_grid_error_names_the_point():
     assert isinstance(info.value.__cause__, ValueError)
 
 
+def test_spatial_grid_is_checked_without_seeds_and_not_built(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(bench, "build_block_grid", no_build)
+    assert run_experiment4(aspects=(1, 16), seeds=()) == []
+    with pytest.raises(ValueError, match=(
+            r"^experiment 4, query_frac=0\.01, aspect=1: 48x48 blocks do not "
+            r"tile the 6400x6400 space$")):
+        run_experiment4(DeviceParams(regions_x=48, regions_y=48), aspects=(1,),
+                        seeds=())
+
+
 def test_infeasible_spatial_point_is_named():
     with pytest.raises(ValueError, match=r"experiment 4, query_frac=0\.1, "
                        r"aspect=0\.0625, seed=0: query shape 506x8095") as info:

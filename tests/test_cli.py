@@ -267,6 +267,22 @@ def test_bench_spatial_checks_both_sweeps_before_either_runs(monkeypatch,
                    "query shape 202386x2 does not fit the space\n")
 
 
+def test_bench_spatial_builds_each_block_grid_once(monkeypatch, capsys):
+    # exp3's one grid and exp4's five block shapes; the check pass before
+    # the runs builds none
+    built = []
+    build = bench.build_block_grid
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "build_block_grid", counted)
+    code, out, err = run_cli(["bench", "spatial", "--repeats", "1"], capsys)
+    assert (code, err) == (0, "")
+    assert len(built) == 6
+
+
 @pytest.mark.parametrize("command, flag", [("relational", "--nproj"),
                                            ("spatial", "--aspects")])
 def test_bench_errors_come_config_then_repeats_then_lists(command, flag,

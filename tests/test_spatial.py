@@ -37,6 +37,10 @@ CMU = cmu_defaults()
 TINY = DeviceParams(regions_x=3, regions_y=3, sectors_x=4, sectors_y=3,
                     n_active_tips=4)
 SPACE = SpatialSpace(width=6400, height=6400, obj_bits=64)
+# 16 regions: every block shape from 1x16 to 16x1 tiles a 16x16 space
+SIXTEEN = DeviceParams(regions_x=4, regions_y=4, sectors_x=8, sectors_y=4,
+                       n_active_tips=4)
+SPACE16 = SpatialSpace(width=16, height=16, obj_bits=64)
 
 
 def region(x0, y0, qx, qy):
@@ -320,6 +324,34 @@ def test_block_grid_rejections():
 def test_block_grid_rejects_non_positive_or_non_finite_ratio(ratio):
     with pytest.raises(ValueError, match="aspect ratio must be positive and finite"):
         build_block_grid(CMU, SPACE, ratio=ratio)
+
+
+@pytest.mark.parametrize("ratio, message", [
+    (True, "aspect ratio must be a real number, got True"),
+    ("1", "aspect ratio must be a real number, got '1'"),
+    (None, "aspect ratio must be a real number, got None"),
+    ((1, 1), "aspect ratio must be a real number, got (1, 1)"),
+], ids=["bool", "str", "none", "tuple"])
+def test_block_grid_rejects_a_ratio_that_is_not_a_real_number(ratio, message):
+    # True once built a 1:1 grid, and a str failed on a bare compare
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_block_grid(CMU, SPACE, ratio)
+
+
+@pytest.mark.parametrize("curve", [["hilbert"], ("hilbert",), b"hilbert", None,
+                                   2], ids=["list", "tuple", "bytes", "none",
+                                            "int"])
+def test_block_grid_rejects_a_curve_that_is_not_a_str(curve):
+    # a list once failed unhashed, with a bare TypeError
+    message = f"unknown curve: {curve!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_block_grid(CMU, SPACE, 1.0, curve=curve)
+
+
+@pytest.mark.parametrize("ratio", [1, 4, 16])
+def test_block_grid_takes_int_and_float_ratios_alike(ratio):
+    assert (build_block_grid(SIXTEEN, SPACE16, ratio)
+            == build_block_grid(SIXTEEN, SPACE16, float(ratio)))
 
 
 @pytest.mark.parametrize("rx, ry", [(1, 3), (3, 2), (3, 4)])
@@ -663,6 +695,43 @@ def test_k_values_sp_matches_per_cell_count(geo, data):
             want = CostInput(bits=cells * grid.space.obj_bits,
                              k_parallel=cells / steps, k_random=len(per_block))
         assert grid.k_values(qr) == want
+
+
+@pytest.mark.parametrize("ratio, shape", [(1, (4, 4)), (4, (8, 2)),
+                                          (1 / 4, (2, 8)), (16, (16, 1))])
+def test_every_clip_tip_set_is_its_row_major_walk(ratio, shape):
+    # every clip of a reduced block: a range where its tips run on without
+    # a break, else a SortedTips that the checking constructor accepts
+    grid = build_block_grid(SIXTEEN, SPACE16, ratio)
+    b_x, b_y = shape
+    assert (grid.B_x, grid.B_y) == shape
+    for la in range(1, b_x + 1):
+        for lb in range(la, b_x + 1):
+            for ya in range(1, b_y + 1):
+                for yb in range(ya, b_y + 1):
+                    tips = spatial._clip_tips(grid, (la, lb, ya, yb))
+                    assert list(tips) == [(y - 1) * b_x + x
+                                          for y in range(ya, yb + 1)
+                                          for x in range(la, lb + 1)]
+                    if ya == yb or (la, lb) == (1, b_x):
+                        assert type(tips) is range
+                    else:
+                        assert type(tips) is SortedTips
+                        assert SortedTips(tuple(tips)) == tips
+
+
+def test_partial_clips_share_the_blocks_tip_objects():
+    # ints above 256 are not cached by the interpreter, so one object for
+    # a tip in two clips shows both were cut from the grid's one tuple
+    grid = build_block_grid(CMU, SPACE, ratio=1.0)
+    first = spatial._clip_tips(grid, (50, 70, 2, 6))
+    second = spatial._clip_tips(grid, (55, 79, 3, 8))
+    assert type(first) is type(second) is SortedTips
+    held = {tip: tip for tip in first}
+    shared = [tip for tip in second if tip > 256 and tip in held]
+    # both hold local rows 4..6 (tips 241..480) at columns 55..70
+    assert len(shared) == 3 * 16
+    assert all(held[tip] is tip for tip in shared)
 
 
 def test_compile_sp_builds_each_clip_tip_set_once():

@@ -10,7 +10,7 @@ from itertools import accumulate, combinations
 import pytest
 
 from memsrs.relational import exact_ceil
-from memsrs.spatial import SpatialSpace
+from memsrs.spatial import QueryRegion, SpatialSpace
 from memsrs.workload import (Relation, _uniform_counts, _uniform_subset,
                              gen_query_region)
 from tests.oracles import whole_range_uniform_subset
@@ -316,6 +316,31 @@ def test_query_region_rejects_bad_shape_by_value(frac, aspect, name, value):
     with pytest.raises(ValueError, match=f"query {name} must be positive and "
                                          f"finite, got {value}$"):
         gen_query_region(space, frac, aspect, seed=1)
+
+
+@pytest.mark.parametrize("frac, aspect, message", [
+    (True, 1.0, "query size fraction must be a real number, got True"),
+    ("0.01", 1.0, "query size fraction must be a real number, got '0.01'"),
+    (None, 1.0, "query size fraction must be a real number, got None"),
+    (0.01, False, "query aspect must be a real number, got False"),
+    (0.01, "1", "query aspect must be a real number, got '1'"),
+    (0.01, [1.0], "query aspect must be a real number, got [1.0]"),
+], ids=["frac-bool", "frac-str", "frac-none", "aspect-bool", "aspect-str",
+        "aspect-list"])
+def test_query_region_rejects_a_shape_that_is_not_a_real_number(
+        frac, aspect, message):
+    # True once drew the whole space, and a str failed on a bare compare
+    space = SpatialSpace(6400, 6400, 64)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        gen_query_region(space, frac, aspect, seed=1)
+
+
+@pytest.mark.parametrize("frac, aspect", [(1, 1), (1, 1.0), (1.0, 1)])
+def test_query_region_takes_int_and_float_shapes_alike(frac, aspect):
+    space = SpatialSpace(64, 64, 64)
+    assert (gen_query_region(space, frac, aspect, seed=3)
+            == gen_query_region(space, 1.0, 1.0, seed=3)
+            == QueryRegion(1, 1, 64, 64))
 
 
 @pytest.mark.parametrize("frac, aspect", [(0.01, 1e308), (1e300, 1e300)])
