@@ -5,9 +5,9 @@ layout's own block walk, so tests use it as an oracle for
 `rs_to_mems(layout.map(...))` or for the cells a store's image holds.
 The curve keys order a block grid by sorting every cell on its position
 along the curve, an oracle for `build_block_grid`'s quadrant walk.
-The whole-range draw writes a uniform subset's random calls out inline,
-without `_uniform_draw`'s per-row counts, an oracle that `_uniform_subset`
-makes the same calls in the same order and keeps the same ids.
+The exact inversion searches the hypergeometric law out from its mode
+in integers and fractions, an oracle for `workload._hypergeometric`'s
+search in floats.
 The per-block plan locates every block of a run on its own, an oracle
 for `lba_to_plan`'s column and group stepping.
 The per-row and per-band plans build the relational plans one unit per
@@ -18,8 +18,8 @@ The dict reader looks up every cell a plan reads, one (tip, row) at a
 time, in a plain dict of what was written, an oracle for the cells
 `Emulator.read` takes from the image's sector rows pass by pass."""
 
-import random
-from itertools import compress
+import math
+from fractions import Fraction
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from memsrs.device import DeviceParams
@@ -188,26 +188,38 @@ def curve_key_order(curve: str, g_x: int, g_y: int) -> List[Tuple[int, int]]:
     return order
 
 
-def whole_range_uniform_subset(rng: random.Random, n: int,
-                               m: int) -> Tuple[int, ...]:
-    """The uniform draw in one function, not through `_uniform_draw`:
-    the same random calls in the same order, so the same draw."""
-    c = -(-256 * m // n)
-    mask = rng.randbytes(n).translate(b"\1" * c + bytes(256 - c))
-    picked = list(compress(range(1, n + 1), mask))
-    surplus = len(picked) - m
-    if surplus > 0:
-        keep = bytearray(b"\1") * len(picked)
-        for i in rng.sample(range(len(picked)), surplus):
-            keep[i] = 0
-        picked = compress(picked, keep)
-    elif surplus < 0:
-        taken = bytearray(mask)
-        for _ in range(-surplus):
-            i = rng.randrange(n)
-            while taken[i]:
-                i = rng.randrange(n)
-            taken[i] = 1
-            picked.append(i + 1)
-        picked.sort()
-    return tuple(picked)
+def hypergeometric_inversion(total: int, good: int, draws: int,
+                             u: float) -> Tuple[int, Fraction]:
+    """(k, gap): the k whose cumulative pmf first exceeds u when the
+    pmf is summed out from the mode, mode, mode+1, mode-1, mode+2, ...,
+    each value's pmf exact: the mode's from `math.comb`, the next ones
+    by the law's integer ratios.  `gap` is how far u lies from the
+    nearest cumulative sum on the way."""
+    lo, hi = max(0, draws + good - total), min(good, draws)
+    mode = (draws + 1) * (good + 1) // (total + 2)
+    bad = total - good
+    # pmf(k) = ways(k) / whole, every ways(k) an integer
+    whole = math.comb(total, draws)
+    ways = math.comb(good, mode) * math.comb(bad, draws - mode)
+    u = Fraction(u)
+    order = [mode]
+    for step in range(1, max(hi - mode, mode - lo) + 1):
+        order += [k for k in (mode + step, mode - step) if lo <= k <= hi]
+    up = down = ways
+    total_ways, nearest = 0, None
+    for k in order:
+        if k > mode:
+            up = (up * (good - k + 1) * (draws - k + 1)
+                  // (k * (bad - draws + k)))
+            ways = up
+        elif k < mode:
+            down = (down * (k + 1) * (bad - draws + k + 1)
+                    // ((good - k) * (draws - k)))
+            ways = down
+        total_ways += ways
+        # |total_ways/whole - u|, kept as one integer over whole*denominator
+        off = abs(total_ways * u.denominator - u.numerator * whole)
+        nearest = off if nearest is None else min(nearest, off)
+        if total_ways * u.denominator > u.numerator * whole:
+            return k, Fraction(nearest, whole * u.denominator)
+    raise AssertionError("the pmf sums to 1, that is above every u < 1")

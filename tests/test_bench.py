@@ -605,7 +605,7 @@ def test_spatial_csv_header_and_cells():
      "60824a7a83eba17e2c48d23fe46c8a74c5839eaf1e485b55e1ba302a634241f5"),
     # half the tuples qualify, so each band row is read in several layers
     (run_experiment1, dict(sizes_mb=(5, 320), seeds=(0, 1), selectivity=0.5),
-     "6c044f30ad15297559e073df148bf551e51674775090be2055432973fd2dbacf"),
+     "d2edb19bedc80cdbe364a777a3c359f739dbcea1dbb3a1dfd5e5f2781ccb9809"),
 ], ids=["exp1", "exp2", "exp3", "exp4", "exp1-half"])
 def test_sweep_csv_bytes_pinned(run, kw, digest):
     # any cell that moves changes the hash; a refactor must keep them all

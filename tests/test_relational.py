@@ -282,7 +282,7 @@ def test_counted_rows_price_like_the_qualifying_ids_rows(sigma):
     lay = RelLayoutRP(dev, RelationSchema(k=16, n=350))
     for seed in range(3):
         rel = Relation(350, seed)
-        real = lay.qualifying_rows(rel.qualifying_set(sigma))
+        real = lay.qualifying_rows(rel.qualifying_set(sigma, dev.n_tips))
         counted = lay.counted_rows(rel.qualifying_counts(sigma, dev.n_tips))
         assert all(type(tips) is SortedTips for tips in real.values())
         assert {r: len(t) for r, t in real.items()} == {
@@ -437,7 +437,7 @@ def test_rp_shifted_bands_match_the_per_band_builder(sigma, n, band_rows,
     lay = RelLayoutRP(dev, RelationSchema(k=4, n=n, attr_bits=attr_bits))
     assert lay.band_rows == band_rows
     rel = Relation(n, 0)
-    real = lay.qualifying_rows(rel.qualifying_set(sigma))
+    real = lay.qualifying_rows(rel.qualifying_set(sigma, dev.n_tips))
     counted = lay.counted_rows(rel.qualifying_counts(sigma, dev.n_tips))
     # one range object per row, as counted rows were before they shared
     unshared = {r: range(1, len(t) + 1) for r, t in counted.items()}
@@ -518,12 +518,12 @@ def test_rsy_plan_text_pinned(size_mb, digest):
 
 @pytest.mark.parametrize("napt, digest", [
     (3,
-     "abcb3dab2dff80fb80b280d13e1bcc30a4d81b77c440573d1b4433f79d5aea5a"),
+     "c18711b62bce42fce7c1d02541e1dc20d05b9acdcf5305e0a9419d9ab5f49e2d"),
     (7,
-     "722063c3bd9ab250524a5486dde19a9ba0e2b12897b732c73247694f32bb137d"),
+     "ba714aff70f02a40137021ca54baa4cdbd5517bc4128a7b863e7e6f3cf81d269"),
     (16,
-     "dba476c7f9cde5ec7a77e60b420f39c4658bfacd771f9654b72cf3303b44be75"),
-])
+     "a757043946b8e7ac753ec1f0ddf41d44ed45d88b4cdbdfd2169d90f3b98f0515"),
+], ids=["napt-3", "napt-7", "napt-16"])
 def test_rp_real_id_plan_text_pinned(napt, digest):
     # 8x8 tips and a ragged last band row of 40 tuples; from sparse rows
     # to full ones, so wide rows are cut into layers and rows of unequal
@@ -531,7 +531,8 @@ def test_rp_real_id_plan_text_pinned(napt, digest):
     dev = DeviceParams(regions_x=8, regions_y=8, n_active_tips=napt)
     lay = RelLayoutRP(dev, RelationSchema(k=4, n=1000))
     plans = [compile_rp(lay, q((1, 2, 4), sel=sigma),
-                        Relation(1000, seed).qualifying_set(sigma))
+                        Relation(1000, seed).qualifying_set(sigma,
+                                                            dev.n_tips))
              for seed, sigma in enumerate((0, 0.02, 0.3, 0.9, 1))]
     assert _digest(plans) == digest
 
@@ -544,10 +545,10 @@ def _timing_digest(plans, dev):
 
 @pytest.mark.parametrize("sigma, plan_digest, timing_digest", [
     (0.1,
-     "00992eba2e15baf522ac64c68745497757f1bb1840533e8f9dba7c648f60823a",
+     "99c3f9f5a86d674add8f9f067fbb7f87cb3a787594f1c6414d04de7319d9758d",
      "3b0c2b82f6c8494fdf5a7d568b39e79951dc31ce46d1577187c93479149f854f"),
     (0.5,
-     "dc7308792539dfdf4eca3f4003b78b0c3ada6095cf5fe18964eb8e89c7d8f27e",
+     "881d7caca6c7968752eba661f8dd035b9e8109bbafb05eb750bb2995dfe10c8b",
      "ecd98fae33ad631b3e6f3881fca285ab90c23be9e7684fa2814a8159f4f1a4bf"),
 ], ids=["sigma-0.1", "sigma-0.5"])
 def test_rp_counted_row_plans_pinned(sigma, plan_digest, timing_digest):
@@ -586,7 +587,7 @@ def test_k_values_rp_prices_the_drawn_qualifying_count():
     # 0.07 * 100 is 7.000000000000001 in floating point: a plain ceil
     # would price 8 qualifying tuples where the workload draws 7
     lay = RelLayoutRP(CMU, RelationSchema(k=4, n=100))
-    drawn = Relation(n=100, seed=0).qualifying_set(0.07)
+    drawn = Relation(n=100, seed=0).qualifying_set(0.07, CMU.n_tips)
     assert len(drawn) == exact_ceil(0.07, 100) == 7
     assert lay.k_values(q([1, 2], sel=0.07)).bits == (100 + 7) * 64 == 6848
 
@@ -643,4 +644,4 @@ def test_query_and_draw_reject_a_bad_selectivity_by_name(selectivity,
         RangeQuery(projected=(1,), predicate_attr=1, bound=0,
                    selectivity=selectivity)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        Relation(n=10, seed=0).qualifying_set(selectivity)
+        Relation(n=10, seed=0).qualifying_set(selectivity, CMU.n_tips)

@@ -299,7 +299,8 @@ def _placement_plans(p, rng):
             query = RangeQuery(projected=tuple(range(1, nproj + 1)),
                                predicate_attr=1, bound=0, selectivity=sigma)
             plans += [rsy.compile(query), compile_dsm(dsm, query),
-                      compile_rp(rp, query, rel.qualifying_set(sigma)),
+                      compile_rp(rp, query,
+                                 rel.qualifying_set(sigma, n_tips)),
                       rp.compile(query, rp.counted_rows(
                           rel.qualifying_counts(sigma, n_tips)))]
     space = SpatialSpace(width=2 * n_tips, height=2 * n_tips)

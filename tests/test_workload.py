@@ -2,18 +2,24 @@
 
 import hashlib
 import math
-import random
 import re
 from collections import Counter
+from fractions import Fraction
 from itertools import accumulate, combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from memsrs.device import cmu_defaults
 from memsrs.relational import exact_ceil
 from memsrs.spatial import QueryRegion, SpatialSpace
-from memsrs.workload import (Relation, _uniform_counts, _uniform_subset,
-                             gen_query_region)
-from tests.oracles import whole_range_uniform_subset
+from memsrs.workload import Relation, _hypergeometric, gen_query_region
+from tests.oracles import hypergeometric_inversion
+
+CMU = cmu_defaults()
+# the most tuples the reference device holds: one sector each
+CAPACITY = CMU.n_tips * CMU.sectors_per_region
 
 
 def test_relation_tuple_count_320mb():
@@ -26,7 +32,7 @@ def test_qualifying_cardinality_is_exact():
     # ceil(sigma*n) without float-product drift: 0.1*1000 is exactly 100
     for sigma, want in ((0.0, 0), (0.001, 1), (0.0015, 2), (0.1, 100),
                         (0.5, 500), (1.0, 1000)):
-        q = rel.qualifying_set(sigma)
+        q = rel.qualifying_set(sigma, 64)
         assert len(q) == want
         assert len(set(q)) == len(q)
         assert all(1 <= t <= 1000 for t in q)
@@ -35,90 +41,48 @@ def test_qualifying_cardinality_is_exact():
     for n, sigma, want in ((100, 0.07, 7), (2_621_440, 1e-16, 1),
                            (1000, 5e-324, 1)):
         assert exact_ceil(sigma, n) == want
-        assert len(Relation(n, 0).qualifying_set(sigma)) == want
+        assert len(Relation(n, 0).qualifying_set(sigma, 6400)) == want
 
 
 def test_same_seed_same_content():
     a = Relation(n=500, seed=42)
     b = Relation(n=500, seed=42)
-    qa, qb = a.qualifying_set(0.1), b.qualifying_set(0.1)
+    qa, qb = a.qualifying_set(0.1, 64), b.qualifying_set(0.1, 64)
     assert qa == qb
     c = Relation(n=500, seed=43)
-    assert c.qualifying_set(0.1) != qa
+    assert c.qualifying_set(0.1, 64) != qa
 
 
-# -- the uniform draw ----------------------------------------------------------
+# -- the count-first draw ------------------------------------------------------
 
-# (n, sigma) reaching each path of the uniform draw, with the random calls
-# that path makes.  Every draw keeps ids by a byte mask; then "empty"
-# (m = 0) and "all" keep the mask as it is; "sparse" (m < n/256, where
-# c = 1 keeps about n/256 ids) and "surplus" drop a sample of the kept
-# ids; "shortfall" adds ids (256*m/n = 128 exactly there, so half its
-# masks come up short); "almost-all" (c = 256) keeps every id and drops
-# a sample.
-_PATHS = {
-    "empty": (1000, 0.0, {("randbytes",)}),
-    "sparse": (1000, 0.002, {("randbytes", "sample")}),
-    "surplus": (40, 0.1, {("randbytes", "sample")}),
-    "shortfall": (40, 0.5, {("randbytes", "randrange")}),
-    "almost-all": (1000, 0.999, {("randbytes", "sample")}),
-    "all": (1000, 1.0, {("randbytes",)}),
-}
+class _Fixed:
+    """A generator whose `random()` always returns `u`."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
 
 
-class _Recording(random.Random):
-    """A generator that records which of the draw's random calls it served."""
-
-    def __init__(self, seed):
-        super().__init__(seed)
-        self.calls = set()
-
-    def randbytes(self, n):
-        self.calls.add("randbytes")
-        return super().randbytes(n)
-
-    def randrange(self, *args):
-        self.calls.add("randrange")
-        return super().randrange(*args)
-
-    def sample(self, *args, **kw):
-        self.calls.add("sample")
-        return super().sample(*args, **kw)
+@st.composite
+def _laws(draw):
+    """(total, good, draws): rows of up to two device widths, and rows of
+    all but that many ids, out of up to the device's capacity."""
+    total = draw(st.integers(1, CAPACITY))
+    few = draw(st.integers(0, min(total, 2 * CMU.n_tips)))
+    return (total, draw(st.integers(0, total)),
+            draw(st.sampled_from((few, total - few))))
 
 
-@pytest.mark.parametrize("path", _PATHS)
-def test_uniform_draw_is_an_exact_ascending_subset(path):
-    n, sigma, calls = _PATHS[path]
-    m = exact_ceil(sigma, n)
-    seen = set()
-    for seed in range(60):
-        rng = _Recording(f"{seed}:qualifying")
-        q = _uniform_subset(rng, n, m)
-        assert q == Relation(n, seed).qualifying_set(sigma)
-        assert q == whole_range_uniform_subset(
-            random.Random(f"{seed}:qualifying"), n, m)
-        assert type(q) is tuple and len(q) == m
-        assert all(type(t) is int for t in q)
-        assert all(a < b for a, b in zip(q, q[1:]))
-        assert not q or 1 <= q[0] and q[-1] <= n
-        seen.add(tuple(sorted(rng.calls)))
-    # every path is reached by at least one of these seeds
-    assert calls <= seen
-
-
-@pytest.mark.parametrize("n", [4095, 4096, 4097, 3 * 2**16 + 5])
-def test_uniform_draw_matches_the_whole_range_draw_across_blocks(n):
-    for sigma in (0.0005, 0.1, 0.5, 0.999, 1.0):
-        m = exact_ceil(sigma, n)
-        for seed in range(3):
-            assert (_uniform_subset(random.Random(seed), n, m)
-                    == whole_range_uniform_subset(random.Random(seed), n, m))
-
-
-def test_uniform_draw_matches_the_whole_range_draw_at_320mb():
-    n, m = 2_621_440, exact_ceil(0.1, 2_621_440)
-    assert (_uniform_subset(random.Random("0:qualifying"), n, m)
-            == whole_range_uniform_subset(random.Random("0:qualifying"), n, m))
+@settings(max_examples=150, deadline=None)
+@given(law=_laws(), u=st.floats(0, 1, exclude_max=True))
+@example(law=(CAPACITY, CAPACITY // 10, CMU.n_tips), u=0.5)
+@example(law=(CAPACITY, CAPACITY // 2, CAPACITY - 1), u=0.999999)
+def test_hypergeometric_inverts_u_as_the_exact_search_does(law, u):
+    k, gap = hypergeometric_inversion(*law, u)
+    if gap > Fraction(1, 10**9):
+        assert _hypergeometric(_Fixed(u), *law) == k
 
 
 def _bucketed(ids, n, width):
@@ -129,24 +93,45 @@ def _bucketed(ids, n, width):
     return tuple(counts)
 
 
+def _check_draw(rel, sigma, width):
+    """The listing at `width` is exact, ascending and counted by the
+    counts at that width."""
+    q = rel.qualifying_set(sigma, width)
+    assert type(q) is tuple and len(q) == exact_ceil(sigma, rel.n)
+    assert all(type(t) is int for t in q)
+    assert all(a < b for a, b in zip(q, q[1:]))
+    assert not q or 1 <= q[0] and q[-1] <= rel.n
+    assert rel.qualifying_counts(sigma, width) == _bucketed(q, rel.n, width)
+
+
+# (n, sigma, width) from no qualifying id to all of them: fewer than one
+# id in 256 qualifies ("sparse"), a tenth and half of 40 ids in ragged
+# rows, all but one id in one row, and the rows' own width for each
+_CASES = {
+    "empty": (1000, 0.0, 64),
+    "sparse": (1000, 0.002, 64),
+    "surplus": (40, 0.1, 7),
+    "shortfall": (40, 0.5, 16),
+    "almost-all": (1000, 0.999, 6400),
+    "all": (1000, 1.0, 64),
+}
+
+
+@pytest.mark.parametrize("path", _CASES)
+def test_uniform_draw_is_an_exact_ascending_subset(path):
+    n, sigma, width = _CASES[path]
+    for seed in range(60):
+        for w in (width, n + 3):
+            _check_draw(Relation(n, seed), sigma, w)
+
+
 def test_counts_equal_the_bucketed_ids_on_every_path():
-    # every path of the draw, the exact fit (a mask that keeps m ids, no
-    # trim and no top-up) among them, counted over width 1, a width that
-    # divides neither n, and a width above n
-    seen = set()
-    for n, sigma, _ in _PATHS.values():
-        m = exact_ceil(sigma, n)
-        for seed in range(60):
-            rel = Relation(n, seed)
-            ids = rel.qualifying_set(sigma)
+    # every case above and a single id, over one-id rows, a width that
+    # divides neither n and one row
+    for n, sigma, _ in (*_CASES.values(), (1, 1.0, 1)):
+        for seed in range(20):
             for width in (1, 7, n + 3):
-                assert (rel.qualifying_counts(sigma, width)
-                        == _bucketed(ids, n, width))
-            rng = _Recording(f"{seed}:qualifying")
-            _uniform_counts(rng, n, m, 7)
-            seen.add((0 < m < n, tuple(sorted(rng.calls))))
-    assert {(True, ("randbytes", "sample")), (True, ("randbytes", "randrange")),
-            (True, ("randbytes",))} <= seen
+                _check_draw(Relation(n, seed), sigma, width)
 
 
 @pytest.mark.parametrize("sigma", [1e-5, 1e-3, 0.1, 0.5, 0.999])
@@ -154,12 +139,31 @@ def test_counts_equal_the_bucketed_ids_across_selectivities(sigma):
     # many rows of a device's 6400 tips, which does not divide n
     n = 3 * 2**16 + 5
     for seed in range(3):
-        rel = Relation(n, seed)
-        ids = rel.qualifying_set(sigma)
         for width in (6400, 4096, n + 1):
-            assert (rel.qualifying_counts(sigma, width)
-                    == _bucketed(ids, n, width))
-    assert rel.qualifying_counts(sigma, 1) == _bucketed(ids, n, 1)
+            _check_draw(Relation(n, seed), sigma, width)
+
+
+@pytest.mark.parametrize("n, sigma, width", [
+    (1000, 0.0, 7), (1000, 1.0, 7), (1, 0.0, 1), (1, 1.0, 1), (1, 0.5, 6400),
+    (500, 0.3, 1), (500, 0.3, 500), (500, 0.3, 10**9),
+    (2_621_440, 1e-16, 6400), (2_621_440, 1.0, 6400),
+], ids=["m=0", "m=n", "n=1-none", "n=1-all", "n=1-wide", "width-1",
+        "width-n", "width-huge", "one-of-320mb", "all-of-320mb"])
+def test_edge_draws_are_exact(n, sigma, width):
+    for seed in range(3):
+        rel = Relation(n, seed)
+        assert sum(rel.qualifying_counts(sigma, width)) == exact_ceil(sigma, n)
+        if exact_ceil(sigma, n) <= 10**5:   # not 2.6 million ids
+            _check_draw(rel, sigma, width)
+
+
+@pytest.mark.parametrize("sigma", [1e-16, 0.1, 1.0])
+def test_the_largest_relation_the_device_holds_draws_exact_counts(sigma):
+    # 67,500 rows of 6400 ids, drawn without a math domain or overflow error
+    counts = Relation(CAPACITY, 0).qualifying_counts(sigma, CMU.n_tips)
+    assert len(counts) == CAPACITY // CMU.n_tips
+    assert all(0 <= c <= CMU.n_tips for c in counts)
+    assert sum(counts) == exact_ceil(sigma, CAPACITY)
 
 
 @pytest.mark.parametrize("width, message", [
@@ -168,52 +172,40 @@ def test_counts_equal_the_bucketed_ids_across_selectivities(sigma):
     (True, "row width must be an integer, got True"),
 ])
 def test_counts_reject_a_bad_row_width_by_name(width, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        Relation(10, 0).qualifying_counts(0.5, width)
+    for draw in (Relation(10, 0).qualifying_counts,
+                 Relation(10, 0).qualifying_set):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            draw(0.5, width)
 
 
-# sha256 of repr(Relation(n, seed).qualifying_set(sigma)), as drawn when
-# the kept ids were listed over the whole range at once: no default CSV
-# row depends on which ids are drawn, so these pin the draws themselves
+# sha256 of repr(Relation(n, seed).qualifying_set(sigma, 6400)), rows of
+# the reference device's 6400 tips: no default CSV row depends on which
+# ids are drawn, so these pin the draws themselves
 _DRAW_DIGESTS = {
     (2_621_440, 0, 0.1):
-        "2fe35ba1ccf08855ad76a133fea9cebe1e71003d56cefbce7081689f19b78199",
+        "3bfd5be6286188f073c837a73b5349a12af49100bff73513b25d5f6116107f1b",
     (40_960, 3, 0.1):
-        "cf66682e016741e969529579468a200af6f9f8c91644ad6eb4b931b8da1064c1",
+        "8710fc92bc69175d3b02a03ef04e86c1e1ae2027415b4c2606b70c7d5085bbef",
     (1000, 7, 0.5):
-        "4bff03f88f5e6c3faa0e82e138a4b6dd44b15448bf93e884d2b28cf80e4bd148",
+        "3418c891ef2816b65b9695a3af56891e10cde5d01aae1b8a2ae89672b9f60b7a",
     (3 * 2**16 + 5, 1, 0.002):
-        "0cf5856dde56b555f717f2c2b9c68791f6d0e32f22bb9eb09401444f23860241",
+        "95562a8f35ca1588c62f5ebb668ccca5fead93e4ba38b74cb6d31e4a25bede79",
     (4097, 2, 0.999):
-        "5f2e3288d6589460973e70a2230475f1b640ee0b6c0745ba55897ba9de450d3f",
+        "c9fdd14447cf96b672cc43ee766d7aef5aa0eb2ce5c45b3848a3e597cd4e96f9",
 }
 
 
 @pytest.mark.parametrize("n, seed, sigma", _DRAW_DIGESTS)
 def test_qualifying_set_draws_are_pinned(n, seed, sigma):
-    q = Relation(n, seed).qualifying_set(sigma)
+    q = Relation(n, seed).qualifying_set(sigma, CMU.n_tips)
     assert (hashlib.sha256(repr(q).encode()).hexdigest()
             == _DRAW_DIGESTS[n, seed, sigma])
 
 
-def test_uniform_draw_keeps_the_ids_whose_byte_is_below_c():
-    # the mask keeps id i when its byte is below c = ceil(256*m/n); a
-    # surplus is only trimmed and a shortfall only topped up, so the draw
-    # lies inside the kept ids or holds them all
-    n, sigma = 3 * 2**16 + 5, 0.1
-    m = exact_ceil(sigma, n)
-    c = -(-256 * m // n)
-    for seed in range(4):
-        raw = random.Random(f"{seed}:qualifying").randbytes(n)
-        kept = {i for i, b in enumerate(raw, 1) if b < c}
-        q = set(Relation(n, seed).qualifying_set(sigma))
-        assert q <= kept if len(kept) >= m else kept <= q
-
-
-# Over T seeds an id's inclusion count is Binomial(T, m/n).  Each check
-# allows the counts whose two tails each hold at most 1e-7 of that exact
-# distribution, so a uniform draw fails one of the ~2100 checks below with
-# probability under 5e-4.
+# Over T seeds a count's frequency is Binomial(T, p) for its exact chance
+# p.  Each check allows the frequencies whose two tails each hold at most
+# 1e-7 of that distribution, so a uniform draw fails one of the ~2200
+# checks below with probability under 5e-4.
 _T = 2000
 
 
@@ -233,23 +225,56 @@ def _binomial_range(trials, p, tail=1e-7):
 @pytest.mark.parametrize("path", ["sparse", "surplus", "shortfall",
                                   "almost-all"])
 def test_uniform_draw_includes_each_id_with_chance_m_over_n(path):
-    n, sigma, _ = _PATHS[path]
+    n, sigma, width = _CASES[path]
     m = exact_ceil(sigma, n)
     counts = Counter()
     for seed in range(_T):
-        counts.update(Relation(n, seed).qualifying_set(sigma))
+        counts.update(Relation(n, seed).qualifying_set(sigma, width))
     lo, hi = _binomial_range(_T, m / n)
     assert [t for t in range(1, n + 1) if not lo <= counts[t] <= hi] == []
 
 
 def test_uniform_draw_picks_every_pair_of_five_equally_often():
-    # 2 of 5 ids: each of the 10 subsets has chance 1/10 per draw
+    # 2 of 5 ids in rows of 2, 2 and 1: each of the 10 subsets has
+    # chance 1/10 per draw
     trials = 5000
-    counts = Counter(Relation(5, seed).qualifying_set(0.4)
+    counts = Counter(Relation(5, seed).qualifying_set(0.4, 2)
                      for seed in range(trials))
     assert set(counts) == set(combinations(range(1, 6), 2))
     lo, hi = _binomial_range(trials, 0.1)
     assert all(lo <= c <= hi for c in counts.values())
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 6])
+def test_every_three_of_six_ids_come_up_equally_often(width):
+    trials = 4000
+    counts = Counter(Relation(6, seed).qualifying_set(0.5, width)
+                     for seed in range(trials))
+    assert set(counts) == set(combinations(range(1, 7), 3))
+    lo, hi = _binomial_range(trials, 1 / 20)
+    assert all(lo <= c <= hi for c in counts.values())
+
+
+def test_each_row_count_follows_its_hypergeometric_law():
+    # 45 ids in rows of 16, 16 and a ragged 13, 18 of them qualifying:
+    # whatever the rows before it drew, a row of r ids holds c of the 18
+    # with chance C(18, c) C(27, r - c) / C(45, r)
+    n, width, m = 45, 16, 18
+    assert exact_ceil(m / n, n) == m
+    freq = [Counter() for _ in range(3)]
+    for seed in range(_T):
+        counts = Relation(n, seed).qualifying_counts(m / n, width)
+        for row, c in enumerate(counts):
+            freq[row][c] += 1
+    for row, r in enumerate((16, 16, 13)):
+        for c in range(r + 1):
+            p = Fraction(math.comb(m, c) * math.comb(n - m, r - c),
+                         math.comb(n, r))
+            if p == 0:
+                assert freq[row][c] == 0
+            else:
+                lo, hi = _binomial_range(_T, float(p))
+                assert lo <= freq[row][c] <= hi, (row, c)
 
 
 @pytest.mark.parametrize("n, seed, message", [
