@@ -52,7 +52,7 @@ _SPACE = SpatialSpace(width=6400, height=6400, obj_bits=64)
 # Each placement: its layout class (None for a lower bound, which is
 # priced from the query's bit volume), the sweep fields its plan varies
 # with (one compile and run serves every row that agrees on them), its
-# plan for a layout, a query and the seed's qualifying-row draw
+# plan for a layout, a query and the seed's qualifying band
 # `rows(layout)`, and for a spatial placement its `n_query_blocks` rule.
 # A plan calls its compile function through this module's global name at
 # call time, so rebinding that name (as perfbench's tracer does) reaches
@@ -88,6 +88,7 @@ SPATIAL_FIELDS = RELATIONAL_FIELDS[:-1] + ("query_frac", "aspect", "qx", "qy",
                                            "n_query_blocks", "seed")
 
 SIZES_MB = (5, 10, 20, 40, 80, 160, 320)
+N_PROJECTIONS = tuple(range(1, _K + 1))
 QUERY_FRACS = (0.0001, 0.001, 0.01, 0.1)
 ASPECTS = (16, 8, 4, 2, 1, 1 / 2, 1 / 4, 1 / 8, 1 / 16)
 
@@ -175,7 +176,7 @@ def _sweep(params: Optional[DeviceParams], experiment: int,
     `point(params, pt, name, seeds, classes, build, option, **point_args)`:
     it fails naming the point, builds the layouts of `classes` through the
     cache by `build(key, make)`, and returns them by class with each
-    seed's (sweep columns, query, lower-bound bits, qualifying-row draw).
+    seed's (sweep columns, query, lower-bound bits, qualifying band).
     """
     name, point, known, option_name, option_values = family
     with named(f"experiment {experiment}"):
@@ -245,8 +246,8 @@ def _relational_point(params: DeviceParams, pt: tuple, name: str,
     under (class, n).  A point with a projection width that is not an
     integer in 1.._K, or a size that is not a finite real number or that
     the device cannot hold, fails naming the point.  A seed's qualifying
-    rows are drawn once per (size, seed), as counts per band row, and
-    shared by every width;
+    band is drawn and scanned once per (size, seed), from counts per band
+    row, and shared by every width;
     `qual_mode` is the checked "uniform", the one draw there is."""
     size_mb, nproj = pt
     with named(name):
@@ -307,7 +308,7 @@ def run_experiment1(params: Optional[DeviceParams] = None, *,
 
 def run_experiment2(params: Optional[DeviceParams] = None, *,
                     size_mb: float = 320,
-                    n_projections: Sequence[int] = tuple(range(1, 17)),
+                    n_projections: Sequence[int] = N_PROJECTIONS,
                     selectivity: float = 0.1,
                     seeds: Sequence[int] = tuple(range(20)),
                     placements: Sequence[str] = RELATIONAL_PLACEMENTS,

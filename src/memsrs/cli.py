@@ -53,6 +53,11 @@ def _num_list(text: str, conv, option: str) -> List:
     return values
 
 
+def _listed(values) -> str:
+    """Sweep points as a list option spells them: `bench`'s defaults."""
+    return ",".join(format(value, "g") for value in values)
+
+
 def _device(args: argparse.Namespace) -> DeviceParams:
     if args.device_config:
         return load_config(args.device_config)
@@ -188,11 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     rel = bsub.add_parser("relational", parents=[common, run],
                           help="data-size and projection-width sweeps")
-    rel.add_argument("--sizes", default="5,10,20,40,80,160,320",
-                     metavar="LIST",
+    rel.add_argument("--sizes", default=_listed(bench.SIZES_MB), metavar="LIST",
                      help="data-size sweep in MB (empty string skips it)")
-    rel.add_argument("--nproj",
-                     default=",".join(str(i) for i in range(1, 17)),
+    rel.add_argument("--nproj", default=_listed(bench.N_PROJECTIONS),
                      metavar="LIST",
                      help="projection-width sweep (empty string skips it)")
     rel.add_argument("--selectivity", type=float, default=0.1, metavar="F")
@@ -200,11 +203,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     spa = bsub.add_parser("spatial", parents=[common, run],
                           help="query-size and query-aspect sweeps")
-    spa.add_argument("--query-sizes", default="0.01,0.1,1,10", metavar="LIST",
+    spa.add_argument("--query-sizes", metavar="LIST",
+                     default=_listed(100 * frac for frac in bench.QUERY_FRACS),
                      help="query sizes as percent of the space "
                           "(empty string skips the size sweep)")
-    spa.add_argument("--aspects", default="16,8,4,2,1,1/2,1/4,1/8,1/16",
-                     metavar="LIST",
+    spa.add_argument("--aspects", default=_listed(bench.ASPECTS), metavar="LIST",
                      help="query aspect sweep; fractions like 1/16 are fine "
                           "(empty string skips it)")
     spa.add_argument("--curve", choices=CURVES,

@@ -7,7 +7,8 @@ Two layouts over the region-sector plane:
   tuples and every projection reads every tuple.
 * attribute-band (`RelLayoutRP`): each attribute fills its own band of
   sector rows across all regions, so selective queries can activate only
-  the tips of qualifying tuples.
+  the tips of qualifying tuples.  Its full band is scanned once per
+  layout and a draw's rows once per draw (a `QualifyingBand`).
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice, repeat
 from operator import lt, sub
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, NamedTuple, Sequence, Tuple
 
 from .cost import CostInput
 from .device import DeviceParams, check_integer, check_integers, check_real
 from .emulator import AccessPlan, MediaImage, SortedTips
-from .rs import (RSAddr, layer_cuts, layer_runs, rs_scan, shift_scans,
+from .rs import (RSAddr, layer_cuts, layer_scans, rs_scan, shift_scans,
                  write_values)
 
 
@@ -145,6 +146,14 @@ class RelLayoutRSY:
                          k_random=1)
 
 
+class QualifyingBand(NamedTuple):
+    """A draw's qualifying rows, checked and scanned from band row 1 by
+    the `RelLayoutRP` that built them."""
+    layout: "RelLayoutRP"
+    rows: Mapping[int, Sequence[int]]
+    scans: list
+
+
 class RelLayoutRP:
     """Attribute-band layout: attribute w fills rows of its own band."""
 
@@ -152,9 +161,16 @@ class RelLayoutRP:
         self.params = params
         self.schema = schema
         self.spv = schema.sectors_per_value(params.sector_bits)
-        self.band_rows = -(-schema.n // params.n_tips)
-        if schema.k * self.band_rows * self.spv > params.sectors_per_region:
+        self.band_rows = h = -(-schema.n // params.n_tips)
+        if schema.k * h * self.spv > params.sectors_per_region:
             raise ValueError("relation does not fit the device under this layout")
+        # the predicate's full band from row 1: the full rows' one set held
+        # for a lead run, then the last row's own, left out of a layer it
+        # has no tips in; a single row reads its own set alone
+        full, tail = range(1, params.n_tips + 1), range(1, self._row_count(h) + 1)
+        units, lead = ([full, tail], h - 1) if h > 1 else ([tail], 1)
+        self._full_band = [rs_scan(1, self.spv, cut if cut[-1] else cut[:1], lead)
+                           for cut in layer_cuts(units, params.n_active_tips)]
 
     def band_start(self, w: int) -> int:
         return (w - 1) * self.band_rows * self.spv + 1
@@ -169,8 +185,14 @@ class RelLayoutRP:
             return self.params.n_tips
         return self.schema.n - (self.band_rows - 1) * self.params.n_tips
 
-    def qualifying_rows(self, qualifying: Iterable[int]) -> Dict[int, SortedTips]:
-        """Bucket qualifying tuple ids by band row; shared by every band.
+    def _band(self, rows: Mapping[int, Sequence[int]]) -> QualifyingBand:
+        """`rows`, checked by the caller, with its scans from band row 1."""
+        units = [rows.get(j, ()) for j in range(1, self.band_rows + 1)]
+        return QualifyingBand(self, rows,
+                              layer_scans(1, self.spv, units, self.params))
+
+    def qualifying_rows(self, qualifying: Iterable[int]) -> QualifyingBand:
+        """Qualifying tuple ids bucketed by band row, as one band for all.
 
         Each row's tips are a `SortedTips`, so the emulator checks them
         at their two ends however many plans share them.  The ids are
@@ -195,10 +217,10 @@ class RelLayoutRP:
             rows[row] = SortedTips.prechecked(map(sub, ids[i:j],
                                                   repeat((row - 1) * n_pt)))
             i = j
-        return rows
+        return self._band(rows)
 
-    def counted_rows(self, counts: Sequence[int]) -> Dict[int, range]:
-        """Band rows from how many qualifying tuples each holds: row j
+    def counted_rows(self, counts: Sequence[int]) -> QualifyingBand:
+        """The band from how many qualifying tuples each row holds: row j
         with `counts[j-1]` > 0 gets the tips 1..counts[j-1], as one
         `range` shared by every row of that count.
 
@@ -221,46 +243,24 @@ class RelLayoutRP:
                                      f"{row} out of range "
                                      f"0..{self._row_count(row)}")
                 rows[row] = shared[count]
-        return rows
+        return self._band(rows)
 
-    def compile(self, query: RangeQuery,
-                rows: Mapping[int, Sequence[int]]) -> AccessPlan:
+    def compile(self, query: RangeQuery, band: QualifyingBand) -> AccessPlan:
         """Plan: the predicate band in full, other bands only where tuples qualify.
 
-        `rows` maps band rows to their qualifying tips, as `qualifying_rows`
-        builds it; the map is the same for every attribute band.  A row
-        outside 1..band_rows, or a last-row tip past the tuples that row
-        holds, is rejected by name.
-        """
+        It only places scans, so `band` must be a `QualifyingBand` of this
+        layout; any other, an equal one included, is rejected by name."""
         _check_query(query, self.schema)
-        h, spv = self.band_rows, self.spv
-        check_integers("band row", rows)
-        for j in (min(rows), max(rows)) if rows else ():
-            if not 1 <= j <= h:
-                raise ValueError(f"band row {j} out of range 1..{h}")
-        last, count = rows.get(h, ()), self._row_count(h)
-        # a range or a `SortedTips` is bounded by its ends: no row is walked
-        if last and type(last) in (range, SortedTips):
-            last = (last[0], last[-1])
-        if max(last, default=0) > count:
-            raise ValueError(f"tip {max(last)} of band row {h} out of range "
-                             f"1..{count}")
-        # every band row but the last holds n_tips tuples: one set held
-        # for a lead run, then the last row's own, left out of a layer it
-        # has no tips in; a single row reads its own set alone
-        full, tail = range(1, self.params.n_tips + 1), range(1, count + 1)
-        units, lead = ([full, tail], h - 1) if h > 1 else ([tail], 1)
-        start = self.band_start(query.predicate_attr)
-        scans = [rs_scan(start, spv, cut if cut[-1] else cut[:1], lead)
-                 for cut in layer_cuts(units, self.params.n_active_tips)]
-        # the qualifying rows are cut into layers and scanned once, from
-        # row 1, then moved to every other projected band
-        band = [rs_scan(first * spv + 1, spv, run) for first, run
-                in layer_runs([rows.get(j, ()) for j in range(1, h + 1)],
-                              self.params.n_active_tips)]
+        if not isinstance(band, QualifyingBand) or band.layout is not self:
+            got = ("a band of another layout" if isinstance(band, QualifyingBand)
+                   else type(band).__name__)
+            raise ValueError("compile takes a QualifyingBand of this layout, "
+                             f"got {got}")
+        scans = shift_scans(self._full_band,
+                            self.band_start(query.predicate_attr) - 1)
         for w in query.projected:
             if w != query.predicate_attr:
-                scans += shift_scans(band, self.band_start(w) - 1)
+                scans += shift_scans(band.scans, self.band_start(w) - 1)
         return AccessPlan(scans)
 
     def k_values(self, query: RangeQuery) -> CostInput:

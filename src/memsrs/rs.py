@@ -12,7 +12,7 @@ can be used for each sector row (`rs_scan`, whose first set may hold for
 a lead run of units, so a long run costs no step per unit), and at most
 `n_active_tips` tips run at once, so wider sets are read in layers
 (`layer_cuts` walks them, cutting each distinct set once per layer with
-`layer_tips`; `layer_scans` makes one `rs_scan` per `layer_runs` run).
+`layer_tips`; `layer_scans` makes one `rs_scan` per run a layer reaches).
 Scans built once are placed elsewhere on the sector axis by
 `shift_scans`, which shares their tip sets.
 Every placement that maps a value to one Region-Sector address stores
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from itertools import groupby, product, repeat, starmap
 from operator import add
-from typing import Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Sequence
 
 from .device import DeviceParams, check_integer
 from .emulator import (MediaImage, Scan, SortedTips, _col_row, _lin,
@@ -133,27 +133,20 @@ def layer_cuts(unit_tips: Sequence[Sequence[int]],
         yield list(map(cut.__getitem__, ids))
 
 
-def layer_runs(unit_tips: Sequence[Sequence[int]],
-               napt: int) -> List[Tuple[int, List[Sequence[int]]]]:
-    """Per `layer_cuts` layer, per maximal run of units whose set reaches
-    that layer: (index of the run's first unit, the run's cuts)."""
-    runs: List[Tuple[int, List[Sequence[int]]]] = []
-    for cut in layer_cuts(unit_tips, napt):
-        first = 0
+def layer_scans(start: int, unit_rows: int,
+                unit_tips: Sequence[Sequence[int]], p: DeviceParams) -> List[Scan]:
+    """Per `layer_cuts` layer, one `rs_scan` of `unit_rows`-row units from
+    `start` on per maximal run of units whose set reaches the layer."""
+    scans: List[Scan] = []
+    for cut in layer_cuts(unit_tips, p.n_active_tips):
+        first = start
         # a set that does not reach the layer is cut to (), which is false
         for reached, run in groupby(cut, bool):
             run = list(run)
             if reached:
-                runs.append((first, run))
-            first += len(run)
-    return runs
-
-
-def layer_scans(start: int, unit_rows: int,
-                unit_tips: Sequence[Sequence[int]], p: DeviceParams) -> List[Scan]:
-    """One `rs_scan` per `layer_runs` run of units `unit_rows` rows each."""
-    return [rs_scan(start + first * unit_rows, unit_rows, run)
-            for first, run in layer_runs(unit_tips, p.n_active_tips)]
+                scans.append(rs_scan(first, unit_rows, run))
+            first += len(run) * unit_rows
+    return scans
 
 
 def value_cells(value_fn: Callable[[int, int], bytes], keys: Sequence[tuple],

@@ -11,8 +11,8 @@ search in floats.
 The per-block plan locates every block of a run on its own, an oracle
 for `lba_to_plan`'s column and group stepping.
 The per-row and per-band plans build the relational plans one unit per
-tuple row and one `rs_scan` per attribute band, oracles for the lead run
-of `RelLayoutRSY.compile` and the shifted band scans of
+tuple row and one `layer_scans` per attribute band, oracles for the lead
+run of `RelLayoutRSY.compile` and the shifted band scans of
 `RelLayoutRP.compile`.
 The dict reader looks up every cell a plan reads, one (tip, row) at a
 time, in a plain dict of what was written, an oracle for the cells
@@ -27,7 +27,7 @@ from memsrs.emulator import AccessPlan, SortedTips
 from memsrs.linear import LinearMap
 from memsrs.relational import (RangeQuery, RelationSchema, RelLayoutRP,
                                RelLayoutRSY, _check_vw)
-from memsrs.rs import PhysAddr, layer_cuts, layer_runs, layer_scans, rs_scan
+from memsrs.rs import PhysAddr, layer_cuts, layer_scans, rs_scan
 from memsrs.spatial import SSYLayout
 
 
@@ -59,19 +59,17 @@ def rsy_plan_per_row(lay: RelLayoutRSY, query: RangeQuery) -> AccessPlan:
 
 def rp_plan_per_band(lay: RelLayoutRP, query: RangeQuery,
                      rows: Mapping[int, Sequence[int]]) -> AccessPlan:
-    """The attribute-band plan with each projected band's scans built by
-    their own `rs_scan` calls from that band's first row."""
+    """The attribute-band plan from the band-row map `rows`, each
+    projected band's scans built by their own `layer_scans` call from
+    that band's first row, the predicate band's one unit per row."""
     h, spv, p = lay.band_rows, lay.spv, lay.params
     count = lay.schema.n - (h - 1) * p.n_tips
     full = [range(1, p.n_tips + 1)] * (h - 1) + [range(1, count + 1)]
     scans = layer_scans(lay.band_start(query.predicate_attr), spv, full, p)
-    runs = layer_runs([rows.get(j, ()) for j in range(1, h + 1)],
-                      p.n_active_tips)
+    units = [rows.get(j, ()) for j in range(1, h + 1)]
     for w in query.projected:
         if w != query.predicate_attr:
-            start = lay.band_start(w)
-            scans += [rs_scan(start + first * spv, spv, run)
-                      for first, run in runs]
+            scans += layer_scans(lay.band_start(w), spv, units, p)
     return AccessPlan(scans)
 
 

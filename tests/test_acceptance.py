@@ -93,16 +93,20 @@ def test_criterion_01_mapping_bijection():
                     ph = PhysAddr(rx, ry, col, row)
                     assert rs_to_mems(mems_to_rs(ph, tiny), tiny) == ph
 
-    # sampled round trips on the reference geometry, half from each side
+    # the reference geometry: round trips of every region and of every
+    # sector, from each side.  Both maps are products of a region map and
+    # a sector map (test_rs.py::test_sampled_round_trip_cmu), so these
+    # prove both round trips on all 6400 x 67,500 cells
     p = cmu_defaults()
-    rng = random.Random(20260822)
-    for _ in range(500_000):
-        a = RSAddr(rng.randint(1, p.n_regions), rng.randint(1, p.sectors_per_region))
-        assert mems_to_rs(rs_to_mems(a, p), p) == a
-    for _ in range(500_000):
-        ph = PhysAddr(rng.randint(1, p.regions_x), rng.randint(1, p.regions_y),
-                      rng.randint(1, p.sectors_x), rng.randint(1, p.sectors_y))
-        assert rs_to_mems(mems_to_rs(ph, p), p) == ph
+    for a in [RSAddr(r, 1) for r in range(1, p.n_regions + 1)] + [
+            RSAddr(1, s) for s in range(1, p.sectors_per_region + 1)]:
+        assert mems_to_rs(rs_to_mems(a, p), p) == a, f"round trip broke at {a}"
+    regions = [(x, y, 1, 1) for y in range(1, p.regions_y + 1)
+               for x in range(1, p.regions_x + 1)]
+    sectors = [(1, 1, col, row) for col in range(1, p.sectors_x + 1)
+               for row in range(1, p.sectors_y + 1)]
+    for ph in map(PhysAddr._make, regions + sectors):
+        assert rs_to_mems(mems_to_rs(ph, p), p) == ph, f"round trip broke at {ph}"
 
     # malformed addresses are rejected, not wrapped
     for bad in (RSAddr(0, 1), RSAddr(p.n_regions + 1, 1),

@@ -11,7 +11,7 @@ import re
 
 import pytest
 
-from memsrs import bench
+from memsrs import bench, relational
 from memsrs.bench import (
     RELATIONAL_FIELDS,
     RELATIONAL_PLACEMENTS,
@@ -508,6 +508,22 @@ def test_each_run_is_priced_once(monkeypatch, run, kw):
                **kw)
     assert len(rows) == 3 * 2 * 3
     assert executed and len(priced) == len(executed)
+
+
+def test_qualifying_band_scanned_once_per_size_and_seed(monkeypatch):
+    # every width of a (size, seed) shares one band, so its rows are cut
+    # and scanned once, not once per width; each plan only places them
+    scanned = []
+    layer_scans = relational.layer_scans
+
+    def counted(start, unit_rows, unit_tips, p):
+        scanned.append(len(unit_tips))
+        return layer_scans(start, unit_rows, unit_tips, p)
+    monkeypatch.setattr(relational, "layer_scans", counted)
+    rows = run_experiment2(size_mb=20, n_projections=(1, 2, 8, 16),
+                           seeds=(0, 1), placements=("relational-parallel",))
+    assert len(rows) == 4 * 2
+    assert scanned == [26, 26]  # 20 MB holds 163,840 tuples: 26 band rows
 
 
 def test_block_grid_built_once_per_block_shape(monkeypatch):

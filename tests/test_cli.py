@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from memsrs import bench
-from memsrs.cli import build_parser, main
+from memsrs.cli import _integer, _num_list, _ratio, build_parser, main
 from memsrs.device import DeviceParams, cmu_defaults, to_config_text
 from memsrs.emulator import SEEK_MODELS
 from memsrs.spatial import CURVES
@@ -401,3 +401,17 @@ def test_option_choices_come_from_their_owners():
     for sweep in ("relational", "spatial"):
         assert _choices(["bench", sweep], "seek_model") == SEEK_MODELS
     assert _choices(["bench", "spatial"], "curve") == CURVES
+
+
+@pytest.mark.parametrize("command, dest, conv, points", [
+    ("relational", "sizes", _ratio, bench.SIZES_MB),
+    ("relational", "nproj", _integer, bench.N_PROJECTIONS),
+    ("spatial", "query_sizes", lambda pct: _ratio(pct) / 100,
+     bench.QUERY_FRACS),
+    ("spatial", "aspects", _ratio, bench.ASPECTS),
+], ids=["sizes", "nproj", "query-sizes", "aspects"])
+def test_default_sweep_lists_are_benchs_points(command, dest, conv, points):
+    # each default list parses to the library sweep's own default points,
+    # so `memsrs bench` and `run_experiment1..4` sweep the same points
+    text = getattr(build_parser().parse_args(["bench", command]), dest)
+    assert _num_list(text, conv, dest) == list(points)

@@ -257,19 +257,20 @@ def test_sorted_qualifying_rows_price_like_plain_tuples_at_every_width():
                        n_active_tips=16)
     lay = RelLayoutRP(dev, RelationSchema(k=16, n=384))
     ids = random.Random(3).sample(range(1, 385), 96)
-    rows = lay.qualifying_rows(ids)
-    sizes = sorted(map(len, rows.values()))
+    band = lay.qualifying_rows(ids)
+    sizes = sorted(map(len, band.rows.values()))
     assert sizes[0] <= dev.n_active_tips < sizes[-1]
     # the same map as plain tuples, bucketed id by id
     plain = {}
     for v in sorted(ids):
         plain.setdefault((v - 1) // 64 + 1, []).append((v - 1) % 64 + 1)
     plain = {row: tuple(tips) for row, tips in plain.items()}
-    assert plain == rows
-    # one map shared by every width, as the projection sweep shares it
+    assert plain == band.rows
+    plain = lay._band(plain)
+    # one band shared by every width, as the projection sweep shares it
     for nproj in range(1, 17):
         query = q(range(1, nproj + 1), sel=0.25)
-        assert (Emulator(dev).execute(lay.compile(query, rows))
+        assert (Emulator(dev).execute(lay.compile(query, band))
                 == Emulator(dev).execute(lay.compile(query, plain)))
 
 
@@ -284,12 +285,12 @@ def test_counted_rows_price_like_the_qualifying_ids_rows(sigma):
         rel = Relation(350, seed)
         real = lay.qualifying_rows(rel.qualifying_set(sigma, dev.n_tips))
         counted = lay.counted_rows(rel.qualifying_counts(sigma, dev.n_tips))
-        assert all(type(tips) is SortedTips for tips in real.values())
-        assert {r: len(t) for r, t in real.items()} == {
-            r: len(t) for r, t in counted.items()}
+        assert all(type(tips) is SortedTips for tips in real.rows.values())
+        assert {r: len(t) for r, t in real.rows.items()} == {
+            r: len(t) for r, t in counted.rows.items()}
         for nproj in (1, 2, 9, 16):
             query = q(range(1, nproj + 1), sel=sigma)
-            plans = [lay.compile(query, rows) for rows in (real, counted)]
+            plans = [lay.compile(query, band) for band in (real, counted)]
             assert len(plans[0].scans) == len(plans[1].scans)
             for model in SEEK_MODELS:
                 assert (Emulator(dev, model).execute(plans[0])
@@ -301,9 +302,9 @@ def test_counted_rows_are_ranges_of_the_counts():
                        n_active_tips=4)
     lay = RelLayoutRP(dev, RelationSchema(k=2, n=50))  # 13 rows, last of 2
     counts = [0, 4, 1] + [0] * 9 + [2]
-    assert lay.counted_rows(counts) == {2: range(1, 5), 3: range(1, 2),
-                                        13: range(1, 3)}
-    assert lay.counted_rows(()) == {}
+    assert lay.counted_rows(counts).rows == {2: range(1, 5), 3: range(1, 2),
+                                             13: range(1, 3)}
+    assert lay.counted_rows(()).rows == {}
 
 
 @pytest.mark.parametrize("counts, message", [
@@ -328,7 +329,8 @@ def test_counted_rows_share_one_range_per_count_checked_once_per_plan(
     dev = DeviceParams(regions_x=8, regions_y=8, sectors_x=20, sectors_y=5,
                        n_active_tips=64)
     lay = RelLayoutRP(dev, RelationSchema(k=4, n=350))  # 6 rows, last of 30
-    rows = lay.counted_rows([5, 0, 7, 5, 7, 5])
+    band = lay.counted_rows([5, 0, 7, 5, 7, 5])
+    rows = band.rows
     assert rows == {1: range(1, 6), 3: range(1, 8), 4: range(1, 6),
                     5: range(1, 8), 6: range(1, 6)}
     assert rows[1] is rows[4] is rows[6] and rows[3] is rows[5]
@@ -342,7 +344,7 @@ def test_counted_rows_share_one_range_per_count_checked_once_per_plan(
 
     check_tips = emulator._check_tips
     monkeypatch.setattr(emulator, "_check_tips", counting)
-    plan = lay.compile(q((1, 2, 3, 4)), rows)
+    plan = lay.compile(q((1, 2, 3, 4)), band)
     # scan 0 is the predicate band's
     assert {id(t) for s in plan.scans[1:]
             for t in [s.tips, *(s.per_row_tips or {}).values()]} == {
@@ -356,29 +358,56 @@ def test_counted_rows_share_one_range_per_count_checked_once_per_plan(
 RP7 = RelationSchema(k=16, n=40_960)
 
 
-@pytest.mark.parametrize("rows, message", [
-    # each used to compile: the first two as the plan of {}, the others
-    # priced as tips the last band row does not hold
-    ({999: range(1, 5)}, "band row 999 out of range 1..7"),
-    ({0: range(1, 3)}, "band row 0 out of range 1..7"),
-    ({2.0: (1,)}, "band row 2.0 is not an integer"),
-    ({7: range(1, 6401)}, "tip 6400 of band row 7 out of range 1..2560"),
-    ({7: SortedTips((5, 2561))}, "tip 2561 of band row 7 out of range 1..2560"),
-    ({1: (6400,), 7: (2561, 5)}, "tip 2561 of band row 7 out of range 1..2560"),
-], ids=["above-band", "zero", "float", "range", "sorted", "tuple"])
-def test_rp_compile_rejects_a_row_it_cannot_place(rows, message):
-    lay = RelLayoutRP(CMU, RP7)
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        lay.compile(q([1, 2]), rows)
-
-
 def test_rp_compile_takes_the_rows_it_builds_at_their_limits():
     lay = RelLayoutRP(CMU, RP7)
     assert lay.band_rows == 7
-    for rows in (lay.counted_rows([6400] + [0] * 5 + [2560]),
+    for band in (lay.counted_rows([6400] + [0] * 5 + [2560]),
                  lay.qualifying_rows([1, 6400, 6401, 40_960]),
-                 {7: range(2560, 0, -1)}, {}):
-        assert lay.compile(q([1, 2]), rows).scans
+                 lay.counted_rows([0] * 6 + [2560]), lay.counted_rows(()),
+                 lay.qualifying_rows(())):
+        assert lay.compile(q([1, 2]), band).scans
+
+
+def test_rp_compile_takes_only_a_band_of_its_own_layout():
+    # qualifying_rows and counted_rows check the rows once, so compile
+    # takes nothing else: not a plain map, nor a band of another layout,
+    # even an equal one
+    lay, twin = RelLayoutRP(CMU, RP7), RelLayoutRP(CMU, RP7)
+    counts = [6400, 0, 5, 0, 0, 0, 2560]
+    band, other = lay.counted_rows(counts), twin.counted_rows(counts)
+    assert (other.rows, other.scans) == (band.rows, band.scans)
+    for bad, got in ((band.rows, "dict"), (dict(band.rows), "dict"),
+                     (None, "NoneType"), (other, "a band of another layout")):
+        with pytest.raises(ValueError, match=(
+                f"^compile takes a QualifyingBand of this layout, "
+                f"got {got}$")):
+            lay.compile(q([1, 2]), bad)
+    assert lay.compile(q([1, 2]), band) == twin.compile(q([1, 2]), other)
+
+
+@pytest.mark.parametrize("pred", [1, 3])
+def test_rp_plan_scans_are_the_plans_own(pred):
+    # the full band and a draw's band are scanned once and moved for each
+    # plan, by 0 rows for attribute 1's band: changing one plan's scans
+    # must leave the next plan as it was
+    dev = _oracle_device(16)
+    lay = RelLayoutRP(dev, RelationSchema(k=4, n=350))  # last row of 30
+    band = lay.counted_rows(Relation(350, 0).qualifying_counts(0.5,
+                                                               dev.n_tips))
+    query = q((1, 2, 3, 4), sel=0.5, pred=pred)
+    want = plan_to_text(lay.compile(query, band))
+    plan = lay.compile(query, band)
+    start = lay.band_start(pred)
+    # both bands' scans override rows: the ragged last row's, and the
+    # rows whose count differs from the default's
+    assert {scan.start == start for scan in plan.scans
+            if scan.per_row_tips} == {True, False}
+    for scan in plan.scans:
+        scan.start += 1
+        if scan.per_row_tips:
+            scan.per_row_tips.clear()
+    assert plan_to_text(lay.compile(query, band)) == want
+    assert plan_to_text(plan) != want
 
 
 # -- plans built once per run, against the per-unit builders --------------
@@ -440,13 +469,14 @@ def test_rp_shifted_bands_match_the_per_band_builder(sigma, n, band_rows,
     real = lay.qualifying_rows(rel.qualifying_set(sigma, dev.n_tips))
     counted = lay.counted_rows(rel.qualifying_counts(sigma, dev.n_tips))
     # one range object per row, as counted rows were before they shared
-    unshared = {r: range(1, len(t) + 1) for r, t in counted.items()}
-    assert len(real) == (1 if sigma == 1e-4 else band_rows)
-    for rows in (real, counted, unshared):
+    unshared = lay._band({r: range(1, len(t) + 1)
+                          for r, t in counted.rows.items()})
+    assert len(real.rows) == (1 if sigma == 1e-4 else band_rows)
+    for band in (real, counted, unshared):
         for projected, pred in _PROJECTIONS:
             query = q(projected, sel=sigma, pred=pred)
-            _same_scans(lay.compile(query, rows),
-                        rp_plan_per_band(lay, query, rows))
+            _same_scans(lay.compile(query, band),
+                        rp_plan_per_band(lay, query, band.rows))
 
 
 # -- analytic cost inputs -------------------------------------------------
@@ -463,9 +493,9 @@ def test_qualifying_rows_matches_per_id_bucketing():
     for v in ids:
         want.setdefault((v - 1) // 4 + 1, []).append((v - 1) % 4 + 1)
     want = {row: tuple(sorted(tips)) for row, tips in want.items()}
-    assert lay.qualifying_rows(ids) == want
-    assert lay.qualifying_rows(sorted(ids)) == want
-    assert lay.qualifying_rows(()) == {}
+    assert lay.qualifying_rows(ids).rows == want
+    assert lay.qualifying_rows(sorted(ids)).rows == want
+    assert lay.qualifying_rows(()).rows == {}
     for bad in (0, 51):
         with pytest.raises(ValueError, match=f"qualifying tuple id {bad} out of range"):
             lay.qualifying_rows([5, bad, 9])

@@ -97,23 +97,32 @@ def test_exhaustive_bijection_tiny_geometry():
     assert len(seen) == TINY.n_regions * TINY.sectors_per_region  # 108
 
 
-def test_sampled_round_trip_cmu():
-    rng = random.Random(20260822)
-    for _ in range(10**6):
-        a = RSAddr(rng.randint(1, CMU.n_regions), rng.randint(1, CMU.sectors_per_region))
-        assert mems_to_rs(rs_to_mems(a, CMU), CMU) == a
+@settings(max_examples=300, deadline=None)
+@given(r=st.integers(1, CMU.n_regions), s=st.integers(1, CMU.sectors_per_region),
+       r2=st.integers(1, CMU.n_regions), s2=st.integers(1, CMU.sectors_per_region))
+def test_sampled_round_trip_cmu(r, s, r2, s2):
+    # each map is a product of two axis maps: (region_x, region_y) comes
+    # from the region alone and (col, row) from the sector alone, and
+    # back.  So the round trips of every region and of every sector
+    # (criterion 1) hold for every one of the device's cells.
+    a, a2 = rs_to_mems(RSAddr(r, s), CMU), rs_to_mems(RSAddr(r2, s2), CMU)
+    assert rs_to_mems(RSAddr(r, s2), CMU) == a[:2] + a2[2:]
+    assert rs_to_mems(RSAddr(r2, s), CMU) == a2[:2] + a[2:]
+    ph, ph2 = PhysAddr(*a[:2], *a2[2:]), PhysAddr(*a2[:2], *a[2:])
+    assert mems_to_rs(ph, CMU) == RSAddr(r, s2)
+    assert mems_to_rs(ph2, CMU) == RSAddr(r2, s)
+    assert mems_to_rs(a, CMU) == RSAddr(r, s)
 
 
-def test_quasi_contiguity_cmu_sampled():
-    # consecutive sector indices are physically adjacent: same column one row
-    # apart, or adjacent column same row (serpentine boundary)
-    rng = random.Random(7)
-    for _ in range(20000):
-        s = rng.randint(1, CMU.sectors_per_region - 1)
-        a = rs_to_mems(RSAddr(1, s), CMU)
-        b = rs_to_mems(RSAddr(1, s + 1), CMU)
-        dcol, drow = abs(a.col - b.col), abs(a.row - b.row)
-        assert (dcol, drow) in ((0, 1), (1, 0))
+def test_quasi_contiguity_cmu_every_pair():
+    # all 67,499 pairs of consecutive sector indices are physically
+    # adjacent: same column one row apart, or adjacent column same row
+    # (serpentine boundary); the sector part depends on no region
+    cells = [rs_to_mems(RSAddr(1, s), CMU)[2:]
+             for s in range(1, CMU.sectors_per_region + 1)]
+    steps = {(abs(a[0] - b[0]), abs(a[1] - b[1]))
+             for a, b in zip(cells, cells[1:])}
+    assert steps == {(0, 1), (1, 0)}
 
 
 @settings(max_examples=40, deadline=None)
