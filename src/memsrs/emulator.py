@@ -36,6 +36,14 @@ Each distinct set object is checked once per plan: a scan's override
 sets are told apart by `id` at C speed, so rows and scans that share one
 set (the linear stores share one `range` per tip group, and counted band
 rows one `range` per count) add no check.
+A `RowTips` does for a scan's override rows what `SortedTips` does for
+tips: built once (by `rs_scan`, `rs.shift_scans` and `plan_from_text`)
+and frozen, it has checked that its rows are ints and keeps its first
+and last rows, its distinct sets, the sectors its rows read and its
+widest set.  A plan checks such rows against their scan at those two
+ends and prices them from those sums, without walking them; each of its
+sets is still checked once per plan, against the emulator's tips.  Any
+other mapping is walked row by row.
 `read` also checks once, before the sled moves, that the media image
 covers the emulator's geometry and holds sectors of its size.  The image
 keeps each written sector row as one list of cells indexed by region, so
@@ -49,7 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
-from operator import itemgetter, lt
+from operator import add, itemgetter, lt
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
 
@@ -71,12 +79,6 @@ def _lin(col: int, row: int, sy: int) -> int:
     """(column, physical row) -> linear RS row; inverse of `_col_row`."""
     off = row - 1 if col % 2 == 1 else sy - row
     return (col - 1) * sy + off + 1
-
-
-def _phys_dir(col: int, ascending: bool) -> int:
-    """Physical Y direction while moving through `col` in linear order."""
-    d = 1 if col % 2 == 1 else -1
-    return d if ascending else -d
 
 
 @dataclass
@@ -202,6 +204,63 @@ class SortedTips(tuple):
         return tuple.__new__(cls, tips)
 
 
+def _frozen(self, *args, **kwargs):
+    raise TypeError("a RowTips cannot be changed; build another one")
+
+
+class RowTips(dict):
+    """A scan's override rows, checked to be ints and summarised once
+    when built: `lo` and `hi` are its first and last rows, `sets` its
+    distinct tip-set objects in first-use order, `cells` the sectors its
+    rows read (the sum of their sets' sizes) and `widest` the largest
+    set's size.  Every mutator raises `TypeError`, so the summary cannot
+    go stale; it describes the sets as they were built, so they should be
+    immutable (a tuple, `range` or `SortedTips`)."""
+
+    __slots__ = ("lo", "hi", "sets", "cells", "widest")
+
+    def __new__(cls, rows=()):
+        self = dict.__new__(cls)
+        dict.update(self, rows)
+        if not self:
+            self.lo = self.hi = None
+            self.sets, self.cells, self.widest = (), 0, 0
+            return self
+        # rows that are all exact ints pass at C speed
+        if {*map(type, self)} != {int}:
+            for s in self:
+                check_integer("override row", s)
+        vals = self.values()
+        self.lo, self.hi = min(self), max(self)
+        self.sets = sets = tuple(dict(zip(map(id, vals), vals)).values())
+        self.cells, self.widest = sum(map(len, vals)), max(map(len, sets))
+        return self
+
+    def __init__(self, rows=()):
+        # built in `__new__`: a second `__init__` call changes nothing
+        pass
+
+    __setitem__ = __delitem__ = __ior__ = _frozen
+    update = clear = pop = popitem = setdefault = _frozen
+
+    def __reduce__(self):
+        # copied and pickled by building anew, not by setting rows
+        return RowTips, (dict(self),)
+
+    def shifted(self, rows: int) -> "RowTips":
+        """These overrides `rows` rows further on: the keys rebuilt at C
+        speed, the ends moved and the rest of the summary shared."""
+        if type(rows) is not int:
+            check_integer("rows", rows)
+        if not self:
+            return self
+        moved = dict.__new__(RowTips)
+        dict.update(moved, zip(map(add, self, repeat(rows)), self.values()))
+        moved.lo, moved.hi = self.lo + rows, self.hi + rows
+        moved.sets, moved.cells, moved.widest = self.sets, self.cells, self.widest
+        return moved
+
+
 def _check_tips(tips: Sequence[int], n_tips: int) -> None:
     if not tips:
         return
@@ -234,30 +293,6 @@ def _layer_reader(
     if len(layer) > 1:
         return itemgetter(*layer)
     return lambda row: map(row.__getitem__, layer)
-
-
-def _transition_cost(state: SledState, tcol: int, trow: int, first_dir: int,
-                     p: DeviceParams, model: str) -> Tuple[float, bool]:
-    """Cost of repositioning before a scan; True when the sled moved.
-
-    X and Y repositioning overlap, so the charge is the larger of the two.
-    A target in an adjacent column is reachable by a settle alone.
-    """
-    dcol = abs(tcol - state.col)
-    drow = abs(trow - state.row)
-    if model == "average":
-        if dcol == 0:
-            x_comp = 0.0
-        elif dcol == 1:
-            x_comp = p.settle_time_s
-        else:
-            x_comp = p.move_x_s + p.settle_time_s
-        y_move = p.move_y_s if drow else 0.0
-    else:  # "distance", the only other model `Emulator` accepts
-        x_comp = 0.0 if dcol == 0 else 3.0 * p.move_x_s * dcol / p.sectors_x + p.settle_time_s
-        y_move = 3.0 * p.move_y_s * drow / p.sectors_y
-    turn = p.turnaround_time_s if first_dir != 0 and first_dir == -state.y_dir else 0.0
-    return max(x_comp, y_move + turn), bool(dcol or drow)
 
 
 class Emulator:
@@ -307,21 +342,28 @@ class Emulator:
                 checked.add(id(tips))
             prt = scan.per_row_tips
             if prt:
-                # rows that are all exact ints pass at C speed
-                if {*map(type, prt)} != {int}:
-                    for s in prt:
-                        check_integer("override row", s)
-                for s in (min(prt), max(prt)):
+                # the exact type: a RowTips was checked and summarised when
+                # it was built, so its rows are not walked again
+                if type(prt) is RowTips:
+                    first, last, sets = prt.lo, prt.hi, prt.sets
+                else:
+                    # rows that are all exact ints pass at C speed
+                    if {*map(type, prt)} != {int}:
+                        for s in prt:
+                            check_integer("override row", s)
+                    # the distinct sets in first-use order, found in C
+                    vals = prt.values()
+                    first, last = min(prt), max(prt)
+                    sets = dict(zip(map(id, vals), vals)).values()
+                for s in (first, last):
                     if not lo <= s <= hi:
                         raise ValueError(f"override row {s} outside scan {lo}..{hi}")
-                # the scan's distinct sets, found in C; only a set not yet
-                # checked lists them in first-use order
-                sets = prt.values()
+                # a scan whose sets were all seen costs one subset test
                 if not {*map(id, sets)} <= checked:
-                    for key, tips in dict(zip(map(id, sets), sets)).items():
-                        if key not in checked:
+                    for tips in sets:
+                        if id(tips) not in checked:
                             _check_tips(tips, n_tips)
-                            checked.add(key)
+                            checked.add(id(tips))
 
     def _run(self, plan: AccessPlan, media: Optional[MediaImage]):
         self._validate(plan)
@@ -341,32 +383,51 @@ class Emulator:
                     f"not match the emulator's {p.sector_bits}-bit sectors")
             get, zero_row = media._cells.get, media._zero_row
         napt = p.n_active_tips
-        sy = p.sectors_y
+        sx, sy = p.sectors_x, p.sectors_y
+        # repositioning: X and Y moves overlap, so a seek costs the larger
+        # of the two, and an adjacent column is reached by a settle alone
+        average = self.seek_model == "average"  # else "distance"
+        settle, turn_s = p.settle_time_s, p.turnaround_time_s
+        far_x, move_y = p.move_x_s + settle, p.move_y_s
+        x3, y3 = 3.0 * p.move_x_s, 3.0 * p.move_y_s
         seek_s = 0.0
         n_seeks = n_turnarounds = n_row_steps = n_settles = n_sectors = 0
         out: List[bytes] = []
         no_rows: Dict[int, Sequence[int]] = {}
+        # the sled, in locals until the plan is priced
         state = self.state
-        cur = _lin(state.col, state.row, sy)  # the sled's linear row
+        col, row, y_dir = state.col, state.row, state.y_dir
+        cur = _lin(col, row, sy)  # the sled's linear row
 
         for scan in plan.scans:
             lo, length = scan.start, scan.length
             hi = lo + length - 1
             ascending = abs(cur - lo) <= abs(cur - hi)
             entry = lo if ascending else hi
-            tcol, trow = _col_row(entry, sy)
+            # the entry's column and physical row (`_col_row`): odd
+            # columns run down, even ones back up
+            tcol = (entry - 1) // sy + 1
+            off = (entry - 1) % sy
+            trow = off + 1 if tcol % 2 == 1 else sy - off
 
-            if trow != state.row:
-                first_dir = 1 if trow > state.row else -1
+            if trow != row:
+                first_dir = 1 if trow > row else -1
             elif length > 1:
-                first_dir = _phys_dir(tcol, ascending)
+                # the physical direction of linear order in this column
+                first_dir = 1 if (tcol % 2 == 1) == ascending else -1
             else:
                 first_dir = 0
-            cost, moved = _transition_cost(state, tcol, trow, first_dir,
-                                           p, self.seek_model)
-            if moved:
-                seek_s += cost
-            elif cost > 0:
+            turn = turn_s if first_dir and first_dir == -y_dir else 0.0
+            dcol, drow = abs(tcol - col), abs(trow - row)
+            if dcol or drow:
+                if average:
+                    x = 0.0 if not dcol else settle if dcol == 1 else far_x
+                    y = move_y if drow else 0.0
+                else:
+                    x = x3 * dcol / sx + settle if dcol else 0.0
+                    y = y3 * drow / sy
+                seek_s += max(x, y + turn)
+            elif turn > 0:
                 # in place, the only charge is a direction reversal
                 n_turnarounds += 1
             n_seeks += 1
@@ -376,10 +437,14 @@ class Emulator:
             # rows wanting more tips than one pass activates: the wide
             # overrides and the outermost rows left on the default set
             if prt:
-                sizes = list(map(len, prt.values()))
-                n_sectors += len(tips) * (length - len(prt)) + sum(sizes)
+                if type(prt) is RowTips:
+                    cells, widest = prt.cells, prt.widest
+                else:
+                    sizes = list(map(len, prt.values()))
+                    cells, widest = sum(sizes), max(sizes)
+                n_sectors += len(tips) * (length - len(prt)) + cells
                 wide = ([(s, len(t)) for s, t in prt.items() if len(t) > napt]
-                        if max(sizes) > napt else [])
+                        if widest > napt else [])
             else:
                 prt = no_rows
                 n_sectors += len(tips) * length
@@ -424,12 +489,15 @@ class Emulator:
                 n_turnarounds += 1
 
             cur = pos
-            fcol, frow = _col_row(pos, sy)
-            state.col, state.row = fcol, frow
+            col = (pos - 1) // sy + 1
+            off = (pos - 1) % sy
+            row = off + 1 if col % 2 == 1 else sy - off
             if length > 1:
-                state.y_dir = _phys_dir(fcol, last_dir == 1)
-            elif first_dir != 0:
-                state.y_dir = first_dir
+                y_dir = 1 if (col % 2 == 1) == (last_dir == 1) else -1
+            elif first_dir:
+                y_dir = first_dir
+
+        state.col, state.row, state.y_dir = col, row, y_dir
 
         # seconds come from event counts, so execute and read agree
         # exactly; total_s adds repositioning and streaming time in the
@@ -516,6 +584,8 @@ def plan_to_text(plan: AccessPlan) -> str:
 def plan_from_text(text: str) -> AccessPlan:
     """Parse the `plan_to_text` form; a bad record fails naming its line."""
     scans: List[Scan] = []
+    # each scan's override rows, made one `RowTips` once all are read
+    overrides: List[Dict[int, Tuple[int, ...]]] = []
     # (scan count, row) -> the line of that scan's override of the row
     row_lines: Dict[Tuple[int, int], int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -523,11 +593,15 @@ def plan_from_text(text: str) -> AccessPlan:
         if not line or line.startswith("#"):
             continue
         with named(f"line {lineno}"):
-            _parse_record(line.split(), scans, row_lines, lineno)
+            _parse_record(line.split(), scans, overrides, row_lines, lineno)
+    for scan, rows in zip(scans, overrides):
+        if rows:
+            scan.per_row_tips = RowTips(rows)
     return AccessPlan(scans)
 
 
 def _parse_record(fields: List[str], scans: List[Scan],
+                  overrides: List[Dict[int, Tuple[int, ...]]],
                   row_lines: Dict[Tuple[int, int], int], lineno: int) -> None:
     if fields[0] == "scan":
         if len(fields) != 4:
@@ -535,6 +609,7 @@ def _parse_record(fields: List[str], scans: List[Scan],
         start = _parse_int(fields[1], "start")
         length = _parse_int(fields[2], "length")
         scans.append(Scan(tips=_parse_rle(fields[3]), start=start, length=length))
+        overrides.append({})
     elif fields[0] == "row":
         if not scans:
             raise ValueError("row override before any scan")
@@ -545,8 +620,6 @@ def _parse_record(fields: List[str], scans: List[Scan],
         if first != lineno:
             raise ValueError(f"row {s} of this scan already overridden "
                              f"on line {first}")
-        if scans[-1].per_row_tips is None:
-            scans[-1].per_row_tips = {}
-        scans[-1].per_row_tips[s] = _parse_rle(fields[2])
+        overrides[-1][s] = _parse_rle(fields[2])
     else:
         raise ValueError(f"unknown record {fields[0]!r}")

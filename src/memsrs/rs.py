@@ -14,19 +14,19 @@ a lead run of units, so a long run costs no step per unit), and at most
 (`layer_cuts` walks them, cutting each distinct set once per layer with
 `layer_tips`; `layer_scans` makes one `rs_scan` per run a layer reaches).
 Scans built once are placed elsewhere on the sector axis by
-`shift_scans`, which shares their tip sets.
+`shift_scans`, which shares their tip sets and the summary of their
+override rows (an `emulator.RowTips`, the form every scan here gets).
 Every placement that maps a value to one Region-Sector address stores
 it down that region's sector axis (`write_values`).
 """
 
 from __future__ import annotations
 
-from itertools import groupby, product, repeat, starmap
-from operator import add
+from itertools import groupby, product, starmap
 from typing import Callable, Dict, Iterator, List, NamedTuple, Sequence
 
 from .device import DeviceParams, check_integer
-from .emulator import (MediaImage, Scan, SortedTips, _col_row, _lin,
+from .emulator import (MediaImage, RowTips, Scan, SortedTips, _col_row, _lin,
                        check_bytes_like)
 
 
@@ -75,8 +75,9 @@ def rs_scan(start: int, unit_rows: int,
 
     The first `lead` units read `unit_tips[0]`, the scan's default, and
     each later unit reads the next set; every row of a unit with another
-    set overrides the default.  A unit that repeats the default object is
-    skipped without comparing sets.
+    set overrides the default, and the overrides are one `RowTips`.  A
+    unit that repeats the default object is skipped without comparing
+    sets.
     """
     default = unit_tips[0]
     length = (lead + len(unit_tips) - 1) * unit_rows
@@ -92,17 +93,22 @@ def rs_scan(start: int, unit_rows: int,
         for d in range(1, unit_rows):
             prt.update([(first + d, tips) for first, tips in other])
     return Scan(tips=default, start=start, length=length,
-                per_row_tips=prt or None)
+                per_row_tips=RowTips(prt) if prt else None)
 
 
 def shift_scans(scans: Sequence[Scan], rows: int) -> List[Scan]:
     """The scans `rows` rows further along the sector axis, their override
-    rows moved with them; every tip set is shared, not copied."""
-    return [Scan(tips=scan.tips, start=scan.start + rows, length=scan.length,
-                 per_row_tips=scan.per_row_tips and dict(zip(
-                     map(add, scan.per_row_tips, repeat(rows)),
-                     scan.per_row_tips.values())))
-            for scan in scans]
+    rows moved with them as a `RowTips`; every tip set is shared, not
+    copied."""
+    moved = []
+    for scan in scans:
+        prt = scan.per_row_tips
+        if prt and type(prt) is not RowTips:
+            prt = RowTips(prt)
+        moved.append(Scan(tips=scan.tips, start=scan.start + rows,
+                          length=scan.length,
+                          per_row_tips=prt and prt.shifted(rows)))
+    return moved
 
 
 def layer_tips(tips: Sequence[int], lo: int, napt: int) -> Sequence[int]:

@@ -1,6 +1,9 @@
 """Timing semantics of the physical-access emulator."""
 
+import copy
 import math
+import operator
+import pickle
 import re
 import struct
 from collections import Counter
@@ -11,12 +14,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from memsrs import emulator
 from memsrs.device import DeviceParams, cmu_defaults
 from memsrs.emulator import (
     SEEK_MODELS,
     AccessPlan,
     Emulator,
     MediaImage,
+    RowTips,
     Scan,
     SledState,
     SortedTips,
@@ -26,6 +31,9 @@ from memsrs.emulator import (
     plan_from_text,
     plan_to_text,
 )
+from memsrs.relational import RelationSchema, RelLayoutRP
+from memsrs.rs import shift_scans
+from memsrs.workload import Relation
 from tests.oracles import dict_read_cells
 
 CMU = cmu_defaults()
@@ -650,6 +658,171 @@ def test_checking_each_tip_set_object_once_is_only_a_cache(plan, col, row,
         return result, em.state
 
     assert outcome(plan) == outcome(unshared)
+
+
+# -- frozen override maps -------------------------------------------------
+
+def test_row_tips_summarise_their_rows_once():
+    wide, narrow = (1, 2, 3, 4), range(1, 3)
+    rows = RowTips({7: narrow, 5: wide, 6: narrow, 9: ()})
+    assert rows == {7: narrow, 5: wide, 6: narrow, 9: ()}
+    assert (rows.lo, rows.hi, rows.cells, rows.widest) == (5, 9, 8, 4)
+    # the distinct set objects in first-use order
+    assert list(map(id, rows.sets)) == [id(narrow), id(wide), id(())]
+    moved = rows.shifted(10)
+    assert moved == {17: narrow, 15: wide, 16: narrow, 19: ()}
+    assert type(moved) is RowTips and (moved.lo, moved.hi) == (15, 19)
+    assert moved.sets is rows.sets
+    assert (moved.cells, moved.widest) == (8, 4)
+    empty = RowTips()
+    assert not empty and empty.sets == () and empty.shifted(3) is empty
+    # a plan holding one can still be copied and pickled
+    plan = AccessPlan([Scan(tips=(1,), start=5, length=5, per_row_tips=rows)])
+    for twin in (copy.deepcopy(plan), pickle.loads(pickle.dumps(plan))):
+        assert twin == plan and type(twin.scans[0].per_row_tips) is RowTips
+        assert twin.scans[0].per_row_tips.cells == 8
+
+
+@pytest.mark.parametrize("rows, message", [
+    ({1: (2,), 2.0: (1,)}, r"^override row must be an integer, got 2\.0$"),
+    ({True: (1,)}, r"^override row must be an integer, got True$"),
+], ids=["float", "bool"])
+def test_row_tips_reject_a_row_that_is_not_an_int(rows, message):
+    with pytest.raises(ValueError, match=message):
+        RowTips(rows)
+
+
+def test_row_tips_shift_only_by_an_int():
+    with pytest.raises(ValueError, match=r"^rows must be an integer, got 1\.0$"):
+        RowTips({1: (2,)}).shifted(1.0)
+
+
+@pytest.mark.parametrize("change", [
+    lambda m: operator.setitem(m, 2, (3,)),
+    lambda m: operator.setitem(m, 1, ()),
+    lambda m: operator.delitem(m, 1),
+    lambda m: m.update({2: (3,)}),
+    lambda m: m.update(),
+    lambda m: m.clear(),
+    lambda m: m.pop(1),
+    lambda m: m.popitem(),
+    lambda m: m.setdefault(2, (3,)),
+    lambda m: operator.ior(m, {2: (3,)}),
+], ids=["add-row", "replace-row", "del", "update", "update-nothing", "clear",
+        "pop", "popitem", "setdefault", "ior"])
+def test_row_tips_are_frozen(change):
+    # a change would leave the summary stale, so every mutator refuses
+    rows = RowTips({1: (1, 2)})
+    with pytest.raises(TypeError, match=r"^a RowTips cannot be changed"):
+        change(rows)
+    # nor does a second `__init__` call change anything
+    rows.__init__({2: (3,)})
+    assert rows == {1: (1, 2)}
+    assert (rows.lo, rows.hi, rows.cells, rows.widest) == (1, 1, 2, 2)
+
+
+def _full_image(p):
+    """An image of `p` whose every cell names its tip and row."""
+    keys = [(tip, s) for tip in range(1, p.n_tips + 1)
+            for s in range(1, p.sectors_per_region + 1)]
+    image = MediaImage(p)
+    image.write_cells([t for t, _ in keys], [s for _, s in keys],
+                      [struct.pack(">II", *key) for key in keys])
+    return image
+
+
+@st.composite
+def _row_tips_plans(draw):
+    """Plans on TINY3 whose overrides are `RowTips`, some scans followed
+    by `shift_scans` copies.  Sets come from a small shared pool, reach
+    past the 3 active tips and may repeat a tip or leave 1..9; a row may
+    fall outside its scan, and a copy outside the device."""
+    spr, n_tips = TINY3.sectors_per_region, TINY3.n_tips
+    pool = draw(st.lists(_tip_sets(n_tips) | st.lists(
+        st.integers(0, n_tips + 1), max_size=n_tips + 1).map(tuple),
+        min_size=1, max_size=4))
+    shared = st.sampled_from(pool)
+    scans = []
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(1, spr))
+        length = draw(st.integers(1, spr - start + 1))
+        first, last = start, start + length - 1
+        if draw(st.integers(0, 4)) == 0:
+            first, last = first - 1, last + 1
+        rows = draw(st.dictionaries(st.integers(first, last), shared,
+                                    max_size=length))
+        scans.append(Scan(tips=draw(shared), start=start, length=length,
+                          per_row_tips=RowTips(rows)))
+        for _ in range(draw(st.integers(0, 2))):
+            scans += shift_scans(scans[-1:], draw(st.integers(-spr, spr)))
+    return AccessPlan(scans)
+
+
+def _outcomes(plan, model, sled, image):
+    """What `execute` and `read` return (or the message of the
+    `ValueError` they raise), each with the sled state after it."""
+    out = []
+    for run in (lambda em: em.execute(plan), lambda em: em.read(plan, image)):
+        em = Emulator(TINY3, model)
+        em.state = SledState(*sled)
+        try:
+            out.append(run(em))
+        except ValueError as exc:
+            out.append(str(exc))
+            assert em.state == SledState(*sled)
+        out.append(em.state)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(plan=_row_tips_plans(),
+       sled=st.tuples(st.integers(1, TINY3.sectors_x),
+                      st.integers(1, TINY3.sectors_y), st.sampled_from((1, -1))))
+def test_row_tips_price_and_read_like_plain_dicts(plan, sled):
+    # a `RowTips` is validated from its summary and priced from its
+    # sizes; the same rows as a plain dict are walked row by row
+    plain = AccessPlan([Scan(tips=s.tips, start=s.start, length=s.length,
+                             per_row_tips=dict(s.per_row_tips))
+                        for s in plan.scans])
+    image = _full_image(TINY3)
+    for model in SEEK_MODELS:
+        assert (_outcomes(plan, model, sled, image)
+                == _outcomes(plain, model, sled, image))
+
+
+@pytest.mark.parametrize("k", [1, 15])
+def test_moved_band_scans_are_checked_once_per_set(monkeypatch, k):
+    # k copies of one relational-parallel band scan, as the plans of a
+    # projection hold them: each distinct tip set is checked once, no
+    # override row is walked and no field is checked by `check_integer`
+    lay = RelLayoutRP(CMU, RelationSchema(k=16, n=2_621_440))
+    band = lay.counted_rows(Relation(2_621_440, 0).qualifying_counts(
+        0.1, CMU.n_tips))
+    [scan] = band.scans
+    assert type(scan.per_row_tips) is RowTips and len(scan.per_row_tips) > 400
+    plan = AccessPlan([moved for w in range(2, k + 2)
+                       for moved in shift_scans([scan], lay.band_start(w) - 1)])
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    def walked(*args):
+        raise AssertionError("an override row was walked")
+
+    monkeypatch.setattr(emulator, "_check_tips",
+                        counted("_check_tips", emulator._check_tips))
+    monkeypatch.setattr(emulator, "check_integer",
+                        counted("check_integer", emulator.check_integer))
+    for name in ("__iter__", "keys", "values", "items"):
+        monkeypatch.setattr(RowTips, name, walked)
+    Emulator(CMU)._validate(plan)
+    sets = {id(scan.tips), *map(id, scan.per_row_tips.sets)}
+    assert calls == {"_check_tips": len(sets)}
+
 
 def test_exit_row_rescan_reverses_direction():
     em = Emulator(SMALL)

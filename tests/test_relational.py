@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from memsrs import emulator
 from memsrs.device import DeviceParams, cmu_defaults
-from memsrs.emulator import (SEEK_MODELS, Emulator, MediaImage, SortedTips,
-                             plan_to_text)
+from memsrs.emulator import (SEEK_MODELS, Emulator, MediaImage, RowTips,
+                             SortedTips, plan_from_text, plan_to_text)
 from memsrs.relational import (
     RangeQuery,
     RelLayoutRP,
@@ -404,10 +404,29 @@ def test_rp_plan_scans_are_the_plans_own(pred):
             if scan.per_row_tips} == {True, False}
     for scan in plan.scans:
         scan.start += 1
+        # the override maps are frozen, so no plan can change another's
         if scan.per_row_tips:
-            scan.per_row_tips.clear()
+            with pytest.raises(TypeError):
+                scan.per_row_tips.clear()
     assert plan_to_text(lay.compile(query, band)) == want
     assert plan_to_text(plan) != want
+
+
+@pytest.mark.parametrize("sel", [0.1, 0.5])
+def test_rp_plan_read_back_from_text_prices_alike(sel):
+    # `plan_from_text` makes each scan's override rows one `RowTips`
+    dev = _oracle_device(16)
+    lay = RelLayoutRP(dev, RelationSchema(k=4, n=350))
+    band = lay.counted_rows(Relation(350, 0).qualifying_counts(sel,
+                                                               dev.n_tips))
+    plan = lay.compile(q((1, 2, 3, 4), sel=sel), band)
+    text = plan_to_text(plan)
+    parsed = plan_from_text(text)
+    assert plan_to_text(parsed) == text
+    assert {type(s.per_row_tips) for s in parsed.scans} == {RowTips, type(None)}
+    for model in SEEK_MODELS:
+        assert (Emulator(dev, model).execute(parsed)
+                == Emulator(dev, model).execute(plan))
 
 
 # -- plans built once per run, against the per-unit builders --------------
