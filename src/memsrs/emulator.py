@@ -9,9 +9,7 @@ There is one execution path.  A scan is priced pass by pass: pass 0
 walks the scan from its entry row to its exit row, and each later pass
 reverses over the rows that still want more than `n_active_tips` tips.
 Those rows are the default set's outermost rows when that set is wide,
-and the wide overrides; the overrides are listed only when the largest
-of them (found at C speed) is wide, so a scan of narrow overrides is
-not walked row by row in Python.
+and the wide overrides, listed only when the widest override is wide.
 A pass costs only its row steps, column crossings and one turnaround,
 and `Timing` seconds are computed from those integer event counts plus
 the seek charges.  `read` walks the same passes and also reads each
@@ -24,14 +22,16 @@ the same size prices the plan alike, so a caller that only times a plan
 may pass `range(1, count + 1)` for a row of `count` tips.  `read` is
 exempt, since it returns the tips' bytes.
 
-A plan is validated once, in full, before the sled moves, so an invalid
-plan raises `ValueError` and leaves the sled state unchanged.  A scan's
-start, length, override rows and tips must be ints (a bool is not one).
-A tip set is checked by its smallest and largest tip; a
-`range` and a `SortedTips` (a tuple whose tips were checked to be ints
-that ascend, when it was built or by the caller of `prechecked`) are
-checked at their two ends, any other set by a walk over its tips that
-also rejects a repeated tip (one tip reads one sector per row).
+A plan is checked scan by scan as it is priced, each scan before its
+pricing.  The sled state moves in locals and is written back only after
+the last scan, so an invalid plan raises `ValueError` and leaves the
+sled state unchanged.  A plan must be an `AccessPlan`.  A scan's start,
+length, override rows and tips must be ints (a bool is not one), its
+overrides a mapping, and a tip set a sequence, checked by its smallest
+and largest tip: a `range` and a `SortedTips` (a tuple whose tips were
+checked to be ints that ascend, when it was built or by the caller of
+`prechecked`) at their two ends, any other set by a walk over its tips
+that also rejects a repeated tip (one tip reads one sector per row).
 Each distinct set object is checked once per plan: a scan's override
 sets are told apart by `id` at C speed, so rows and scans that share one
 set (the linear stores share one `range` per tip group, and counted band
@@ -43,9 +43,10 @@ and last rows, its distinct sets, the sectors its rows read and its
 widest set.  A plan checks such rows against their scan at those two
 ends and prices them from those sums, without walking them; each of its
 sets is still checked once per plan, against the emulator's tips.  Any
-other mapping is walked row by row.
-`read` also checks once, before the sled moves, that the media image
-covers the emulator's geometry and holds sectors of its size.  The image
+other override mapping is made a `RowTips` when its scan runs.
+`read` checks before the first scan that its image is a `MediaImage`
+that covers the emulator's geometry and holds sectors of its size, so
+a bad image is named even when the plan is bad too.  The image
 keeps each written sector row as one list of cells indexed by region, so
 `read` takes a pass row's cells as one slice of that list when the
 row's layer is a step-1 `range`, and by one lookup per tip otherwise; a
@@ -55,11 +56,11 @@ and unwritten rows, read as zeros.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from operator import add, itemgetter, lt
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .device import DeviceParams, check_integer, check_integers, named
 
@@ -233,7 +234,14 @@ class RowTips(dict):
         vals = self.values()
         self.lo, self.hi = min(self), max(self)
         self.sets = sets = tuple(dict(zip(map(id, vals), vals)).values())
-        self.cells, self.widest = sum(map(len, vals)), max(map(len, sets))
+        try:
+            self.cells = sum(map(len, vals))
+        except TypeError:
+            # a set without a size is no sequence: name its type
+            for tips in sets:
+                _check_sequence(tips)
+            raise
+        self.widest = max(map(len, sets))
         return self
 
     def __init__(self, rows=()):
@@ -261,11 +269,19 @@ class RowTips(dict):
         return moved
 
 
+def _check_sequence(tips) -> None:
+    if not isinstance(tips, Sequence):
+        raise ValueError(f"tip set must be a sequence, got {type(tips).__name__}")
+
+
 def _check_tips(tips: Sequence[int], n_tips: int) -> None:
+    # the exact type: a subclass could be built without the check
+    walked = type(tips) is not SortedTips and type(tips) is not range
+    # these exact types skip the sequence test, a far slower ABC check
+    if walked and type(tips) is not tuple:
+        _check_sequence(tips)
     if not tips:
         return
-    # the exact type: a subclass could be built without the check
-    walked = type(tips) is not SortedTips and not isinstance(tips, range)
     if walked:
         check_integers("tip", tips)
         low, high = min(tips), max(tips)
@@ -306,77 +322,32 @@ class Emulator:
         self.state = SledState()
 
     def execute(self, plan: AccessPlan) -> Timing:
-        t, _ = self._run(plan, None)
-        return t
+        return self._run(plan, None)[0]
 
     def read(self, plan: AccessPlan, media: MediaImage) -> Tuple[Timing, bytes]:
-        t, data = self._run(plan, media)
-        return t, data
+        if not isinstance(media, MediaImage):
+            raise ValueError(f"media must be a MediaImage, got {type(media).__name__}")
+        return self._run(plan, media)
 
     # -- internals ------------------------------------------------------
 
-    def _validate(self, plan: AccessPlan) -> None:
-        """Check every scan in plan order, before any of them is priced.
-
-        Plans share tip-set objects between rows and scans, so each
-        distinct object is checked once.  Keying on `id()` is safe
-        because the plan holds every tip set for the whole call.
-        """
-        p = self.params
-        n_tips, rows = p.n_tips, p.sectors_per_region
-        checked = set()
-        for scan in plan.scans:
-            start, length, tips = scan.start, scan.length, scan.tips
-            # the exact type, inline: a valid field costs no extra call
-            if type(length) is not int:
-                check_integer("scan length", length)
-            if length < 1:
-                raise ValueError("scan length must be >= 1")
-            if type(start) is not int:
-                check_integer("scan start", start)
-            lo, hi = start, start + length - 1
-            if lo < 1 or hi > rows:
-                raise ValueError(f"scan rows {lo}..{hi} exceed 1..{rows}")
-            if id(tips) not in checked:
-                _check_tips(tips, n_tips)
-                checked.add(id(tips))
-            prt = scan.per_row_tips
-            if prt:
-                # the exact type: a RowTips was checked and summarised when
-                # it was built, so its rows are not walked again
-                if type(prt) is RowTips:
-                    first, last, sets = prt.lo, prt.hi, prt.sets
-                else:
-                    # rows that are all exact ints pass at C speed
-                    if {*map(type, prt)} != {int}:
-                        for s in prt:
-                            check_integer("override row", s)
-                    # the distinct sets in first-use order, found in C
-                    vals = prt.values()
-                    first, last = min(prt), max(prt)
-                    sets = dict(zip(map(id, vals), vals)).values()
-                for s in (first, last):
-                    if not lo <= s <= hi:
-                        raise ValueError(f"override row {s} outside scan {lo}..{hi}")
-                # a scan whose sets were all seen costs one subset test
-                if not {*map(id, sets)} <= checked:
-                    for tips in sets:
-                        if id(tips) not in checked:
-                            _check_tips(tips, n_tips)
-                            checked.add(id(tips))
-
     def _run(self, plan: AccessPlan, media: Optional[MediaImage]):
-        self._validate(plan)
+        """Check each scan, then price it.  Plans share tip-set objects
+        between rows and scans, so each distinct object is checked once;
+        keying on `id()` is safe because the plan holds every tip set for
+        the whole call."""
+        if not isinstance(plan, AccessPlan):
+            raise ValueError(f"plan must be an AccessPlan, got {type(plan).__name__}")
         p = self.params
+        n_tips, n_rows = p.n_tips, p.sectors_per_region
         if media is not None:
-            # with the plan inside the emulator's geometry, one check here
+            # with each scan inside the emulator's geometry, one check here
             # stands in for a bound check per cell
-            if (media.n_regions < p.n_tips
-                    or media.sectors_per_region < p.sectors_per_region):
+            if media.n_regions < n_tips or media.sectors_per_region < n_rows:
                 raise ValueError(
                     f"media image of {media.n_regions} regions x "
                     f"{media.sectors_per_region} rows does not cover the "
-                    f"emulator's {p.n_tips} tips x {p.sectors_per_region} rows")
+                    f"emulator's {n_tips} tips x {n_rows} rows")
             if media.sector_bytes * 8 != p.sector_bits:
                 raise ValueError(
                     f"media image of {media.sector_bytes * 8}-bit sectors does "
@@ -394,14 +365,63 @@ class Emulator:
         n_seeks = n_turnarounds = n_row_steps = n_settles = n_sectors = 0
         out: List[bytes] = []
         no_rows: Dict[int, Sequence[int]] = {}
-        # the sled, in locals until the plan is priced
+        checked = set()
+        # the sled, in locals until the last scan is priced, so an invalid
+        # plan leaves it where it was
         state = self.state
         col, row, y_dir = state.col, state.row, state.y_dir
         cur = _lin(col, row, sy)  # the sled's linear row
 
         for scan in plan.scans:
-            lo, length = scan.start, scan.length
+            lo, length, tips = scan.start, scan.length, scan.tips
+            # the exact type, inline: a valid field costs no extra call
+            if type(length) is not int:
+                check_integer("scan length", length)
+            if length < 1:
+                raise ValueError("scan length must be >= 1")
+            if type(lo) is not int:
+                check_integer("scan start", lo)
             hi = lo + length - 1
+            if lo < 1 or hi > n_rows:
+                raise ValueError(f"scan rows {lo}..{hi} exceed 1..{n_rows}")
+            if id(tips) not in checked:
+                _check_tips(tips, n_tips)
+                checked.add(id(tips))
+            prt = scan.per_row_tips
+            if prt:
+                # the exact type: any other mapping is made one, which
+                # checks its rows; a RowTips's rows are not walked again
+                if type(prt) is not RowTips:
+                    if not isinstance(prt, Mapping):
+                        raise ValueError(f"per_row_tips must be a mapping, "
+                                         f"got {type(prt).__name__}")
+                    prt = RowTips(prt)
+                for s in (prt.lo, prt.hi):
+                    if not lo <= s <= hi:
+                        raise ValueError(f"override row {s} outside scan {lo}..{hi}")
+                # a scan whose sets were all seen costs one subset test
+                if not {*map(id, prt.sets)} <= checked:
+                    for t in prt.sets:
+                        if id(t) not in checked:
+                            _check_tips(t, n_tips)
+                            checked.add(id(t))
+                n_sectors += len(tips) * (length - len(prt)) + prt.cells
+                # rows wanting more tips than one pass activates: the wide
+                # overrides and the outermost rows left on the default set
+                wide = ([(s, len(t)) for s, t in prt.items() if len(t) > napt]
+                        if prt.widest > napt else [])
+            else:
+                prt = no_rows
+                n_sectors += len(tips) * length
+                wide = []
+            if len(tips) > napt and len(prt) < length:
+                first, last = lo, hi
+                while first in prt:
+                    first += 1
+                while last in prt:
+                    last -= 1
+                wide += [(first, len(tips)), (last, len(tips))]
+
             ascending = abs(cur - lo) <= abs(cur - hi)
             entry = lo if ascending else hi
             # the entry's column and physical row (`_col_row`): odd
@@ -431,31 +451,6 @@ class Emulator:
                 # in place, the only charge is a direction reversal
                 n_turnarounds += 1
             n_seeks += 1
-
-            tips = scan.tips
-            prt = scan.per_row_tips
-            # rows wanting more tips than one pass activates: the wide
-            # overrides and the outermost rows left on the default set
-            if prt:
-                if type(prt) is RowTips:
-                    cells, widest = prt.cells, prt.widest
-                else:
-                    sizes = list(map(len, prt.values()))
-                    cells, widest = sum(sizes), max(sizes)
-                n_sectors += len(tips) * (length - len(prt)) + cells
-                wide = ([(s, len(t)) for s, t in prt.items() if len(t) > napt]
-                        if widest > napt else [])
-            else:
-                prt = no_rows
-                n_sectors += len(tips) * length
-                wide = []
-            if len(tips) > napt and len(prt) < length:
-                first, last = lo, hi
-                while first in prt:
-                    first += 1
-                while last in prt:
-                    last -= 1
-                wide += [(first, len(tips)), (last, len(tips))]
 
             # pass k activates tips [k*napt, (k+1)*napt) of each row.  Pass 0
             # walks entry to exit; each later pass reverses and walks to the

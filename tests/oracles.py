@@ -16,7 +16,9 @@ run of `RelLayoutRSY.compile` and the shifted band scans of
 `RelLayoutRP.compile`.
 The dict reader looks up every cell a plan reads, one (tip, row) at a
 time, in a plain dict of what was written, an oracle for the cells
-`Emulator.read` takes from the image's sector rows pass by pass."""
+`Emulator.read` takes from the image's sector rows pass by pass.
+The row-tips summary walks an override map row by row, an oracle for
+the summary `RowTips` keeps."""
 
 import math
 from fractions import Fraction
@@ -91,6 +93,25 @@ def dict_read_cells(plan: AccessPlan, written: Dict[Tuple[int, int], bytes],
     return [written.get((tip, s), zero) for scan in plan.scans
             for s in range(scan.start, scan.start + scan.length)
             for tip in (scan.per_row_tips or {}).get(s, scan.tips)]
+
+
+def row_tips_summary(rows: Mapping[int, Sequence[int]]) -> Tuple:
+    """(lo, hi, sets, cells, widest) of an override map, walked row by
+    row: its first and last rows (None when it has none), its distinct
+    tip-set objects told apart by `id` in first-use order, the sum of its
+    sets' sizes and the largest size (0 when it has none)."""
+    lo = hi = None
+    sets, seen = [], set()
+    cells = widest = 0
+    for s, tips in rows.items():
+        lo = s if lo is None else min(lo, s)
+        hi = s if hi is None else max(hi, s)
+        if id(tips) not in seen:
+            seen.add(id(tips))
+            sets.append(tips)
+        cells += len(tips)
+        widest = max(widest, len(tips))
+    return lo, hi, sets, cells, widest
 
 
 def _block_cell(p: DeviceParams, block: int, offset: int) -> Tuple[int, int]:

@@ -9,6 +9,7 @@ import struct
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings
@@ -34,7 +35,7 @@ from memsrs.emulator import (
 from memsrs.relational import RelationSchema, RelLayoutRP
 from memsrs.rs import shift_scans
 from memsrs.workload import Relation
-from tests.oracles import dict_read_cells
+from tests.oracles import dict_read_cells, row_tips_summary
 
 CMU = cmu_defaults()
 SECTOR = 64 / 0.7e6
@@ -193,17 +194,34 @@ def test_scan_bounds_rejected():
         em.execute(AccessPlan([Scan(tips=(6401,), start=1, length=1)]))
 
 
-@pytest.mark.parametrize("call", ["execute", "read"])
-def test_rejected_plan_leaves_the_sled_in_place(call):
-    # the second scan is invalid; the first must not have been run
-    plan = AccessPlan([Scan(tips=(1,), start=500, length=3),
-                       Scan(tips=(0,), start=1, length=1)])
+# the second scan is invalid; the first must not have been run
+_STRAY_TIP = AccessPlan([Scan(tips=(1,), start=500, length=3),
+                         Scan(tips=(0,), start=1, length=1)])
+
+
+@pytest.mark.parametrize("call, plan, image, message", [
+    ("execute", _STRAY_TIP, None, r"^tip 0 out of range 1\.\.6400$"),
+    ("read", _STRAY_TIP, MediaImage(CMU), r"^tip 0 out of range 1\.\.6400$"),
+    # a plan or image of another type failed on a bare AttributeError
+    ("execute", [Scan(tips=(1,), start=500, length=3)], None,
+     r"^plan must be an AccessPlan, got list$"),
+    ("read", [Scan(tips=(1,), start=500, length=3)], MediaImage(CMU),
+     r"^plan must be an AccessPlan, got list$"),
+    ("read", AccessPlan([Scan(tips=(1,), start=500, length=3)]), "image",
+     r"^media must be a MediaImage, got str$"),
+    # the image is checked before the first scan, so it is named first
+    ("read", _STRAY_TIP, "image", r"^media must be a MediaImage, got str$"),
+    ("read", _STRAY_TIP, MediaImage(replace(CMU, sectors_x=2)),
+     r"^media image of 6400 regions x 54 rows does not cover"),
+], ids=["execute", "read", "execute-list-plan", "read-list-plan",
+        "read-str-image", "read-str-image-stray-tip", "read-small-image-stray-tip"])
+def test_rejected_plan_leaves_the_sled_in_place(call, plan, image, message):
     em = Emulator(CMU)
-    with pytest.raises(ValueError, match=r"^tip 0 out of range 1\.\.6400$"):
+    with pytest.raises(ValueError, match=message):
         if call == "execute":
             em.execute(plan)
         else:
-            em.read(plan, MediaImage(CMU))
+            em.read(plan, image)
     assert em.state == SledState()
 
 
@@ -248,11 +266,21 @@ TINY3 = replace(TINY, n_active_tips=3)
     (Scan((1,), 1, 3, {2: (2, False)}), r"^tip False is not an integer$"),
     (Scan((1, "a"), 1, 1), r"^tip 'a' is not an integer$"),
     (Scan((None,), 1, 1), r"^tip None is not an integer$"),
+    # a set that is no sequence was priced by `execute` and failed in
+    # `read` (or in both, for one without a size) on a bare TypeError
+    (Scan({1, 2}, 1, 1), r"^tip set must be a sequence, got set$"),
+    (Scan(None, 1, 1), r"^tip set must be a sequence, got NoneType$"),
+    (Scan(3, 1, 1), r"^tip set must be a sequence, got int$"),
+    (Scan((1,), 1, 3, {2: None}), r"^tip set must be a sequence, got NoneType$"),
+    (Scan((1,), 1, 3, {2: {3}}), r"^tip set must be a sequence, got set$"),
+    # overrides that are no mapping: pairs would be taken as rows
+    (Scan((1,), 1, 3, [(2, (1,))]), r"^per_row_tips must be a mapping, got list$"),
 ], ids=["length-float", "length-bool", "start-float", "start-integral-float",
         "start-bool", "row-float", "row-bool", "tip-float", "override-tip-float",
         "tip-repeated", "override-tip-repeated", "repeated-tip-float",
         "repeated-tip-out-of-range", "tip-bool", "override-tip-bool",
-        "tip-str", "tip-none"])
+        "tip-str", "tip-none", "set-of-tips", "none-set", "int-set",
+        "override-none-set", "override-set-of-tips", "override-pairs"])
 def test_non_integer_plan_field_rejected_before_the_sled_moves(call, scan,
                                                                message):
     plan = AccessPlan([Scan(tips=(2,), start=5, length=3), scan])
@@ -686,10 +714,38 @@ def test_row_tips_summarise_their_rows_once():
 @pytest.mark.parametrize("rows, message", [
     ({1: (2,), 2.0: (1,)}, r"^override row must be an integer, got 2\.0$"),
     ({True: (1,)}, r"^override row must be an integer, got True$"),
-], ids=["float", "bool"])
+    # a set without a size is named once the sizes fail to sum
+    ({1: (2,), 2: None}, r"^tip set must be a sequence, got NoneType$"),
+    ({1: 3}, r"^tip set must be a sequence, got int$"),
+], ids=["float", "bool", "none-set", "int-set"])
 def test_row_tips_reject_a_row_that_is_not_an_int(rows, message):
     with pytest.raises(ValueError, match=message):
         RowTips(rows)
+
+
+@st.composite
+def _override_maps(draw):
+    """Override rows, some of them outside any device, whose sets come
+    from a small shared pool."""
+    pool = draw(st.lists(_tip_sets(9), min_size=1, max_size=4))
+    return draw(st.dictionaries(st.integers(-30, 30), st.sampled_from(pool),
+                                max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_override_maps(), k=st.integers(-30, 30))
+def test_row_tips_summarise_like_a_plain_walk(rows, k):
+    def walked(rows):
+        lo, hi, sets, cells, widest = row_tips_summary(rows)
+        return lo, hi, list(map(id, sets)), cells, widest
+
+    def summary(rows):
+        return rows.lo, rows.hi, list(map(id, rows.sets)), rows.cells, rows.widest
+
+    built = RowTips(rows)
+    assert built == rows and summary(built) == walked(rows)
+    moved = {s + k: tips for s, tips in rows.items()}
+    assert built.shifted(k) == moved and summary(built.shifted(k)) == walked(moved)
 
 
 def test_row_tips_shift_only_by_an_int():
@@ -777,12 +833,14 @@ def _outcomes(plan, model, sled, image):
 @settings(max_examples=300, deadline=None)
 @given(plan=_row_tips_plans(),
        sled=st.tuples(st.integers(1, TINY3.sectors_x),
-                      st.integers(1, TINY3.sectors_y), st.sampled_from((1, -1))))
-def test_row_tips_price_and_read_like_plain_dicts(plan, sled):
-    # a `RowTips` is validated from its summary and priced from its
-    # sizes; the same rows as a plain dict are walked row by row
+                      st.integers(1, TINY3.sectors_y), st.sampled_from((1, -1))),
+       mapping=st.sampled_from((dict, MappingProxyType)))
+def test_row_tips_price_and_read_like_plain_dicts(plan, sled, mapping):
+    # a `RowTips` is checked from its summary and priced from its sizes;
+    # the same rows as a plain mapping, a `dict` or one that is not, are
+    # made a `RowTips` when their scan runs
     plain = AccessPlan([Scan(tips=s.tips, start=s.start, length=s.length,
-                             per_row_tips=dict(s.per_row_tips))
+                             per_row_tips=mapping(dict(s.per_row_tips)))
                         for s in plan.scans])
     image = _full_image(TINY3)
     for model in SEEK_MODELS:
@@ -794,7 +852,9 @@ def test_row_tips_price_and_read_like_plain_dicts(plan, sled):
 def test_moved_band_scans_are_checked_once_per_set(monkeypatch, k):
     # k copies of one relational-parallel band scan, as the plans of a
     # projection hold them: each distinct tip set is checked once, no
-    # override row is walked and no field is checked by `check_integer`
+    # override row is walked and no field is checked by `check_integer`.
+    # No band row is wider than CMU's 1280 active tips, so pricing the
+    # plan walks no row either
     lay = RelLayoutRP(CMU, RelationSchema(k=16, n=2_621_440))
     band = lay.counted_rows(Relation(2_621_440, 0).qualifying_counts(
         0.1, CMU.n_tips))
@@ -819,7 +879,7 @@ def test_moved_band_scans_are_checked_once_per_set(monkeypatch, k):
                         counted("check_integer", emulator.check_integer))
     for name in ("__iter__", "keys", "values", "items"):
         monkeypatch.setattr(RowTips, name, walked)
-    Emulator(CMU)._validate(plan)
+    Emulator(CMU).execute(plan)
     sets = {id(scan.tips), *map(id, scan.per_row_tips.sets)}
     assert calls == {"_check_tips": len(sets)}
 
