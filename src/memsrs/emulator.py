@@ -46,12 +46,13 @@ sets is still checked once per plan, against the emulator's tips.  Any
 other override mapping is made a `RowTips` when its scan runs.
 `read` checks before the first scan that its image is a `MediaImage`
 that covers the emulator's geometry and holds sectors of its size, so
-a bad image is named even when the plan is bad too.  The image
-keeps each written sector row as one list of cells indexed by region, so
-`read` takes a pass row's cells as one slice of that list when the
-row's layer is a step-1 `range`, and by one lookup per tip otherwise; a
-scan without overrides cuts its layer once per pass.  Unwritten cells,
-and unwritten rows, read as zeros.
+a bad image is named even when the plan is bad too.  The image keeps
+each written sector row as one list of cells indexed by region, and
+`MediaImage.write_rows` stores each run of consecutive regions with one
+slice assignment into it.  `read` takes a pass row's cells as one slice
+of that list when the row's layer is a step-1 `range`, and by one
+lookup per tip otherwise; a scan without overrides cuts its layer once
+per pass.  Unwritten cells, and unwritten rows, read as zeros.
 """
 
 from __future__ import annotations
@@ -148,23 +149,25 @@ class MediaImage:
         self._cells: Dict[int, List[bytes]] = {}
 
     def write_cell(self, region: int, s: int, data: bytes) -> None:
-        self.write_cells((region,), (s,), (data,))
+        self.write_rows([(s, region, (data,))])
 
-    def write_cells(self, regions: Sequence[int], rows: Sequence[int],
-                    cells: Sequence[bytes]) -> None:
-        """Store `cells[i]` at (`regions[i]`, `rows[i]`) for every i.  The
-        whole batch is checked first, so a bad cell stores nothing."""
-        if not len(regions) == len(rows) == len(cells):
-            raise ValueError(f"{len(regions)} regions, {len(rows)} rows and "
-                             f"{len(cells)} cells do not pair up")
-        if not cells:
+    def write_rows(self, runs: Iterable[Tuple[int, int, Sequence[bytes]]]
+                   ) -> None:
+        """Store each run (row, first, cells): `cells[i]` at region
+        `first + i` of sector row `row`, a later run over an earlier one.
+        The whole batch is checked first, so a bad cell stores nothing;
+        each run is then one slice assignment into its row's list."""
+        runs = [(s, first, cells) for s, first, cells in runs]
+        if not runs:
             return
-        # exact ints pass at C speed; the first cell with another type fails
-        if {*map(type, regions)} | {*map(type, rows)} != {int}:
-            for region, s in zip(regions, rows):
-                check_integer("region", region)
+        rows, firsts, groups = zip(*runs)
+        # exact ints pass at C speed; the first run with another type fails
+        if {*map(type, firsts)} | {*map(type, rows)} != {int}:
+            for s, first, _ in runs:
+                check_integer("region", first)
                 check_integer("row", s)
-        low, high = min(regions), max(regions)
+        low = min(firsts)
+        high = max(map(add, firsts, map(len, groups))) - 1
         if low < 1 or high > self.n_regions:
             raise ValueError(f"region {low if low < 1 else high} out of range "
                              f"1..{self.n_regions}")
@@ -172,17 +175,19 @@ class MediaImage:
         if low < 1 or high > self.sectors_per_region:
             raise ValueError(f"row {low if low < 1 else high} out of range "
                              f"1..{self.sectors_per_region}")
-        if {*map(type, cells)} != {bytes}:
-            check_bytes_like(cells, lambda i: "cell payload")
-            cells = list(map(bytes, cells))
-        if {*map(len, cells)} != {self.sector_bytes}:
+        if {*map(type, chain.from_iterable(groups))} - {bytes}:
+            check_bytes_like([*chain.from_iterable(groups)],
+                             lambda i: "cell payload")
+            groups = [[*map(bytes, cells)] for cells in groups]
+            runs = list(zip(rows, firsts, groups))
+        if {*map(len, chain.from_iterable(groups))} - {self.sector_bytes}:
             raise ValueError(f"cell payload must be {self.sector_bytes} bytes")
         store, zero_row = self._cells, self._zero_row
-        for region, s, data in zip(regions, rows, cells):
+        for s, first, cells in runs:
             row = store.get(s)
             if row is None:
                 row = store[s] = zero_row.copy()
-            row[region] = data
+            row[first:first + len(cells)] = cells
 
 
 class SortedTips(tuple):

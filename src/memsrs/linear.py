@@ -12,7 +12,7 @@ advances land in the adjacent position (settle only).
 
 from __future__ import annotations
 
-from itertools import groupby, product, repeat
+from itertools import groupby, product
 from typing import Callable, List, Tuple
 
 from .device import DeviceParams, check_integer
@@ -121,23 +121,24 @@ class _PackedLayout:
                     value_bytes: Callable[[int, int], bytes]) -> None:
         """Store `value_bytes(t, w)` in `spv` adjacent tips of its block
         row, the whole image as one checked batch."""
-        sch, spv, width = self.schema, self.spv, self.width
-        per_block = self.records_per_block
+        n, spv, width = self.schema.n, self.spv, self.width
+        # the cells run sub-relation by sub-relation, each its records in
+        # tuple order, each record's attributes, each value's sectors; a
+        # sub-relation is `n * record` cells, a block `block` from tip0 on
+        record = width * spv
+        block = self.records_per_block * record
         keys: List[Tuple[int, int]] = []
-        regions: List[int] = []
-        rows: List[int] = []
-        for g in range(sch.k // width):
-            attrs = range(g * width + 1, (g + 1) * width + 1)
+        runs = []
+        for g in range(self.schema.k // width):
+            keys += product(range(1, n + 1),
+                            range(g * width + 1, (g + 1) * width + 1))
+            at = g * n * record
             for b in range(self.sub_blocks):
                 tip0, s = self.linear.block_cells(g * self.sub_blocks + b + 1)
-                first = b * per_block + 1
-                count = min(per_block, sch.n - first + 1)
-                # from tip0 on: each record's attributes, each value's sectors
-                keys += product(range(first, first + count), attrs)
-                regions += range(tip0, tip0 + count * width * spv)
-                rows += repeat(s, count * width * spv)
+                runs.append((s, tip0, at + b * block,
+                             at + min(b * block + block, n * record)))
         cells = value_cells(value_bytes, keys, spv, image.sector_bytes)
-        image.write_cells(regions, rows, cells)
+        image.write_rows([(s, tip0, cells[lo:hi]) for s, tip0, lo, hi in runs])
 
 
 class NsmLayout(_PackedLayout):

@@ -118,6 +118,16 @@ class RelLayoutRSY:
         vrow = (v - 1) // self.m
         return RSAddr(self.schema.k * slot + w, vrow * self.spv + 1)
 
+    def write_image(self, image: MediaImage, value_fn) -> None:
+        """Store `value_fn(v, w)` for every tuple and attribute: the k
+        values of tuple rows (vrow * m + 1 ..) from region 1 of sector row
+        vrow * spv + 1 on, as one run per sector row."""
+        n, k, m, spv = self.schema.n, self.schema.k, self.m, self.spv
+        write_values(image, n, k, spv, value_fn,
+                     [(vrow * spv + 1, 1,
+                       range(vrow * m * k, min(n, vrow * m + m) * k))
+                      for vrow in range(self.rows_used)])
+
     def compile(self, query: RangeQuery) -> AccessPlan:
         _check_query(query, self.schema)
         napt, rows = self.params.n_active_tips, self.rows_used
@@ -179,6 +189,18 @@ class RelLayoutRP:
         _check_vw(v, w, self.schema)
         vrow, tip = divmod(v - 1, self.params.n_tips)
         return RSAddr(tip + 1, self.band_start(w) + vrow * self.spv)
+
+    def write_image(self, image: MediaImage, value_fn) -> None:
+        """Store `value_fn(v, w)` for every tuple and attribute: band row
+        j of attribute w holds tuples j * n_tips + 1 .. from region 1 on,
+        as one run per band row."""
+        n, k, spv = self.schema.n, self.schema.k, self.spv
+        n_pt = self.params.n_tips
+        write_values(image, n, k, spv, value_fn,
+                     [(self.band_start(w) + j * spv, 1,
+                       range(j * n_pt * k + w - 1, min(n, j * n_pt + n_pt) * k,
+                             k))
+                      for w in range(1, k + 1) for j in range(self.band_rows)])
 
     def _row_count(self, band_row: int) -> int:
         if band_row < self.band_rows:
@@ -284,10 +306,8 @@ def compile_rp(layout: RelLayoutRP, query: RangeQuery,
 
 
 def write_image_rsy(layout: RelLayoutRSY, image: MediaImage, value_fn) -> None:
-    write_values(image, layout.map, layout.schema.n, layout.schema.k,
-                 layout.spv, value_fn)
+    layout.write_image(image, value_fn)
 
 
 def write_image_rp(layout: RelLayoutRP, image: MediaImage, value_fn) -> None:
-    write_values(image, layout.map, layout.schema.n, layout.schema.k,
-                 layout.spv, value_fn)
+    layout.write_image(image, value_fn)

@@ -16,14 +16,17 @@ a lead run of units, so a long run costs no step per unit), and at most
 Scans built once are placed elsewhere on the sector axis by
 `shift_scans`, which shares their tip sets and the summary of their
 override rows (an `emulator.RowTips`, the form every scan here gets).
-Every placement that maps a value to one Region-Sector address stores
-it down that region's sector axis (`write_values`).
+Every placement that addresses a value by Region-Sector lays its values
+in runs of consecutive regions of one sector row, each value's sectors
+down the sector axis, so it writes its image as row runs listed by
+index arithmetic (`write_values`), with no address made per value.
 """
 
 from __future__ import annotations
 
 from itertools import groupby, product, starmap
-from typing import Callable, Dict, Iterator, List, NamedTuple, Sequence
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Sequence, Tuple)
 
 from .device import DeviceParams, check_integer
 from .emulator import (MediaImage, RowTips, Scan, SortedTips, _col_row, _lin,
@@ -174,17 +177,18 @@ def value_cells(value_fn: Callable[[int, int], bytes], keys: Sequence[tuple],
             for data in payloads for d in range(spv)]
 
 
-def write_values(image: MediaImage, mapper: Callable[[int, int], RSAddr],
-                 n_a: int, n_b: int, spv: int,
-                 value_fn: Callable[[int, int], bytes]) -> None:
+def write_values(image: MediaImage, n_a: int, n_b: int, spv: int,
+                 value_fn: Callable[[int, int], bytes],
+                 runs: Iterable[Tuple[int, int, range]]) -> None:
     """Store `value_fn(a, b)` for every a in 1..n_a and b in 1..n_b as
-    `spv` whole sectors, from `mapper(a, b)` on along the sector axis.
-    The whole image is checked and written as one batch, so a bad
-    payload leaves the image as it was."""
+    `spv` whole sectors.  Each run (row, first, keys) places the values
+    of `keys`, a range of positions in the (a, b)-ordered list of keys,
+    in consecutive regions from `first` on, their d-th sectors in sector
+    row `row + d`.  The whole image is checked and written as one batch,
+    so a bad payload leaves the image as it was."""
     keys = list(product(range(1, n_a + 1), range(1, n_b + 1)))
     cells = value_cells(value_fn, keys, spv, image.sector_bytes)
-    regions, sectors = zip(*starmap(mapper, keys))
-    if spv > 1:
-        regions = [r for r in regions for _ in range(spv)]
-        sectors = [s + d for s in sectors for d in range(spv)]
-    image.write_cells(regions, sectors, cells)
+    # value i's d-th sector is cells[i * spv + d]
+    image.write_rows([(row + d, first, cells[part.start * spv + d:
+                                             part.stop * spv:part.step * spv])
+                      for row, first, part in runs for d in range(spv)])

@@ -86,6 +86,17 @@ class SSYLayout:
         return RSAddr(tip + 1,
                       comp * self.component_rows + (y - 1) * self.spo + 1)
 
+    def write_image(self, image: MediaImage, value_fn) -> None:
+        """Store `value_fn(x, y)` for every object: component c's row y
+        holds x = c * n_tips + 1 .. from region 1 on, as one run per
+        (component, y)."""
+        w, h, n_pt, spo = (self.space.width, self.space.height,
+                           self.params.n_tips, self.spo)
+        write_values(image, w, h, spo, value_fn,
+                     [(c * self.component_rows + y * spo + 1, 1,
+                       range(c * n_pt * h + y, min(w, c * n_pt + n_pt) * h, h))
+                      for c in range(self.n_components) for y in range(h)])
+
     def compile(self, qr: QueryRegion) -> AccessPlan:
         box = qr.clip(self.space)
         if box is None:
@@ -169,6 +180,17 @@ class BlockGrid:
         b = self.rank[((x - 1) // self.B_x + 1, (y - 1) // self.B_y + 1)]
         return RSAddr(((y - 1) % self.B_y) * self.B_x + (x - 1) % self.B_x + 1,
                       (b - 1) * self.spo + 1)
+
+    def write_image(self, image: MediaImage, value_fn) -> None:
+        """Store `value_fn(x, y)` for every object: block (gx, gy) of rank
+        b holds its B_y rows of B_x objects from region 1 of sector row
+        (b - 1) * spo + 1 on, as one run per block row."""
+        b_x, b_y, h, spo = self.B_x, self.B_y, self.space.height, self.spo
+        write_values(image, self.space.width, h, spo, value_fn,
+                     [((b - 1) * spo + 1, ly * b_x + 1,
+                       range((gx - 1) * b_x * h + y, gx * b_x * h, h))
+                      for (gx, gy), b in self.rank.items()
+                      for ly, y in enumerate(range((gy - 1) * b_y, gy * b_y))])
 
     def k_values(self, qr: QueryRegion) -> CostInput:
         box = qr.clip(self.space)
@@ -352,10 +374,8 @@ def compile_ssy(layout: SSYLayout, qr: QueryRegion) -> AccessPlan:
 
 
 def write_image_ssy(layout: SSYLayout, image: MediaImage, value_fn) -> None:
-    write_values(image, layout.map, layout.space.width, layout.space.height,
-                 layout.spo, value_fn)
+    layout.write_image(image, value_fn)
 
 
 def write_image_sp(grid: BlockGrid, image: MediaImage, value_fn) -> None:
-    write_values(image, grid.map, grid.space.width, grid.space.height,
-                 grid.spo, value_fn)
+    grid.write_image(image, value_fn)

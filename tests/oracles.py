@@ -18,11 +18,14 @@ The dict reader looks up every cell a plan reads, one (tip, row) at a
 time, in a plain dict of what was written, an oracle for the cells
 `Emulator.read` takes from the image's sector rows pass by pass.
 The row-tips summary walks an override map row by row, an oracle for
-the summary `RowTips` keeps."""
+the summary `RowTips` keeps.
+The mapped image places every value of a Region-Sector layout through
+its `map`, one value at a time, an oracle for the row runs that the
+layout's `write_image` lists."""
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from memsrs.device import DeviceParams
 from memsrs.emulator import AccessPlan, SortedTips
@@ -83,6 +86,26 @@ def ssy_map_phys(lay: SSYLayout, x: int, y: int) -> PhysAddr:
     col, off = divmod(s0, p.sectors_y)
     return PhysAddr(tip % p.regions_x + 1, tip // p.regions_x + 1, col + 1,
                     off + 1 if col % 2 == 0 else p.sectors_y - off)
+
+
+def map_image(layout, value_fn: Callable[[int, int], bytes]
+              ) -> Dict[Tuple[int, int], bytes]:
+    """(region, sector row) -> cell of every sector a Region-Sector
+    layout (RSY, RP, SSY or a block grid) stores, value by value from
+    `layout.map`: value (a, b)'s d-th sector at (region, sector + d)."""
+    if hasattr(layout, "schema"):
+        n_a, n_b, spv = layout.schema.n, layout.schema.k, layout.spv
+    else:
+        n_a, n_b, spv = layout.space.width, layout.space.height, layout.spo
+    size = layout.params.sector_bits // 8
+    cells = {}
+    for a in range(1, n_a + 1):
+        for b in range(1, n_b + 1):
+            region, sector = layout.map(a, b)
+            data = value_fn(a, b)
+            for d in range(spv):
+                cells[region, sector + d] = data[d * size:(d + 1) * size]
+    return cells
 
 
 def dict_read_cells(plan: AccessPlan, written: Dict[Tuple[int, int], bytes],

@@ -635,6 +635,14 @@ def test_readback_output_pinned():
         "10eaeb84b2db21d1cad666706a1f440c3bd6020f9e088f821c721e65c117ba14")
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_readback_returns_every_placement_contract_at_other_seeds(seed):
+    # the pin above hashes seed 0 only; other seeds ask other queries
+    attempted, failures = workloads.check(
+        "readback", seed, readback.run(readback.device(), seed))
+    assert (attempted, failures) == (readback.N_READS, [])
+
+
 # -- benchmark tracer --------------------------------------------------------
 
 def test_every_tracer_target_binds():

@@ -617,8 +617,7 @@ def _read_cases(draw):
 def test_read_takes_the_cells_a_plain_dict_lookup_gives(case, sled):
     # a second route: each row's cells looked up one (tip, row) at a time
     p, image, written, plan = case
-    image.write_cells([r for r, _ in written], [s for _, s in written],
-                      list(written.values()))
+    image.write_rows([(s, r, [data]) for (r, s), data in written.items()])
     col, row, y_dir = min(sled[0], p.sectors_x), min(sled[1], p.sectors_y), sled[2]
     ex, rd = Emulator(p), Emulator(p)
     ex.state, rd.state = SledState(col, row, y_dir), SledState(col, row, y_dir)
@@ -779,11 +778,10 @@ def test_row_tips_are_frozen(change):
 
 def _full_image(p):
     """An image of `p` whose every cell names its tip and row."""
-    keys = [(tip, s) for tip in range(1, p.n_tips + 1)
-            for s in range(1, p.sectors_per_region + 1)]
     image = MediaImage(p)
-    image.write_cells([t for t, _ in keys], [s for _, s in keys],
-                      [struct.pack(">II", *key) for key in keys])
+    image.write_rows([(s, 1, [struct.pack(">II", tip, s)
+                              for tip in range(1, p.n_tips + 1)])
+                      for s in range(1, p.sectors_per_region + 1)])
     return image
 
 
@@ -951,21 +949,47 @@ def test_write_cell_rejects_a_payload_that_is_not_bytes_like(data, kind):
     assert im._cells == {}
 
 
-def test_write_cells_checks_the_whole_batch_before_storing():
+def test_write_rows_checks_the_whole_batch_before_storing():
     im = MediaImage(TINY)
     with pytest.raises(ValueError, match=r"^row 13 out of range 1\.\.12$"):
-        im.write_cells([1, 2, 3], [1, 13, 2], [bytes(8)] * 3)
+        im.write_rows([(1, 1, [bytes(8)]), (13, 2, [bytes(8)]),
+                       (2, 3, [bytes(8)])])
     with pytest.raises(ValueError, match=r"^cell payload must be 8 bytes$"):
-        im.write_cells([1, 2], [1, 1], [bytes(8), bytes(9)])
-    with pytest.raises(ValueError, match=r"^2 regions, 2 rows and 1 cells "
-                                         r"do not pair up$"):
-        im.write_cells([1, 2], [1, 1], [bytes(8)])
+        im.write_rows([(1, 1, [bytes(8), bytes(9)])])
+    with pytest.raises(ValueError, match=r"^not enough values to unpack"):
+        im.write_rows([(1, 1, [bytes(8)]), (1, 2)])
     assert im._cells == {}
-    # a bytearray or memoryview is stored as bytes; a later write replaces
-    im.write_cells([2, 2], [5, 5], [bytearray(b"a" * 8), memoryview(b"b" * 8)])
-    _, data = Emulator(TINY).read(AccessPlan([Scan(tips=(1, 2), start=5,
+    # a bytearray or memoryview is stored as bytes; a later run overwrites
+    # an earlier one's cell; a run may end at the last region
+    a, b = b"a" * 8, b"b" * 8
+    im.write_rows([(5, 2, [bytearray(a), a]), (5, 3, [memoryview(b)]),
+                   (5, 9, [b])])
+    assert im._cells == {5: [bytes(8)] * 2 + [a, b] + [bytes(8)] * 5 + [b]}
+    assert {type(cell) for cell in im._cells[5]} == {bytes}
+    _, data = Emulator(TINY).read(AccessPlan([Scan(tips=(1, 2, 3), start=5,
                                                    length=1)]), im)
-    assert data == bytes(8) + b"b" * 8
+    assert data == bytes(8) + a + b
+
+
+@pytest.mark.parametrize("runs, message", [
+    ([(1, 0, [bytes(8)] * 2)], "region 0 out of range 1..9"),
+    ([(1, 1, [bytes(8)]), (2, 8, [bytes(8)] * 3)], "region 10 out of range 1..9"),
+    ([(0, 1, [bytes(8)])], "row 0 out of range 1..12"),
+    ([(1, 1, [bytes(8)]), (13, 1, [bytes(8)])], "row 13 out of range 1..12"),
+    ([(1, True, [bytes(8)])], "region must be an integer, got True"),
+    ([(1, 1, [bytes(8)]), (2, 1.0, [bytes(8)])],
+     "region must be an integer, got 1.0"),
+    ([(1, 1, [bytes(8)]), (2, 1, [bytes(8), bytes(7)])],
+     "cell payload must be 8 bytes"),
+    ([(1, 1, [bytes(8)]), (2, 1, [bytes(8), "abcdefgh"])],
+     "cell payload must be bytes, bytearray or memoryview, got str"),
+], ids=["region-0", "past-last-region", "row-0", "past-last-row",
+        "bool-region", "float-region", "short-last-cell", "str-last-cell"])
+def test_write_rows_rejects_a_bad_run_and_stores_nothing(runs, message):
+    im = MediaImage(TINY)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        im.write_rows(runs)
+    assert im._cells == {}
 
 
 def test_read_rejects_an_image_of_another_sector_size_before_the_sled_moves():

@@ -27,11 +27,11 @@ from memsrs.rs import (
     shift_scans,
     rs_to_mems,
 )
-from memsrs.spatial import (QueryRegion, SpatialSpace, SSYLayout,
-                            build_block_grid, compile_sp, write_image_sp,
-                            write_image_ssy)
+from memsrs.spatial import (CURVES, BlockGrid, QueryRegion, SpatialSpace,
+                            SSYLayout, build_block_grid, compile_sp,
+                            write_image_sp, write_image_ssy)
 from memsrs.workload import Relation
-from tests.oracles import dsm_cell, nsm_cell
+from tests.oracles import dsm_cell, map_image, nsm_cell
 
 CMU = cmu_defaults()
 TINY = DeviceParams(regions_x=3, regions_y=3, sectors_x=4, sectors_y=3,
@@ -566,3 +566,77 @@ def test_writer_stores_a_bytearray_or_memoryview_payload_as_bytes(case):
     write(layout, by_view, lambda a, b: memoryview(bytearray(value(a, b))))
     assert by_view._cells == by_bytes._cells
     assert {type(c) for row in by_view._cells.values() for c in row} == {bytes}
+
+
+# -- every Region-Sector writer stores the cells its map places -----------
+
+@st.composite
+def _rs_geometry(draw):
+    """A device with a relation whose last band row and last tuple-major
+    row are ragged, a column-per-tip space of one or more components and
+    a block grid of any shape and curve, all fitting the device."""
+    rx, ry = draw(st.sampled_from(((2, 1), (1, 2), (2, 2), (4, 2), (2, 4),
+                                   (4, 4))))
+    n_tips = rx * ry
+    spv = draw(st.integers(1, 3))
+    k = draw(st.integers(1, min(4, n_tips // 2)))
+    m = n_tips // k
+    n = draw(st.integers(0, 4)) * n_tips + draw(st.integers(1, n_tips - 1))
+    assume(n % m)
+    width = draw(st.integers(1, 3 * n_tips + 1))
+    height = draw(st.integers(1, 5))
+    gx, gy = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    need = max(-(-n // m), k * -(-n // n_tips),
+               -(-width // n_tips) * height, gx * gy * n_tips) * spv
+    sy = draw(st.integers(1, 6))
+    p = DeviceParams(regions_x=rx, regions_y=ry, sectors_y=sy,
+                     sectors_x=-(-need // sy) + draw(st.integers(0, 2)),
+                     n_active_tips=draw(st.integers(1, n_tips)),
+                     sector_bits=80)
+    schema = RelationSchema(k=k, n=n, attr_bits=80 * spv)
+    grid = build_block_grid(p, SpatialSpace(width=n_tips * gx,
+                                            height=n_tips * gy,
+                                            obj_bits=80 * spv),
+                            ratio=draw(st.sampled_from((0.25, 0.5, 1.0, 2.0,
+                                                        4.0))),
+                            curve=draw(st.sampled_from(CURVES)))
+    return p, spv, [RelLayoutRSY(p, schema), RelLayoutRP(p, schema),
+                    SSYLayout(p, SpatialSpace(width=width, height=height,
+                                              obj_bits=80 * spv)), grid]
+
+
+@settings(max_examples=60, deadline=None)
+@given(geometry=_rs_geometry())
+def test_region_sector_writers_write_the_mapped_cells(geometry):
+    # the row runs each layout lists hold every cell its `map` places
+    # and no other non-zero one
+    p, spv, layouts = geometry
+    value = lambda a, b: b"".join(_cells((a, b), spv))
+    for layout in layouts:
+        image = MediaImage(p)
+        layout.write_image(image, value)
+        want = map_image(layout, value)
+        n_a, n_b = _last_value(layout)
+        assert len(want) == n_a * n_b * spv  # `map` gives every sector a cell
+        got = {(region, s): c for s, row in image._cells.items()
+               for region, c in enumerate(row) if c != bytes(10)}
+        assert got == want
+
+
+def test_no_image_writer_calls_map(monkeypatch):
+    p, cases = _writer_cases()
+    value = lambda a, b: struct.pack(">IIQ", a, b, 7)
+    mapped = []
+    for write, layout in cases:
+        mapped.append(MediaImage(p))
+        write(layout, mapped[-1], value)
+
+    def refuse(*args):
+        raise AssertionError("an image writer called map")
+
+    for cls in (RelLayoutRSY, RelLayoutRP, SSYLayout, BlockGrid):
+        monkeypatch.setattr(cls, "map", refuse)
+    for (write, layout), want in zip(cases, mapped):
+        image = MediaImage(p)
+        write(layout, image, value)
+        assert image._cells == want._cells != {}
