@@ -33,8 +33,8 @@ from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from .cost import estimate, lower_bound, trace_k_values
-from .device import (DeviceParams, check_integer, check_real, cmu_defaults,
-                     named)
+from .device import (DeviceParams, check_integer, check_params, check_real,
+                     cmu_defaults, named)
 from .emulator import Emulator
 from .linear import DsmLayout, NsmLayout, compile_dsm, compile_nsm
 from .relational import (RangeQuery, RelationSchema, RelLayoutRP, RelLayoutRSY,
@@ -182,8 +182,7 @@ def _sweep(params: Optional[DeviceParams], experiment: int,
     with named(f"experiment {experiment}"):
         if params is None:
             params = cmu_defaults()
-        elif not isinstance(params, DeviceParams):
-            raise ValueError(f"params must be a DeviceParams, got {params!r}")
+        check_params(params)
         seeds = _sequence("seeds", seeds)
         placements = _sequence("placements", placements)
         for seed in seeds:

@@ -126,6 +126,12 @@ class DeviceParams:
                    self.move_y_s + self.turnaround_time_s)
 
 
+def check_params(params) -> None:
+    """Reject `params` that are not a `DeviceParams`, naming them."""
+    if not isinstance(params, DeviceParams):
+        raise ValueError(f"params must be a DeviceParams, got {params!r}")
+
+
 def cmu_defaults() -> DeviceParams:
     """The published reference device this artifact is calibrated to."""
     return DeviceParams()

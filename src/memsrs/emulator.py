@@ -57,13 +57,14 @@ per pass.  Unwritten cells, and unwritten rows, read as zeros.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from operator import add, itemgetter, lt
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from .device import DeviceParams, check_integer, check_integers, named
+from .device import (DeviceParams, check_integer, check_integers, check_params,
+                     named)
 
 SEEK_MODELS = ("average", "distance")
 
@@ -138,6 +139,7 @@ class MediaImage:
     cell, so unwritten cells, and rows, read back as zero bytes."""
 
     def __init__(self, params: DeviceParams):
+        check_params(params)
         if params.sector_bits % 8 != 0:
             raise ValueError("sector_bits must be a whole number of bytes")
         self.params = params
@@ -157,10 +159,18 @@ class MediaImage:
         `first + i` of sector row `row`, a later run over an earlier one.
         The whole batch is checked first, so a bad cell stores nothing;
         each run is then one slice assignment into its row's list."""
+        if not isinstance(runs, Iterable):
+            raise ValueError("runs must be an iterable of (row, first, cells), "
+                             f"got {type(runs).__name__}")
         runs = [(s, first, cells) for s, first, cells in runs]
         if not runs:
             return
         rows, firsts, groups = zip(*runs)
+        if {*map(type, groups)} - {list, tuple}:
+            for cells in groups:
+                if not isinstance(cells, Sequence):
+                    raise ValueError("run cells must be a sequence, got "
+                                     f"{type(cells).__name__}")
         # exact ints pass at C speed; the first run with another type fails
         if {*map(type, firsts)} | {*map(type, rows)} != {int}:
             for s, first, _ in runs:
@@ -320,6 +330,7 @@ class Emulator:
     """Executes access plans scan by scan, accumulating a timing trace."""
 
     def __init__(self, params: DeviceParams, seek_model: str = "average"):
+        check_params(params)
         if seek_model not in SEEK_MODELS:
             raise ValueError(f"unknown seek model: {seek_model!r}")
         self.params = params

@@ -7,8 +7,9 @@ Two layouts over the region-sector plane:
   tuples and every projection reads every tuple.
 * attribute-band (`RelLayoutRP`): each attribute fills its own band of
   sector rows across all regions, so selective queries can activate only
-  the tips of qualifying tuples.  Its full band is scanned once per
-  layout and a draw's rows once per draw (a `QualifyingBand`).
+  the tips of qualifying tuples.  Its full predicate band and a draw's
+  rows (a `QualifyingBand`) are both laid out by `rs.layer_scans`, the
+  band once per layout and the rows once per draw.
 """
 
 from __future__ import annotations
@@ -174,13 +175,10 @@ class RelLayoutRP:
         self.band_rows = h = -(-schema.n // params.n_tips)
         if schema.k * h * self.spv > params.sectors_per_region:
             raise ValueError("relation does not fit the device under this layout")
-        # the predicate's full band from row 1: the full rows' one set held
-        # for a lead run, then the last row's own, left out of a layer it
-        # has no tips in; a single row reads its own set alone
+        # the predicate's full band from row 1: the full rows share one set
         full, tail = range(1, params.n_tips + 1), range(1, self._row_count(h) + 1)
-        units, lead = ([full, tail], h - 1) if h > 1 else ([tail], 1)
-        self._full_band = [rs_scan(1, self.spv, cut if cut[-1] else cut[:1], lead)
-                           for cut in layer_cuts(units, params.n_active_tips)]
+        self._full_band = layer_scans(1, self.spv, [full] * (h - 1) + [tail],
+                                      params)
 
     def band_start(self, w: int) -> int:
         return (w - 1) * self.band_rows * self.spv + 1

@@ -11,8 +11,9 @@ search in floats.
 The per-block plan locates every block of a run on its own, an oracle
 for `lba_to_plan`'s column and group stepping.
 The per-row and per-band plans build the relational plans one unit per
-tuple row and one `layer_scans` per attribute band, oracles for the lead
-run of `RelLayoutRSY.compile` and the shifted band scans of
+tuple row and one `layer_scans` per projected attribute band, the
+predicate band from the layer rule in index arithmetic, oracles for the
+lead run of `RelLayoutRSY.compile` and the shifted band scans of
 `RelLayoutRP.compile`.
 The dict reader looks up every cell a plan reads, one (tip, row) at a
 time, in a plain dict of what was written, an oracle for the cells
@@ -28,7 +29,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from memsrs.device import DeviceParams
-from memsrs.emulator import AccessPlan, SortedTips
+from memsrs.emulator import AccessPlan, Scan, SortedTips
 from memsrs.linear import LinearMap
 from memsrs.relational import (RangeQuery, RelationSchema, RelLayoutRP,
                                RelLayoutRSY, _check_vw)
@@ -66,11 +67,27 @@ def rp_plan_per_band(lay: RelLayoutRP, query: RangeQuery,
                      rows: Mapping[int, Sequence[int]]) -> AccessPlan:
     """The attribute-band plan from the band-row map `rows`, each
     projected band's scans built by their own `layer_scans` call from
-    that band's first row, the predicate band's one unit per row."""
+    that band's first row.  The predicate band's scans come from the
+    layer rule alone, in index arithmetic: for the layer at `lo`, band
+    rows 1..h-1 read tips lo+1..min(n_tips, lo+napt), and the last row
+    its own slice while its count passes `lo`; where it does not, the
+    layer's scan ends before the last row."""
     h, spv, p = lay.band_rows, lay.spv, lay.params
     count = lay.schema.n - (h - 1) * p.n_tips
-    full = [range(1, p.n_tips + 1)] * (h - 1) + [range(1, count + 1)]
-    scans = layer_scans(lay.band_start(query.predicate_attr), spv, full, p)
+    start = lay.band_start(query.predicate_attr)
+    tail = start + (h - 1) * spv
+    scans = []
+    for lo in range(0, p.n_tips if h > 1 else count, p.n_active_tips):
+        body = range(lo + 1, min(p.n_tips, lo + p.n_active_tips) + 1)
+        last = range(lo + 1, min(count, lo + p.n_active_tips) + 1)
+        if h == 1:
+            scans.append(Scan(tips=last, start=start, length=spv))
+        elif count <= lo:
+            scans.append(Scan(tips=body, start=start, length=(h - 1) * spv))
+        else:
+            over = dict.fromkeys(range(tail, tail + spv), last)
+            scans.append(Scan(tips=body, start=start, length=h * spv,
+                              per_row_tips=over if last != body else None))
     units = [rows.get(j, ()) for j in range(1, h + 1)]
     for w in query.projected:
         if w != query.predicate_attr:

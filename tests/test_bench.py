@@ -523,7 +523,9 @@ def test_qualifying_band_scanned_once_per_size_and_seed(monkeypatch):
     rows = run_experiment2(size_mb=20, n_projections=(1, 2, 8, 16),
                            seeds=(0, 1), placements=("relational-parallel",))
     assert len(rows) == 4 * 2
-    assert scanned == [26, 26]  # 20 MB holds 163,840 tuples: 26 band rows
+    # the layout's predicate band, then one band per seed; a band scanned
+    # per width would make 1 + 8 calls
+    assert scanned == [26, 26, 26]  # 20 MB holds 163,840 tuples: 26 band rows
 
 
 def test_block_grid_built_once_per_block_shape(monkeypatch):

@@ -213,15 +213,26 @@ _STRAY_TIP = AccessPlan([Scan(tips=(1,), start=500, length=3),
     ("read", _STRAY_TIP, "image", r"^media must be a MediaImage, got str$"),
     ("read", _STRAY_TIP, MediaImage(replace(CMU, sectors_x=2)),
      r"^media image of 6400 regions x 54 rows does not cover"),
+    # params of another type: an emulator took them and failed at its first
+    # execute, an image failed as it was built, each on a bare AttributeError
+    ("execute-on-params", _STRAY_TIP, "cmu",
+     r"^params must be a DeviceParams, got 'cmu'$"),
+    ("read-image-of-params", _STRAY_TIP, "cmu",
+     r"^params must be a DeviceParams, got 'cmu'$"),
 ], ids=["execute", "read", "execute-list-plan", "read-list-plan",
-        "read-str-image", "read-str-image-stray-tip", "read-small-image-stray-tip"])
+        "read-str-image", "read-str-image-stray-tip", "read-small-image-stray-tip",
+        "emulator-str-params", "image-str-params"])
 def test_rejected_plan_leaves_the_sled_in_place(call, plan, image, message):
     em = Emulator(CMU)
     with pytest.raises(ValueError, match=message):
         if call == "execute":
             em.execute(plan)
-        else:
+        elif call == "read":
             em.read(plan, image)
+        elif call == "execute-on-params":
+            Emulator(image).execute(plan)
+        else:
+            em.read(plan, MediaImage(image))
     assert em.state == SledState()
 
 
@@ -983,8 +994,13 @@ def test_write_rows_checks_the_whole_batch_before_storing():
      "cell payload must be 8 bytes"),
     ([(1, 1, [bytes(8)]), (2, 1, [bytes(8), "abcdefgh"])],
      "cell payload must be bytes, bytearray or memoryview, got str"),
+    # these failed on a bare TypeError
+    (None, "runs must be an iterable of (row, first, cells), got NoneType"),
+    ([(1, 1, [bytes(8)]), (2, 1, (bytes(8) for _ in range(2)))],
+     "run cells must be a sequence, got generator"),
 ], ids=["region-0", "past-last-region", "row-0", "past-last-row",
-        "bool-region", "float-region", "short-last-cell", "str-last-cell"])
+        "bool-region", "float-region", "short-last-cell", "str-last-cell",
+        "none-runs", "generator-cells"])
 def test_write_rows_rejects_a_bad_run_and_stores_nothing(runs, message):
     im = MediaImage(TINY)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -474,8 +474,13 @@ def test_rsy_lead_run_matches_the_per_row_builder(n, attr_bits, napt,
 
 @pytest.mark.parametrize("napt", [3, 16])
 @pytest.mark.parametrize("attr_bits", [64, 128])
-@pytest.mark.parametrize("n, band_rows", [(350, 6), (384, 6), (50, 1)],
-                         ids=["ragged", "last-row-full", "one-row"])
+# last rows of 30, 64 (n a multiple of n_tips) and 50 (one band row)
+# tips, and of 15, 16 and 17, which end just below, at and just above a
+# layer boundary at napt 16 (at, above and below one at napt 3)
+@pytest.mark.parametrize("n, band_rows", [(350, 6), (384, 6), (50, 1),
+                                          (335, 6), (336, 6), (337, 6)],
+                         ids=["ragged", "last-row-full", "one-row",
+                              "last-15", "last-16", "last-17"])
 @pytest.mark.parametrize("sigma", [1e-4, 0.1, 0.5, 1.0])
 def test_rp_shifted_bands_match_the_per_band_builder(sigma, n, band_rows,
                                                      attr_bits, napt):
